@@ -1,8 +1,8 @@
 """The exact polyhedral substrate.
 
-Everything runs over Fractions: vertex enumeration is an n-subset scan with
-integer Cramer solves, boundedness detection is an LP-free recession-cone
-argument, and serialization is byte-deterministic.
+Everything runs over exact rationals: vertex enumeration takes the extreme
+rays of the homogenized cone by integer double description, a ray at
+infinity proves unboundedness, and serialization is byte-deterministic.
 """
 
 from fractions import Fraction

@@ -185,19 +185,7 @@ def knit_ar_quiver(quiver, enable_e=False):
         raise UnsupportedType("type E knitting is behind the enable_e feature gate")
     n = quiver.rank
     verts = list(range(1, n + 1))
-    # level function: p(source) = p(target) + 1 across each arrow
-    p = {1: 0}
-    pending = [1]
-    edges = [(s, t) for s, t in quiver.orientation]
-    while pending:
-        v = pending.pop()
-        for s, t in edges:
-            if s == v and t not in p:
-                p[t] = p[v] - 1
-                pending.append(t)
-            elif t == v and s not in p:
-                p[s] = p[v] + 1
-                pending.append(s)
+    p = _level_of(quiver)
     shift = 1 - min(p[v] for v in verts)  # row v starts at slice p(v)-1+shift >= 0
     p = {v: p[v] + shift for v in verts}
 
@@ -216,7 +204,7 @@ def knit_ar_quiver(quiver, enable_e=False):
     while alive:
         k += 1
         if k > 4 * (n * n + n) + max_slice:
-            raise AssertionError("knitting did not terminate (orientation bug?)")
+            raise SingularSystem("knitting did not terminate (orientation bug?)")
         alive = False
         for v in by_p_desc:
             prev = nodes.get((k - 1, v))
@@ -231,12 +219,12 @@ def knit_ar_quiver(quiver, enable_e=False):
                 middles.append((k, u))
             for pos in middles:
                 if pos not in nodes:
-                    raise AssertionError(f"mesh middle {pos} missing while knitting {(k, v)}")
+                    raise SingularSystem(f"mesh middle {pos} missing while knitting {(k, v)}")
             sdim = tuple(
                 sum(nodes[pos][0][i] for pos in middles) - prev[0][i] for i in range(n)
             )
             if any(x < 0 for x in sdim) or all(x == 0 for x in sdim):
-                raise AssertionError(f"knitted non-module dimension {sdim} at {(k, v)}")
+                raise SingularSystem(f"knitted non-module dimension {sdim} at {(k, v)}")
             inj = inj_lookup.get(sdim)
             nodes[(k, v)] = [sdim, "module", inj]
             meshes_raw.append(((k - 1, v), tuple(middles), (k, v)))
@@ -263,7 +251,7 @@ def knit_ar_quiver(quiver, enable_e=False):
         if v.injective_index is not None:
             projections[v.injective_index - 1] = i
     if any(x is None for x in projections):
-        raise AssertionError("knitting did not reach every injective")
+        raise SingularSystem("knitting did not reach every injective")
     return ARQuiver(quiver, vertices, tuple(sorted(arrows)), meshes, tuple(projections))
 
 
@@ -326,6 +314,7 @@ def abhy_functionals(ar):
 
 
 def _level_of(quiver):
+    """Level function with p(source) = p(target) + 1 across each arrow."""
     p = {1: 0}
     pending = [1]
     while pending:

@@ -88,9 +88,7 @@ def _add_seed_options(sub):
 
 def cmd_fan(args):
     seed, tri = _seed_from_args(args)
-    enum = clusterfan.enumerate_fan(
-        seed, triangulation=tri, budget=args.budget, threads=args.threads
-    )
+    enum = clusterfan.enumerate_fan(seed, triangulation=tri, budget=args.budget)
     if args.validate:
         enum.fan.validate(rng_seed=args.rng_seed)
     _write_out(polyhedra.fan_to_json(enum.fan), args.output)
@@ -101,9 +99,7 @@ def cmd_fan(args):
 
 def cmd_graph(args):
     seed, tri = _seed_from_args(args)
-    enum = clusterfan.enumerate_fan(
-        seed, triangulation=tri, budget=args.budget, threads=args.threads
-    )
+    enum = clusterfan.enumerate_fan(seed, triangulation=tri, budget=args.budget)
     labels = None
     if args.annotate:
         labels = {}
@@ -120,7 +116,7 @@ def cmd_graph(args):
 
 def cmd_typecone(args):
     fan = polyhedra.fan_from_json(_read_in(args.fan))
-    tc = typecone.type_cone(fan, threads=args.threads)
+    tc = typecone.type_cone(fan)
     expected = fan.n_rays - fan.dim
     if args.report:
         uerp = typecone.unique_exchange_check(fan)
@@ -152,7 +148,7 @@ def cmd_realize(args):
         if args.typecone:
             tc = _typecone_from_json(_read_in(args.typecone))
         else:
-            tc = typecone.type_cone(fan, threads=args.threads)
+            tc = typecone.type_cone(fan)
         c = (
             _parse_fraction_list(args.c)
             if args.c
@@ -199,7 +195,7 @@ def cmd_abhy(args):
     for vid in range(len(ar.vertices)):
         row = poly.ineq_matrix[vid]
         bound = poly.bounds[vid]
-        lhs = _linear_text(row)
+        lhs = _named_linear(row, [f"x{i + 1}" for i in range(len(row))])
         lines.append(f"{lhs} <= {bound}")
     text = "\n".join(lines)
     _write_out(text, args.output)
@@ -216,21 +212,6 @@ def _mesh_equation_text(ar, mesh):
     mids = " + ".join(ar.vertex_label(m) for m in mesh.middles)
     right = f"{mids} + {ar.mesh_param_label(mesh)}" if mids else ar.mesh_param_label(mesh)
     return f"{left} = {right}"
-
-
-def _linear_text(row):
-    terms = []
-    for i, a in enumerate(row):
-        if a == 0:
-            continue
-        var = f"x{i + 1}"
-        if a == 1:
-            terms.append(f"+ {var}" if terms else var)
-        elif a == -1:
-            terms.append(f"- {var}" if terms else f"-{var}")
-        else:
-            terms.append(f"+ {a} {var}" if a > 0 and terms else f"{a} {var}")
-    return " ".join(terms) if terms else "0"
 
 
 PAPER_A2_EQUATIONS = [
@@ -360,7 +341,9 @@ def build_parser():
         description="g-vector fans, type cones, and polytopal realizations, exactly",
     )
     parser.add_argument("--rng-seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored; every command runs serially"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fan = sub.add_parser("fan", help="enumerate a g-vector fan from a seed")

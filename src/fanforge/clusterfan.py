@@ -9,11 +9,10 @@ yields the diagonal-to-ray dictionary used by the mesh cross-checks.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InconsistentSystem
 from .linalg import det_int
 from .polyhedra import Fan
 
@@ -190,7 +189,8 @@ class Triangulation:
             for p, q, r in combinations(range(1, m + 1), 3)
             if (p, q) in edges and (q, r) in edges and (p, r) in edges
         ]
-        assert len(tris) == m - 2, "triangulation face count mismatch"
+        if len(tris) != m - 2:
+            raise InconsistentSystem("triangulation face count mismatch")
         return tris
 
 
@@ -230,7 +230,8 @@ def flip(tri, diagonal):
     if d not in tri.diagonals:
         raise ValueError(f"{d} is not a diagonal of the triangulation")
     incident = [t for t in tri.triangles() if d[0] in t and d[1] in t]
-    assert len(incident) == 2, "diagonal must bound two triangles"
+    if len(incident) != 2:
+        raise InconsistentSystem("diagonal must bound two triangles")
     quad = sorted(set(incident[0]) | set(incident[1]))
     other = tuple(sorted(set(quad) - set(d)))
     new_diags = tuple(other if x == d else x for x in tri.diagonals)
@@ -299,7 +300,7 @@ class FanEnumeration:
     diagonal_rays: dict
 
 
-def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET, threads=1):
+def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     """BFS over seeds modulo cluster-set equality.
 
     Returns a FanEnumeration whose fan has all distinct g-vectors as rays
@@ -307,7 +308,7 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET, threads=1
     orthant and its basis vectors come first) and one maximal cone per
     cluster. With a triangulation supplied, flips are tracked alongside
     mutations and every diagonal is matched to its g-vector ray; agreement
-    across all clusters containing the diagonal is asserted.
+    across all clusters containing the diagonal is checked.
     """
     n = seed.rank
     if triangulation is not None:
@@ -326,7 +327,7 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET, threads=1
         for k in range(n):
             s2 = mutate_seed(s, k)
             if abs(det_int([list(r) for r in s2.g_matrix])) != 1:
-                raise AssertionError("g-matrix lost unimodularity")
+                raise InconsistentSystem("g-matrix lost unimodularity")
             diags2 = None
             if diags is not None:
                 # flip() also re-validates the flipped triangulation
@@ -336,14 +337,9 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET, threads=1
         return out
 
     while frontier:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                expansions = list(pool.map(expand, frontier))
-        else:
-            expansions = [expand(key) for key in frontier]
         next_frontier = []
-        for key, expansion in zip(frontier, expansions):
-            for old_ray, s2, diags2 in expansion:
+        for key in frontier:
+            for old_ray, s2, diags2 in expand(key):
                 key2 = frozenset(s2.g_columns())
                 if key2 not in states:
                     states[key2] = (s2, diags2)
@@ -367,7 +363,7 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET, threads=1
                 g = s.g_column(k)
                 prev = diagonal_rays.setdefault(diags[k], g)
                 if prev != g:
-                    raise AssertionError(
+                    raise InconsistentSystem(
                         f"diagonal {diags[k]} matched two distinct g-vectors"
                     )
         ray_diag = {ray_index[g]: d for d, g in diagonal_rays.items()}

@@ -13,6 +13,7 @@ the package's independent cross-check of the realization pipeline.
 from dataclasses import dataclass
 
 from .clusterfan import enumerate_fan, seed_from_triangulation
+from .errors import InconsistentSystem
 from .typecone import unique_exchange_check, wall_dependency, walls
 
 
@@ -115,8 +116,10 @@ def relative_ar_meshes(tri, enumeration=None):
             normal[ray_index[diag_ray[mid.pair]]] -= 1
         meshes.append(RelativeMesh(start, middles, end, False, tuple(normal)))
     total = len(meshes)
-    assert total == fan.n_rays, "one mesh per diagonal expected"
-    assert excluded_count == n, "the relative structure drops exactly n meshes"
+    if total != fan.n_rays:
+        raise InconsistentSystem("one mesh per diagonal expected")
+    if excluded_count != n:
+        raise InconsistentSystem("the relative structure drops exactly n meshes")
     return [mesh for mesh in meshes if not mesh.excluded]
 
 

@@ -1,33 +1,17 @@
-"""Exact rational linear algebra over fractions.Fraction.
+"""Exact linear algebra over the integers and fractions.Fraction.
 
 Matrices are lists of row lists; entries are ints or Fractions. Nothing in
-here ever touches a float. All outputs are canonical: kernel bases come from
-the reduced row echelon form, so identical inputs give identical results.
+here ever touches a float. Elimination runs fraction-free on integer rows.
+All outputs are canonical: kernel bases come from the reduced row echelon
+form, so identical inputs give identical results.
 """
 
 from fractions import Fraction
 from math import gcd
 
 
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def mat_vec(m, v):
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in m]
-
-
-def mat_mul(a, b):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)]
-
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def dot(u, v):
@@ -35,29 +19,38 @@ def dot(u, v):
 
 
 def rref(rows):
-    """Reduced row echelon form. Returns (rref rows, pivot column list)."""
-    m = frac_matrix(rows)
+    """Reduced row echelon form. Returns (rref rows, pivot column list).
+
+    Fraction-free Gauss-Jordan: every row is scaled to integers once, kept
+    primitive after each elimination step, and divided by its pivot only at
+    the end. The RREF is unique, so this equals Fraction elimination.
+    """
+    m = scale_rows_int(rows)
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                row = [p * x - f * y for x, y in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    red += [[Fraction(0)] * ncols for _ in range(nrows - r)]
+    return red, pivots
 
 
 def rank(rows):
@@ -81,10 +74,6 @@ def kernel_basis(rows):
     return basis
 
 
-def left_kernel_basis(rows):
-    return kernel_basis(transpose(rows))
-
-
 def solve(a, b):
     """One exact solution of a.x = b, or None if inconsistent."""
     if not a:
@@ -98,15 +87,6 @@ def solve(a, b):
     for r, p in enumerate(pivots):
         x[p] = red[r][ncols]
     return x
-
-
-def inverse(m):
-    n = len(m)
-    aug = [list(row) + ident for row, ident in zip(frac_matrix(m), identity(n))]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
 
 
 def det_int(m):
@@ -133,53 +113,6 @@ def det_int(m):
             row_i[k] = 0
         prev = akk
     return sign * a[n - 1][n - 1]
-
-
-def det(m):
-    n = len(m)
-    if all(isinstance(x, int) for row in m for x in row):
-        return Fraction(det_int(m))
-    a = frac_matrix(m)
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
-
-
-def solve_cramer_int(a, b):
-    """Solve a square integer system by Cramer's rule.
-
-    Returns (numerators, denominator) with denominator = det(a) > 0 after
-    sign normalization, or None when det(a) = 0. Faster than rref for the
-    hot n-subset scans because it stays in machine integers.
-    """
-    d = det_int(a)
-    if d == 0:
-        return None
-    n = len(a)
-    nums = []
-    for j in range(n):
-        col = [row[j] for row in a]
-        for i in range(n):
-            a[i][j] = b[i]
-        nums.append(det_int(a))
-        for i in range(n):
-            a[i][j] = col[i]
-    if d < 0:
-        d = -d
-        nums = [-x for x in nums]
-    return nums, d
 
 
 def primitive(vec):

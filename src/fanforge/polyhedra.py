@@ -1,9 +1,10 @@
 """Exact polyhedral primitives: fans, H/V-polytopes, normal fans.
 
 Everything is computed over exact rationals; tolerance is identically zero.
-Vertex enumeration is a brute-force scan over n-subsets of inequality rows,
-which is the right tool at the scale this package targets (N <= ~25 rays,
-dimension <= 8).
+Every cone question (vertices, facets, strict feasibility, type cones) goes
+through one routine, :func:`extreme_rays`, an incremental double description
+on integer vectors with the combinatorial adjacency test of Fukuda and
+Prodon, "Double description method revisited" (1996).
 """
 
 import json
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DimensionDeficient, Empty, Unbounded
+from .errors import DimensionDeficient, Empty, InconsistentSystem, Unbounded
 from .linalg import (
     det_int,
     dot,
@@ -22,7 +23,7 @@ from .linalg import (
     rref,
     scale_rows_int,
     solve,
-    solve_cramer_int,
+    transpose,
 )
 
 
@@ -185,25 +186,68 @@ class Fan:
 
 
 def _adjugate_int(m):
-    """Adjugate of a square integer matrix (inverse times determinant)."""
+    """Adjugate of an invertible square integer matrix: its determinant
+    times the inverse from one fraction-free elimination of [m | I]."""
     n = len(m)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for k, row in enumerate(m) if k != i]
-            adj[j][i] = (-1) ** (i + j) * det_int(minor)
-    return adj
+    det = det_int(m)
+    red, _pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    return [[int(det * x) for x in row[n:]] for row in red]
+
+
+def extreme_rays(constraints, d):
+    """Extreme rays of {z in R^d : constraints . z >= 0} by incremental
+    double description, as sorted primitive integer tuples. The constraint
+    rows are integer vectors of rank d, so the cone is pointed."""
+    init = rref(transpose(constraints))[1] if constraints else []
+    if len(init) != d:
+        raise InconsistentSystem(f"constraints do not span R^{d}")
+    # the initial simplicial cone's rays are the columns of the inverse,
+    # i.e. of the adjugate oriented by the sign of the determinant
+    a0 = [list(constraints[i]) for i in init]
+    sign = 1 if det_int(a0) > 0 else -1
+    adj = _adjugate_int(a0)
+    rays = [
+        (primitive([sign * adj[i][j] for i in range(d)]), frozenset(init) - {init[j]})
+        for j in range(d)
+    ]
+    for ci in range(len(constraints)):
+        if ci in init:
+            continue
+        a = constraints[ci]
+        plus, zero, minus = [], [], []
+        for ray, tight in rays:
+            v = dot(a, ray)
+            if v > 0:
+                plus.append((ray, tight, v))
+            elif v == 0:
+                zero.append((ray, tight | {ci}))
+            else:
+                minus.append((ray, tight, v))
+        new = []
+        for rp, tp, vp in plus:
+            for rm, tm, vm in minus:
+                common = tp & tm
+                # adjacent iff they share at least d - 2 tight rows and no
+                # third ray is tight on all of them
+                if len(common) < d - 2 or any(
+                    common <= t for _r, t in rays if t is not tp and t is not tm
+                ):
+                    continue
+                combo = [vp * y - vm * x for x, y in zip(rp, rm)]
+                new.append((primitive(combo), common | {ci}))
+        rays = [(r, t) for r, t, _v in plus] + zero + new
+    for ray, _tight in rays:
+        if any(dot(c, ray) < 0 for c in constraints):
+            raise InconsistentSystem("double description produced an infeasible ray")
+    return sorted({r for r, _t in rays})
 
 
 def strict_feasible(rows):
     """Exact decision of {u : rows . u > 0 componentwise} != empty set.
 
     Reduces to the row space so the closed cone {rows . u >= 0} is pointed,
-    enumerates its extreme rays by (r-1)-subset scan over signed integer
-    minors, and tests the relative interior point given by their sum.
-    LP-free and exact.
+    takes its extreme rays, and tests the relative interior point given by
+    their sum. LP-free and exact.
     """
     if not rows:
         return True
@@ -213,33 +257,11 @@ def strict_feasible(rows):
         return False
     basis = red[:r]
     reduced = scale_rows_int([[dot(row, bvec) for bvec in basis] for row in rows])
-    rays = _pointed_cone_rays(reduced, r)
+    rays = extreme_rays(reduced, r)
     if not rays:
         return False
     total = [sum(ray[j] for ray in rays) for j in range(r)]
     return all(dot(row, total) > 0 for row in reduced)
-
-
-def _pointed_cone_rays(rows, dim):
-    """Extreme rays of the pointed cone {u in R^dim : rows . u >= 0};
-    rows are integer vectors."""
-    if dim == 1:
-        rays = []
-        if all(row[0] >= 0 for row in rows):
-            rays.append((1,))
-        if all(row[0] <= 0 for row in rows):
-            rays.append((-1,))
-        return rays
-    found = set()
-    for subset in combinations(range(len(rows)), dim - 1):
-        z = _int_kernel_vector([rows[i] for i in subset], dim)
-        if z is None:
-            continue
-        z = primitive(z)
-        for cand in (z, tuple(-x for x in z)):
-            if all(dot(row, cand) >= 0 for row in rows):
-                found.add(cand)
-    return sorted(found)
 
 
 @dataclass(frozen=True)
@@ -296,67 +318,33 @@ class VPolytope:
 def vertices(p):
     """Exact vertex enumeration of a bounded H-polytope.
 
-    Scans all n-subsets of inequality rows with invertible submatrix, keeps
-    the feasible intersection points, deduplicates. Boundedness is detected
-    first (recession cone {x : Ax <= 0} must be {0}), then emptiness, then
-    full-dimensionality; the three failure modes raise distinct errors.
+    The extreme rays (x, t) of the homogenized cone {(x, t) : Ax <= bt,
+    t >= 0} are the vertices x/t (t > 0) and the recession directions
+    (t = 0). Boundedness is decided first, then emptiness (no ray at all),
+    then full-dimensionality; the three failure modes raise distinct errors.
     A recession direction reports Unbounded whether or not the region is
-    empty; Empty is certified only for recession-free systems, where every
-    nonempty region has a vertex the scan must find.
+    empty.
     """
     a_rows, b = scale_rows_int(p.ineq_matrix, p.bounds)
     n = p.dim
     if n == 0 or not a_rows:
         raise Unbounded("no constraints: feasible set is all of R^n")
-    _check_recession_trivial(a_rows, n)
-    verts = {}
-    for subset in combinations(range(len(a_rows)), n):
-        sub = [list(a_rows[i]) for i in subset]
-        rhs = [b[i] for i in subset]
-        sol = solve_cramer_int(sub, rhs)
-        if sol is None:
-            continue
-        nums, den = sol
-        if all(dot(a_rows[i], nums) <= b[i] * den for i in range(len(a_rows))):
-            verts[tuple(Fraction(x, den) for x in nums)] = True
-    if not verts:
-        raise Empty("no feasible point")
-    vlist = sorted(verts)
-    if _affine_rank(vlist) != n:
-        raise DimensionDeficient("polytope has no interior point")
-    return VPolytope(vlist, hrep=p)
-
-
-def _check_recession_trivial(a_rows, n):
-    """Raise Unbounded unless {x : Ax <= 0} = {0}. Exact, LP-free: the
-    recession cone is pointed iff ker A = 0, and a pointed cone is {0} iff
-    the (n-1)-subset scan produces no extreme ray."""
     if rank(a_rows) < n:
         raise Unbounded("constraint matrix is rank deficient")
-    if n == 1:
-        if all(row[0] <= 0 for row in a_rows) or all(row[0] >= 0 for row in a_rows):
-            raise Unbounded("recession direction exists")
-        return
-    for subset in combinations(range(len(a_rows)), n - 1):
-        z = _int_kernel_vector([a_rows[i] for i in subset], n)
-        if z is None:
-            continue
-        if all(dot(row, z) <= 0 for row in a_rows) or all(dot(row, z) >= 0 for row in a_rows):
-            raise Unbounded(f"recession direction {z} exists")
-
-
-def _int_kernel_vector(rows, n):
-    """Kernel vector of an (n-1) x n integer matrix via signed maximal
-    minors; None when the rank is below n-1."""
-    z = []
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows]
-        z.append(sign * det_int(minor))
-        sign = -sign
-    if all(x == 0 for x in z):
-        return None
-    return z
+    cone = [[-x for x in row] + [bi] for row, bi in zip(a_rows, b)]
+    cone.append([0] * n + [1])
+    verts = []
+    for ray in extreme_rays(cone, n + 1):
+        t = ray[n]
+        if t == 0:
+            raise Unbounded(f"recession direction {list(ray[:n])} exists")
+        verts.append(tuple(Fraction(x, t) for x in ray[:n]))
+    if not verts:
+        raise Empty("no feasible point")
+    verts.sort()
+    if _affine_rank(verts) != n:
+        raise DimensionDeficient("polytope has no interior point")
+    return VPolytope(verts, hrep=p)
 
 
 def _affine_rank(points):
@@ -372,7 +360,10 @@ def facet_description(vp):
 
     Returns (normals, offsets, contact lists) with primitive integer normals
     in canonical order. Uses the H-rep provenance when available; otherwise
-    falls back to the n-subset scan over vertex tuples.
+    the facets are the extreme rays (a, beta) of the cone of valid
+    inequalities {(a, beta) : a . v <= beta for every vertex v}. The polytope
+    is bounded, so the trivial ray (0, ..., 0, 1) is a positive combination
+    of facet rows and never extreme.
     """
     n = vp.dim
     pts = vp.vertices
@@ -391,27 +382,10 @@ def facet_description(vp):
             if len(contact) >= n and _affine_rank([pts[i] for i in contact]) == n - 1:
                 facets[(tuple(row), bi)] = contact
     else:
-        for subset in combinations(range(len(pts)), n):
-            base = pts[subset[0]]
-            diffs = [[x - y for x, y in zip(pts[i], base)] for i in subset[1:]]
-            kb = kernel_basis(diffs) if diffs else [[Fraction(1)]]  # n == 1
-            if len(kb) != 1:
-                continue
-            normal = primitive(kb[0])
-            offset = dot(normal, base)
-            values = [dot(normal, v) for v in pts]
-            if all(val <= offset for val in values):
-                key_n, key_o = normal, offset
-            elif all(val >= offset for val in values):
-                key_n = tuple(-x for x in normal)
-                key_o = -offset
-            else:
-                continue
-            scaled = primitive(list(key_n) + [key_o])
-            key_n, key_o = scaled[:-1], scaled[-1]
-            facets[(key_n, key_o)] = [
-                i for i, v in enumerate(pts) if dot(key_n, v) == key_o
-            ]
+        valid = scale_rows_int([[-x for x in v] + [1] for v in pts])
+        for ray in extreme_rays(valid, n + 1):
+            normal, offset = ray[:n], ray[n]
+            facets[(normal, offset)] = [i for i, v in enumerate(pts) if dot(normal, v) == offset]
     ordered = sorted(facets, key=lambda f: f[0], reverse=True)
     normals = [f[0] for f in ordered]
     offsets = [f[1] for f in ordered]

@@ -19,7 +19,7 @@ from .errors import (
     NotSimplicial,
 )
 from .linalg import dot, kernel_basis, primitive, rank, scale_rows_int, solve, transpose
-from .polyhedra import p_h
+from .polyhedra import extreme_rays, p_h
 
 
 @dataclass(frozen=True)
@@ -193,23 +193,16 @@ class TypeCone:
         return json.dumps(payload, separators=(",", ":"))
 
 
-def type_cone(fan, threads=1):
+def type_cone(fan):
     """Type cone of a complete simplicial fan.
 
     Raw inequalities come from all wall dependencies; deduplication uses
     primitive normalization with positive scaling only (sign is meaningful);
     irredundancy is certified facet by facet in the quotient by the
-    lineality space. Per-wall dependencies are independent, so they may be
-    computed in parallel; outputs are canonically ordered either way.
+    lineality space.
     """
     wall_list = walls(fan)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            deps = list(pool.map(lambda w: wall_dependency(fan, w), wall_list))
-    else:
-        deps = [wall_dependency(fan, w) for w in wall_list]
+    deps = [wall_dependency(fan, w) for w in wall_list]
     raw = [dependency_vector(fan, d) for d in deps]
     for vec in raw:
         g = fan.ray_matrix()
@@ -225,11 +218,7 @@ def type_cone(fan, threads=1):
     reducer = _lineality_reducer(fan)
     reduced = [tuple(dot(row, vec) for row in reducer) for vec in dedup]
     d = len(reducer)
-    if rank([list(r) for r in reduced]) != d:
-        raise InconsistentSystem(
-            "wall inequalities do not span the quotient by the lineality space"
-        )
-    extreme = _extreme_rays_dd(reduced, d)
+    extreme = extreme_rays(reduced, d)
     facets = []
     certificates = []
     for idx, rvec in enumerate(reduced):
@@ -269,59 +258,6 @@ def _lineality_reducer(fan):
     if len(basis) != fan.n_rays - fan.dim:
         raise InconsistentSystem("ray matrix does not have full column rank")
     return scale_rows_int([list(b) for b in basis])
-
-
-def _extreme_rays_dd(constraints, d):
-    """Extreme rays of {z in R^d : constraints . z >= 0} by incremental
-    double description. Requires the constraint matrix to have rank d
-    (pointed cone); constraints and rays are integer tuples."""
-    m = len(constraints)
-    init = []
-    for i in range(m):
-        if rank([list(constraints[j]) for j in init + [i]]) > len(init):
-            init.append(i)
-        if len(init) == d:
-            break
-    rest = [i for i in range(m) if i not in init]
-    a0 = [list(constraints[i]) for i in init]
-    rays = []
-    for j in range(d):
-        e_j = [Fraction(1 if i == j else 0) for i in range(d)]
-        col = solve(a0, e_j)
-        ray = primitive(col)
-        tight = frozenset(init) - {init[j]}
-        rays.append((ray, tight))
-    for ci in rest:
-        a = constraints[ci]
-        plus, zero, minus = [], [], []
-        for ray, tight in rays:
-            v = dot(a, ray)
-            if v > 0:
-                plus.append((ray, tight, v))
-            elif v == 0:
-                zero.append((ray, tight | {ci}))
-            else:
-                minus.append((ray, tight, v))
-        if not minus:
-            rays = [(r, t) for r, t, _v in plus] + zero
-            continue
-        new = []
-        current_tights = [t for _r, t in rays]
-        for rp, tp, vp in plus:
-            for rm, tm, vm in minus:
-                common = tp & tm
-                adjacent = not any(
-                    common <= t for t in current_tights if t not in (tp, tm)
-                )
-                if not adjacent:
-                    continue
-                combo = tuple(vp * y - vm * x for x, y in zip(rp, rm))
-                new.append((primitive(combo), common | {ci}))
-        rays = [(r, t) for r, t, _v in plus] + zero + new
-    for ray, _tight in rays:
-        if any(dot(c, ray) < 0 for c in constraints):
-            raise InconsistentSystem("double description produced an infeasible ray")
-    return sorted({r for r, _t in rays})
 
 
 @dataclass(frozen=True)

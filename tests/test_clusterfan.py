@@ -323,16 +323,6 @@ def test_g_columns_unimodular_along_walk():
         assert abs(det_int([list(r) for r in seed.g_matrix])) == 1
 
 
-def test_threads_do_not_change_result():
-    tri = fan_triangulation(6)
-    seed = seed_from_triangulation(tri)
-    e1 = enumerate_fan(seed, triangulation=tri, threads=1)
-    e4 = enumerate_fan(seed, triangulation=tri, threads=4)
-    assert e1.fan == e4.fan
-    assert e1.graph == e4.graph
-    assert e1.node_triangulations == e4.node_triangulations
-
-
 def test_seed_json_b_matrix():
     seed, tri = seed_from_json('{"b": [[0, 1], [-1, 0]]}')
     assert tri is None

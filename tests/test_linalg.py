@@ -4,19 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanforge.linalg import (
-    det,
     det_int,
     dot,
-    inverse,
     kernel_basis,
-    left_kernel_basis,
-    mat_mul,
     primitive,
     rank,
     rref,
     scale_rows_int,
     solve,
-    solve_cramer_int,
+    transpose,
 )
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -26,16 +22,35 @@ def square(n):
     return st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
+def fraction_det(m):
+    """Reference determinant by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    result = Fraction(1)
+    for c in range(len(a)):
+        pivot = next((i for i in range(c, len(a)) if a[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            result = -result
+        result *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return result
+
+
 @settings(max_examples=80, deadline=None)
 @given(square(3))
 def test_det_matches_fraction_elimination(m):
-    assert det(m) == det_int(m)
+    assert fraction_det(m) == det_int(m)
 
 
 @settings(max_examples=60, deadline=None)
 @given(square(3), square(3))
 def test_det_multiplicative(a, b):
-    assert det_int(mat_mul(a, b)) == det_int(a) * det_int(b)
+    product = [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    assert det_int(product) == det_int(a) * det_int(b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -52,23 +67,21 @@ def test_solve_consistency(m, b):
     x = solve(m, b)
     if x is not None:
         assert [dot(row, x) for row in m] == [Fraction(v) for v in b]
-    cram = solve_cramer_int([r[:] for r in m], b)
-    if cram is not None:
-        nums, den = cram
-        assert den > 0
+    if det_int(m) != 0:
         assert x is not None
-        assert [Fraction(v, den) for v in nums] == x
 
 
 @settings(max_examples=40, deadline=None)
 @given(square(3))
 def test_inverse_roundtrip(m):
-    inv = inverse(m)
-    if inv is None:
-        assert det_int(m) == 0
+    """The columns of the inverse, one solve per unit vector."""
+    units = [[1 if i == j else 0 for i in range(3)] for j in range(3)]
+    cols = [solve(m, e) for e in units]
+    if det_int(m) == 0:
+        assert None in cols
     else:
-        prod = mat_mul(m, inv)
-        assert prod == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+        for e, col in zip(units, cols):
+            assert [dot(row, col) for row in m] == e
 
 
 def test_primitive_examples():
@@ -80,7 +93,7 @@ def test_primitive_examples():
 
 def test_left_kernel():
     g = [[1, 0], [0, 1], [-1, 1], [-1, 0], [0, -1]]
-    basis = left_kernel_basis(g)
+    basis = kernel_basis(transpose(g))
     assert len(basis) == 3
     for v in basis:
         assert all(sum(v[i] * g[i][j] for i in range(5)) == 0 for j in range(2))
@@ -98,3 +111,43 @@ def test_rref_pivots():
     red, pivots = rref([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
     assert pivots == [0, 1]
     assert red[0][0] == 1 and red[1][1] == 1
+
+
+def fraction_rref(rows):
+    """Reference Gauss-Jordan over Fractions, dividing by the pivot at once."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+small_rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda ncols: st.lists(
+            st.lists(small_rational | st.just(Fraction(0)), min_size=ncols, max_size=ncols),
+            max_size=6,
+        )
+    )
+)
+def test_integer_rref_matches_fraction_reference(m):
+    red, pivots = rref(m)
+    want_red, want_pivots = fraction_rref(m)
+    assert pivots == want_pivots
+    assert red == want_red
+    assert all(isinstance(x, Fraction) for row in red for x in row)

@@ -2,12 +2,16 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fanforge.errors import DimensionDeficient, Empty, Unbounded
+from fanforge.linalg import det_int, dot, rank, scale_rows_int
 from fanforge.polyhedra import (
     Fan,
     HPolytope,
     VPolytope,
+    facet_description,
     fan_eq,
     fan_from_json,
     fan_to_json,
@@ -265,3 +269,95 @@ def test_roff_roundtrip():
     assert len(facets) == 5
     assert write_roff(vp) == text
     assert "1/1" in text or "/" in text.splitlines()[2]
+
+
+def scan_vertices(p):
+    """Test oracle: the brute-force subset scan vertices() once ran.
+
+    Unbounded when A is rank deficient or the signed-minor kernel vector z
+    of some (n-1)-subset has A z <= 0 (or >= 0); otherwise every feasible
+    Cramer solution of an invertible n-subset is a vertex, and none at all
+    means Empty.
+    """
+    a, b = scale_rows_int(p.ineq_matrix, p.bounds)
+    n = p.dim
+    if rank(a) < n:
+        raise Unbounded("rank deficient")
+    for subset in combinations(a, n - 1):
+        z = [(-1) ** j * det_int([row[:j] + row[j + 1 :] for row in subset]) for j in range(n)]
+        values = [dot(row, z) for row in a]
+        if any(z) and (all(v <= 0 for v in values) or all(v >= 0 for v in values)):
+            raise Unbounded("recession direction")
+    verts = set()
+    for subset in combinations(range(len(a)), n):
+        sub = [a[i] for i in subset]
+        den = det_int(sub)
+        if den == 0:
+            continue
+        x = tuple(
+            Fraction(det_int([row[:j] + [b[i]] + row[j + 1 :] for row, i in zip(sub, subset)]), den)
+            for j in range(n)
+        )
+        if p.contains(x):
+            verts.add(x)
+    if not verts:
+        raise Empty("no feasible point")
+    pts = sorted(verts)
+    if rank([[x - y for x, y in zip(v, pts[0])] for v in pts[1:]]) != n:
+        raise DimensionDeficient("no interior point")
+    return pts
+
+
+def _outcome(fn, p):
+    try:
+        return list(fn(p))
+    except (Unbounded, Empty, DimensionDeficient) as exc:
+        return type(exc)
+
+
+@st.composite
+def small_hpolytopes(draw):
+    """Random H-polytopes in dimensions 2-4: often unbounded, empty,
+    lower-dimensional or non-simple, optionally clipped by a box."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    coeff = st.integers(min_value=-2, max_value=2)
+    rows = draw(st.lists(st.lists(coeff, min_size=n, max_size=n), min_size=1, max_size=n + 3))
+    bounds = draw(st.lists(st.integers(min_value=-2, max_value=3), min_size=len(rows), max_size=len(rows)))
+    box = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if box is not None:
+        for i in range(n):
+            for sign in (1, -1):
+                rows.append([sign if j == i else 0 for j in range(n)])
+                bounds.append(box)
+    return HPolytope(rows, bounds)
+
+
+OCTAHEDRON = HPolytope(
+    [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)], [1] * 8
+)
+SQUARE_PYRAMID = HPolytope(
+    [(0, 0, -1), (2, 0, 1), (-2, 0, 1), (0, 2, 1), (0, -2, 1)], (0, 2, 2, 2, 2)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(OCTAHEDRON)
+@example(SQUARE_PYRAMID)
+@example(HPolytope([(1, 0), (1, 0), (-1, 0), (0, 1), (0, -1)], (1, 2, 1, 1, 1)))
+@example(HPolytope([(1, 1), (-1, -1), (1, 0), (-1, 0)], (0, 0, 1, 1)))
+@given(small_hpolytopes())
+def test_vertices_match_subset_scan_oracle(p):
+    got = _outcome(lambda q: vertices(q).vertices, p)
+    assert got == _outcome(scan_vertices, p)
+    if isinstance(got, list):
+        vp = vertices(p)
+        assert facet_description(vp) == facet_description(VPolytope(vp.vertices))
+
+
+def test_oracle_cases_cover_every_outcome():
+    assert isinstance(_outcome(scan_vertices, OCTAHEDRON), list)
+    assert len(vertices(OCTAHEDRON).vertices) == 6  # each vertex on 4 facets
+    assert len(vertices(SQUARE_PYRAMID).vertices) == 5  # apex on 4 facets
+    assert _outcome(scan_vertices, HPolytope([(1, 0), (0, 1)], (1, 1))) is Unbounded
+    assert _outcome(scan_vertices, HPolytope([(1, 0), (-1, 0), (0, 1), (0, -1)], (-1, 0, 1, 1))) is Empty
+    assert _outcome(scan_vertices, HPolytope([(1, 0), (-1, 0), (0, 1), (0, -1)], (0, 0, 1, 1))) is DimensionDeficient
