@@ -198,7 +198,7 @@ def extreme_rays(constraints, d):
     """Extreme rays of {z in R^d : constraints . z >= 0} by incremental
     double description, as sorted primitive integer tuples. The constraint
     rows are integer vectors of rank d, so the cone is pointed."""
-    init = rref(transpose(constraints))[1] if constraints else []
+    init = rref(transpose(constraints))[1]
     if len(init) != d:
         raise InconsistentSystem(f"constraints do not span R^{d}")
     # the initial simplicial cone's rays are the columns of the inverse,
