@@ -30,8 +30,8 @@ print("rays:", list(enum.fan.rays))
 print(f"exchange graph: {len(enum.graph.nodes)} nodes, {len(enum.graph.edges)} edges,",
       f"3-regular={enum.graph.is_regular(3)}, connected={enum.graph.is_connected()}")
 
-# The heavier fan certificates: wall condition, pairwise common faces,
-# and probe coverage of the whole space.
+# Exact completeness certificate: every wall lies in two cones on opposite
+# sides, and one interior point is covered by exactly one cone.
 enum.fan.validate()
 print("fan invariants certified")
 

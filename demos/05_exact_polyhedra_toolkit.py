@@ -48,7 +48,7 @@ print("\nROFF of the square [0,1/2]^2:")
 square = vertices(HPolytope([(1, 0), (-1, 0), (0, 1), (0, -1)], (Fraction(1, 2), 0, Fraction(1, 2), 0)))
 print(write_roff(square))
 
-# Fans certify their own completeness: purity, the wall condition, pairwise
-# common faces, and probe coverage.
+# Fans prove their own completeness: every wall lies in two cones on
+# opposite sides, and one interior point is covered exactly once.
 quadrants = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
 print("quadrant fan validates:", quadrants.validate())

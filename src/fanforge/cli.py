@@ -11,7 +11,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import arquiver, clusterfan, exchange, polyhedra, typecone
+from . import arquiver, clusterfan, polyhedra, typecone
 from .errors import FanforgeError
 
 DEFAULT_BUDGET = clusterfan.DEFAULT_BFS_BUDGET
@@ -90,7 +90,7 @@ def cmd_fan(args):
     seed, tri = _seed_from_args(args)
     enum = clusterfan.enumerate_fan(seed, triangulation=tri, budget=args.budget)
     if args.validate:
-        enum.fan.validate(rng_seed=args.rng_seed)
+        enum.fan.validate()
     _write_out(polyhedra.fan_to_json(enum.fan), args.output)
     if args.graph_out:
         _write_out(enum.graph.to_dot(), args.graph_out)
@@ -116,6 +116,7 @@ def cmd_graph(args):
 
 def cmd_typecone(args):
     fan = polyhedra.fan_from_json(_read_in(args.fan))
+    fan.validate()
     tc = typecone.type_cone(fan)
     expected = fan.n_rays - fan.dim
     if args.report:
@@ -140,6 +141,7 @@ def _typecone_from_json(text):
 
 def cmd_realize(args):
     fan = polyhedra.fan_from_json(_read_in(args.fan))
+    fan.validate()
     if args.h:
         if args.c:
             raise ValueError("give either --c or --h, not both")
@@ -340,7 +342,9 @@ def build_parser():
         prog="fanforge",
         description="g-vector fans, type cones, and polytopal realizations, exactly",
     )
-    parser.add_argument("--rng-seed", type=int, default=0, help="seed for randomized checks")
+    parser.add_argument(
+        "--rng-seed", type=int, default=0, help="accepted and ignored; no check is randomized"
+    )
     parser.add_argument(
         "--threads", type=int, default=1, help="accepted and ignored; every command runs serially"
     )
@@ -354,7 +358,7 @@ def build_parser():
     p_fan.add_argument(
         "--validate",
         action="store_true",
-        help="run the completeness certificates (probes use --rng-seed)",
+        help="prove the fan complete (wall-and-degree certificate)",
     )
     p_fan.set_defaults(func=cmd_fan)
 

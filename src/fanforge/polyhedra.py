@@ -1,14 +1,14 @@
 """Exact polyhedral primitives: fans, H/V-polytopes, normal fans.
 
 Everything is computed over exact rationals; tolerance is identically zero.
-Every cone question (vertices, facets, strict feasibility, type cones) goes
-through one routine, :func:`extreme_rays`, an incremental double description
-on integer vectors with the combinatorial adjacency test of Fukuda and
-Prodon, "Double description method revisited" (1996).
+Every cone question (vertices, facets, type cones) goes through one
+routine, :func:`extreme_rays`, an incremental double description on integer
+vectors with the combinatorial adjacency test of Fukuda and Prodon, "Double
+description method revisited" (1996). Fan completeness is proved by a
+wall-and-degree certificate in :meth:`Fan.validate`.
 """
 
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +22,6 @@ from .linalg import (
     rank,
     rref,
     scale_rows_int,
-    solve,
     transpose,
 )
 
@@ -32,8 +31,10 @@ class Fan:
     given as sorted ray-index tuples of size n.
 
     Construction performs the cheap structural checks (primitive distinct
-    rays, simplicial cones). The heavier certificates (wall condition,
-    pairwise common-face, probe completeness) live in :meth:`validate`.
+    rays, simplicial cones). :meth:`validate` proves completeness and
+    face-to-face intersection exactly, by the wall-and-degree certificate
+    (every wall in two cones on opposite sides, one interior point covered
+    once), using the per-cone adjugates that :meth:`_cone_data` caches.
     """
 
     def __init__(self, dim, rays, maximal_cones, labels=None):
@@ -65,7 +66,7 @@ class Fan:
         if len(labels) != len(self.rays):
             raise ValueError("one label per ray required")
         self.labels = tuple(labels)
-        # per-cone adjugate data for fast membership tests, built lazily
+        # per-cone adjugate data for the validate certificate, built lazily
         self._cone_inverses = None
 
     @property
@@ -102,18 +103,6 @@ class Fan:
             self._cone_inverses = data
         return self._cone_inverses
 
-    def contains(self, point):
-        """True when some maximal cone contains the (rational) point."""
-        return self.cone_containing(point) is not None
-
-    def cone_containing(self, point):
-        """Index of the first maximal cone containing the point, else None."""
-        for idx, (adj, _den) in enumerate(self._cone_data()):
-            # coordinates of the point in the cone's ray basis, up to den > 0
-            if all(dot(row, point) >= 0 for row in adj):
-                return idx
-        return None
-
     def wall_subsets(self):
         """Multiplicity map: (n-1)-subset of ray indices -> incident cones."""
         inc = {}
@@ -122,67 +111,49 @@ class Fan:
                 inc.setdefault(sub, []).append(ci)
         return inc
 
-    def validate(self, pairwise=None, n_random_probes=100, rng_seed=0):
-        """Certify the fan invariants.
+    def validate(self):
+        """Prove that the maximal cones form a complete simplicial fan, or
+        raise ValueError.
 
-        Wall condition and probe coverage together serve as the completeness
-        proxy; they certify, they do not prove. The pairwise common-face
-        check is quadratic in the cone count and cubic-ish per pair, so it
-        auto-disables above 40 maximal cones unless forced with
-        ``pairwise=True``.
+        The certificate is exact and has no parameters:
+
+        1. there is at least one maximal cone;
+        2. every (n-1)-subset of a maximal cone lies in exactly two cones;
+        3. across every such wall the two exchanged rays lie strictly on
+           opposite sides of the wall's hyperplane;
+        4. the sum of the rays of cone 0 lies in exactly one closed cone.
+
+        Steps 2-3 make the cones a closed pseudomanifold whose neighbours
+        never fold back onto each other, so on each connected component the
+        number of cones containing a point is the same positive constant for
+        every point off the (n-2)-skeleton. A point covered exactly once
+        lies on no other cone, hence is generic, so step 4 forces a single
+        component of degree one: the cones cover R^n with disjoint interiors
+        and meet face to face. This is the pseudomanifold/degree argument of
+        De Loera, Rambau and Santos, *Triangulations* (2010), ch. 4.
         """
+        if not self.maximal_cones:
+            raise ValueError("fan has no maximal cone")
+        data = self._cone_data()
         for sub, incident in self.wall_subsets().items():
             if len(incident) != 2:
                 raise ValueError(
                     f"wall condition violated: subset {sub} lies in {len(incident)} cones"
                 )
-        if pairwise is None:
-            pairwise = len(self.maximal_cones) <= 40
-        if pairwise:
-            for a, b in combinations(range(len(self.maximal_cones)), 2):
-                if not self._pair_meets_in_common_face(a, b):
-                    raise ValueError(
-                        f"cones {a} and {b} do not intersect in a common face"
-                    )
-        for probe in self._probe_points(n_random_probes, rng_seed):
-            if not self.contains(probe):
-                raise ValueError(f"probe point {probe} not covered by any cone")
+            a, b = incident
+            cone_a, cone_b = self.maximal_cones[a], self.maximal_cones[b]
+            pos = next(k for k, i in enumerate(cone_a) if i not in sub)
+            other = next(i for i in cone_b if i not in sub)
+            # row pos of cone a's adjugate vanishes on the wall, positive on its own ray
+            if dot(data[a][0][pos], self.rays[other]) >= 0:
+                raise ValueError(
+                    f"cones {a} and {b} lie on the same side of their wall {sub}"
+                )
+        point = [sum(self.rays[i][k] for i in self.maximal_cones[0]) for k in range(self.dim)]
+        covering = sum(all(dot(row, point) >= 0 for row in adj) for adj, _den in data)
+        if covering != 1:
+            raise ValueError(f"interior point {point} of cone 0 lies in {covering} cones")
         return True
-
-    def _probe_points(self, n_random, rng_seed):
-        probes = [list(r) for r in self.rays]
-        for r1, r2 in combinations(self.rays, 2):
-            probes.append([a + b for a, b in zip(r1, r2)])
-            probes.append([a - b for a, b in zip(r1, r2)])
-        rng = random.Random(rng_seed)
-        for _ in range(n_random):
-            probes.append(
-                [Fraction(rng.randint(-97, 97), rng.randint(1, 19)) for _ in range(self.dim)]
-            )
-        return probes
-
-    def _pair_meets_in_common_face(self, a, b):
-        """Exact test that cones a and b intersect exactly in their common
-        face, via a functional vanishing on the shared rays and strictly
-        separating the rest."""
-        cone_a, cone_b = self.maximal_cones[a], self.maximal_cones[b]
-        shared = sorted(set(cone_a) & set(cone_b))
-        only_a = [self.rays[i] for i in cone_a if i not in shared]
-        only_b = [self.rays[i] for i in cone_b if i not in shared]
-        # fast path: an exactly-solvable target functional certifies the pair
-        eq_rows = [list(self.rays[i]) for i in shared]
-        tgt_rows = eq_rows + [list(r) for r in only_a] + [list(r) for r in only_b]
-        targets = [Fraction(0)] * len(shared) + [Fraction(-1)] * len(only_a) + [Fraction(1)] * len(only_b)
-        if solve(tgt_rows, targets) is not None:
-            return True
-        # complete path: strict feasibility on the subspace orthogonal to shared
-        if shared:
-            basis = kernel_basis(eq_rows)
-        else:
-            basis = [[Fraction(1 if i == j else 0) for j in range(self.dim)] for i in range(self.dim)]
-        rows = [[-dot(r, v) for v in basis] for r in only_a]
-        rows += [[dot(r, v) for v in basis] for r in only_b]
-        return strict_feasible(rows)
 
 
 def _adjugate_int(m):
@@ -240,28 +211,6 @@ def extreme_rays(constraints, d):
         if any(dot(c, ray) < 0 for c in constraints):
             raise InconsistentSystem("double description produced an infeasible ray")
     return sorted({r for r, _t in rays})
-
-
-def strict_feasible(rows):
-    """Exact decision of {u : rows . u > 0 componentwise} != empty set.
-
-    Reduces to the row space so the closed cone {rows . u >= 0} is pointed,
-    takes its extreme rays, and tests the relative interior point given by
-    their sum. LP-free and exact.
-    """
-    if not rows:
-        return True
-    red, pivots = rref(rows)
-    r = len(pivots)
-    if r == 0:
-        return False
-    basis = red[:r]
-    reduced = scale_rows_int([[dot(row, bvec) for bvec in basis] for row in rows])
-    rays = extreme_rays(reduced, r)
-    if not rays:
-        return False
-    total = [sum(ray[j] for ray in rays) for j in range(r)]
-    return all(dot(row, total) > 0 for row in reduced)
 
 
 @dataclass(frozen=True)

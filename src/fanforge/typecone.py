@@ -204,8 +204,8 @@ def type_cone(fan):
     wall_list = walls(fan)
     deps = [wall_dependency(fan, w) for w in wall_list]
     raw = [dependency_vector(fan, d) for d in deps]
+    g = fan.ray_matrix()
     for vec in raw:
-        g = fan.ray_matrix()
         if any(sum(vec[i] * g[i][j] for i in range(fan.n_rays)) != 0 for j in range(fan.dim)):
             raise InconsistentSystem("dependency normal does not annihilate the ray matrix")
     dedup = []

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from fanforge.cli import main
 
 
@@ -117,6 +119,16 @@ def test_typecone_report_uerp_false_on_custom_fan(tmp_path, capsys):
     code, out, _ = run(capsys, ["typecone", "--fan", str(path), "--report"])
     assert code == 0  # the type cone itself is simplicial here
     assert out.strip() == "facets=3 expected=3 uerp=false"
+
+
+@pytest.mark.parametrize("argv", [["typecone"], ["realize", "--h", "1,1,1"]])
+def test_incomplete_fan_is_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1]]}))
+    code, out, err = run(capsys, argv + ["--fan", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fanforge: error: wall condition violated")
 
 
 def test_input_error_single_line(tmp_path, capsys):

@@ -158,10 +158,10 @@ def test_counting_laws(n):
 
 
 def test_enumerated_a4_fan_full_invariants():
-    # simplicial + wall condition + pairwise common faces + probe coverage
+    # simplicial + wall condition + opposite sides + one interior point covered once
     b4 = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
     enum = enumerate_fan(initial_seed(b4))
-    assert enum.fan.validate(pairwise=True)
+    assert enum.fan.validate()
 
 
 def test_rays_include_positive_and_negative_basis():

@@ -1,16 +1,19 @@
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fanforge.clusterfan import enumerate_fan, initial_seed, mutate_seed
 from fanforge.errors import DimensionDeficient, Empty, Unbounded
-from fanforge.linalg import det_int, dot, rank, scale_rows_int
+from fanforge.linalg import det_int, dot, kernel_basis, rank, rref, scale_rows_int, solve
 from fanforge.polyhedra import (
     Fan,
     HPolytope,
     VPolytope,
+    extreme_rays,
     facet_description,
     fan_eq,
     fan_from_json,
@@ -18,7 +21,6 @@ from fanforge.polyhedra import (
     normal_fan,
     p_h,
     parse_roff,
-    strict_feasible,
     vertices,
     write_roff,
 )
@@ -245,6 +247,175 @@ def test_fan_validate_detects_hole():
 def test_validate_quadrant_fan():
     fan = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert fan.validate()
+
+
+def test_validate_a1_fan():
+    assert Fan(1, [(1,), (-1,)], [(0,), (1,)]).validate()
+
+
+def test_validate_rejects_fan_without_cones():
+    with pytest.raises(ValueError, match="no maximal cone"):
+        Fan(2, [(1, 0), (0, 1), (-1, -1)], []).validate()
+
+
+def star_polygon_fan(n_rays, step):
+    """Planar rays at the n-th roots of unity (scaled, rounded); cone k joins
+    ray k to ray k + step, so the cones wind `step` times around the origin."""
+    angles = [2 * math.pi * k / n_rays for k in range(n_rays)]
+    rays = [(round(1000 * math.cos(t)), round(1000 * math.sin(t))) for t in angles]
+    return Fan(2, rays, [(k, (k + step) % n_rays) for k in range(n_rays)])
+
+
+@pytest.mark.parametrize("n_rays", [5, 41])
+def test_validate_rejects_double_cover(n_rays):
+    # every wall sits in two cones on opposite sides; only the degree is 2
+    assert star_polygon_fan(n_rays, 1).validate()
+    with pytest.raises(ValueError, match="lies in 2 cones"):
+        star_polygon_fan(n_rays, 2).validate()
+
+
+def fold_fan():
+    """Planar cycle 0 -> 120 -> 240 -> 300 -> 270 -> 0 degrees: every ray is
+    in two cones and cone 0's interior is covered once, but the cycle folds
+    back at the 300-degree ray and covers 270..300 three times."""
+    rays = [(1, 0), (-1, 2), (-1, -2), (1, -2), (0, -1)]
+    return Fan(2, rays, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+
+
+def test_validate_rejects_fold_covered_once_at_its_interior_point():
+    with pytest.raises(ValueError, match="same side"):
+        fold_fan().validate()
+
+
+def strict_feasible(rows):
+    """Test oracle: exact decision of {u : rows . u > 0 componentwise} !=
+    empty set. Reduces to the row space so the closed cone {rows . u >= 0}
+    is pointed, takes its extreme rays, and tests the relative interior
+    point given by their sum."""
+    if not rows:
+        return True
+    red, pivots = rref(rows)
+    r = len(pivots)
+    if r == 0:
+        return False
+    basis = red[:r]
+    reduced = scale_rows_int([[dot(row, bvec) for bvec in basis] for row in rows])
+    rays = extreme_rays(reduced, r)
+    if not rays:
+        return False
+    total = [sum(ray[j] for ray in rays) for j in range(r)]
+    return all(dot(row, total) > 0 for row in reduced)
+
+
+def pair_meets_in_common_face(fan, a, b):
+    """Test oracle: cones a and b intersect exactly in their common face,
+    i.e. some functional vanishes on the shared rays and strictly separates
+    the rest."""
+    cone_a, cone_b = fan.maximal_cones[a], fan.maximal_cones[b]
+    shared = sorted(set(cone_a) & set(cone_b))
+    only_a = [fan.rays[i] for i in cone_a if i not in shared]
+    only_b = [fan.rays[i] for i in cone_b if i not in shared]
+    # fast path: an exactly-solvable target functional certifies the pair
+    eq_rows = [list(fan.rays[i]) for i in shared]
+    tgt_rows = eq_rows + [list(r) for r in only_a] + [list(r) for r in only_b]
+    targets = [Fraction(0)] * len(shared) + [Fraction(-1)] * len(only_a) + [Fraction(1)] * len(only_b)
+    if solve(tgt_rows, targets) is not None:
+        return True
+    # complete path: strict feasibility on the subspace orthogonal to shared
+    if shared:
+        basis = kernel_basis(eq_rows)
+    else:
+        basis = [[Fraction(1 if i == j else 0) for j in range(fan.dim)] for i in range(fan.dim)]
+    rows = [[-dot(r, v) for v in basis] for r in only_a]
+    rows += [[dot(r, v) for v in basis] for r in only_b]
+    return strict_feasible(rows)
+
+
+def complete_fan_oracle(fan):
+    """Test oracle for Fan.validate: at least one cone, the wall condition,
+    and proper intersection of every pair of cones. Proper intersection
+    makes the cones a fan, so the two cones at each wall lie on opposite
+    sides and the cones cover every generic point at most once; the wall
+    condition then leaves no boundary, so they cover R^n."""
+    if not fan.maximal_cones:
+        return False
+    if any(len(inc) != 2 for inc in fan.wall_subsets().values()):
+        return False
+    return all(
+        pair_meets_in_common_face(fan, a, b)
+        for a, b in combinations(range(len(fan.maximal_cones)), 2)
+    )
+
+
+def _validates(fan):
+    try:
+        return fan.validate()
+    except ValueError:
+        return False
+
+
+D4_B = [[0, 1, 0, 0], [-1, 0, -1, -1], [0, 1, 0, 0], [0, 1, 0, 0]]
+DYNKIN_B = [
+    [[0, 1], [-1, 0]],
+    [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
+    [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
+    D4_B,
+]
+
+
+@st.composite
+def base_fans(draw):
+    """Complete fans: g-vector fans of randomly mutated A2-A4 and D4 seeds,
+    or normal fans of random box-clipped planar polygons."""
+    if draw(st.booleans()):
+        seed = initial_seed(draw(st.sampled_from(DYNKIN_B)))
+        for k in draw(st.lists(st.integers(min_value=0, max_value=seed.rank - 1), max_size=4)):
+            seed = mutate_seed(seed, k)
+        return enumerate_fan(initial_seed(seed.b_matrix)).fan
+    coeff = st.integers(min_value=-3, max_value=3)
+    rows = draw(st.lists(st.tuples(coeff, coeff), max_size=5))
+    rows += [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    height = st.integers(min_value=1, max_value=4)
+    bounds = draw(st.lists(height, min_size=len(rows), max_size=len(rows)))
+    return normal_fan(vertices(HPolytope(rows, bounds)))
+
+
+@st.composite
+def corrupted_fans(draw):
+    """A complete fan, left alone or with one corruption: a cone dropped, a
+    ray replaced by its negation, or two cones re-paired across a wall (the
+    wall left by dropping ray x from cone a takes ray y of cone b, which
+    takes x in exchange). Corruptions the Fan constructor refuses are
+    rejected."""
+    fan = draw(base_fans())
+    rays, cones = list(fan.rays), list(fan.maximal_cones)
+    kind = draw(st.sampled_from(["none", "drop", "negate", "repair"]))
+    if kind == "drop":
+        del cones[draw(st.integers(min_value=0, max_value=len(cones) - 1))]
+    elif kind == "negate":
+        i = draw(st.integers(min_value=0, max_value=len(rays) - 1))
+        rays[i] = tuple(-x for x in rays[i])
+    elif kind == "repair":
+        index = st.integers(min_value=0, max_value=len(cones) - 1)
+        a, b = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        x = draw(st.sampled_from(sorted(set(cones[a]) - set(cones[b]))))
+        y = draw(st.sampled_from(sorted(set(cones[b]) - set(cones[a]))))
+        cones[a] = tuple(y if i == x else i for i in cones[a])
+        cones[b] = tuple(x if i == y else i for i in cones[b])
+    try:
+        return Fan(fan.dim, rays, cones)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=50, deadline=None)
+@example(star_polygon_fan(5, 2))
+@example(star_polygon_fan(7, 3))
+@example(fold_fan())
+@example(Fan(2, [(1, 0), (0, 1), (1, 1), (0, -1), (-1, 0)], [(0, 1), (0, 2), (2, 3), (3, 4), (1, 4)]))
+@given(corrupted_fans())
+def test_validate_matches_pairwise_oracle(fan):
+    assert _validates(fan) == complete_fan_oracle(fan)
 
 
 def test_strict_feasible_basic():
