@@ -10,7 +10,6 @@ from fanforge import (
     abhy_polytope,
     knit_ar_quiver,
     linear_quiver,
-    mesh_equations,
     normal_fan,
     vertices,
 )
@@ -26,7 +25,7 @@ for vid, slice_idx, tree_v, label, kind in [
 
 # Each mesh contributes one affine equation q + t = middles + c.
 print("\nmesh equations:")
-for mesh in mesh_equations(ar):
+for mesh in ar.meshes:
     mids = " + ".join(ar.vertex_label(m) for m in mesh.middles) or "0"
     print(
         f"  {ar.vertex_label(mesh.start)} + {ar.vertex_label(mesh.end)}"

@@ -255,11 +255,6 @@ def knit_ar_quiver(quiver, enable_e=False):
     return ARQuiver(quiver, vertices, tuple(sorted(arrows)), meshes, tuple(projections))
 
 
-def mesh_equations(ar):
-    """The mesh relations in slice order (they are stored that way)."""
-    return list(ar.meshes)
-
-
 @dataclass(frozen=True)
 class AffineFunctional:
     """q_M expressed over the mesh parameters and the projection coordinates:

@@ -135,8 +135,10 @@ def cmd_typecone(args):
 
 def _typecone_from_json(text):
     data = json.loads(text)
-    facets = tuple(tuple(row) for row in data["facets"])
-    return typecone.TypeCone(data["N"], (), (), facets, facets, ())
+    if not isinstance(data, dict):
+        raise ValueError("type cone JSON must be an object")
+    facets = tuple(tuple(row) for row in polyhedra.int_rows(data["facets"], data["N"]))
+    return typecone.TypeCone(data["N"], (), (), facets, ())
 
 
 def cmd_realize(args):
@@ -149,6 +151,8 @@ def cmd_realize(args):
     else:
         if args.typecone:
             tc = _typecone_from_json(_read_in(args.typecone))
+            if tc.n_rays != fan.n_rays:
+                raise ValueError("the type cone and the fan differ in their number of rays")
         else:
             tc = typecone.type_cone(fan)
         c = (
@@ -167,7 +171,7 @@ def cmd_verify(args):
     verts, facet_lists = polyhedra.parse_roff(_read_in(args.polytope))
     try:
         nf = polyhedra.roff_normal_fan(verts, facet_lists)
-    except ValueError as exc:
+    except (FanforgeError, ValueError) as exc:
         print(f"verification failed: {exc}")
         return 1
     if polyhedra.fan_eq(nf, fan):

@@ -10,10 +10,11 @@ yields the diagonal-to-ray dictionary used by the mesh cross-checks.
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetExceeded, InconsistentSystem
-from .linalg import det_int
+from .linalg import det_int, primitive
 from .polyhedra import Fan
 
 DEFAULT_BFS_BUDGET = 100_000
@@ -29,9 +30,6 @@ def _identity(n):
 
 def _symmetrizer(b):
     """Positive integer symmetrizer of a skew-symmetrizable matrix, or None."""
-    from fractions import Fraction
-    from math import gcd
-
     n = len(b)
     d = [None] * n
     for start in range(n):
@@ -54,14 +52,7 @@ def _symmetrizer(b):
                     stack.append(j)
                 elif d[j] != req:
                     return None
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return [x // g for x in ints]
+    return list(primitive(d))
 
 
 @dataclass(frozen=True)
@@ -439,6 +430,8 @@ def seed_from_json(text):
     """Accept {"b": [[..]], "labels": [..]} or
     {"triangulation": {"polygon": m, "diagonals": [[a,b],...]}}."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("seed JSON must be an object")
     if "triangulation" in data:
         td = data["triangulation"]
         tri = Triangulation(td["polygon"], [tuple(d) for d in td["diagonals"]])

@@ -7,7 +7,7 @@ form, so identical inputs give identical results.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def transpose(m):
@@ -118,39 +118,17 @@ def det_int(m):
 def primitive(vec):
     """Primitive integer vector from a rational one. Positive scaling only:
     the direction is preserved, never flipped."""
-    fracs = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fracs):
-        return tuple(0 for _ in fracs)
-    denom_lcm = 1
-    for x in fracs:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    fracs = [x if type(x) in (int, Fraction) else Fraction(x) for x in vec]
+    denom = lcm(*(x.denominator for x in fracs))
+    ints = [x.numerator * (denom // x.denominator) for x in fracs]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 def scale_rows_int(rows, rhs=None):
     """Scale each row (and its rhs entry) by a positive rational so all
     entries are integers. Inequality semantics are unchanged."""
-    out_rows, out_rhs = [], []
-    for i, row in enumerate(rows):
-        entries = [Fraction(x) for x in row]
-        if rhs is not None:
-            entries = entries + [Fraction(rhs[i])]
-        denom_lcm = 1
-        for x in entries:
-            denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-        ints = [int(x * denom_lcm) for x in entries]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        if rhs is not None:
-            out_rows.append(ints[:-1])
-            out_rhs.append(ints[-1])
-        else:
-            out_rows.append(ints)
-    return (out_rows, out_rhs) if rhs is not None else out_rows
+    if rhs is None:
+        return [list(primitive(row)) for row in rows]
+    out = [primitive(list(row) + [bi]) for row, bi in zip(rows, rhs)]
+    return [list(r[:-1]) for r in out], [r[-1] for r in out]

@@ -4,8 +4,11 @@ Everything is computed over exact rationals; tolerance is identically zero.
 Every cone question (vertices, facets, type cones) goes through one
 routine, :func:`extreme_rays`, an incremental double description on integer
 vectors with the combinatorial adjacency test of Fukuda and Prodon, "Double
-description method revisited" (1996). Fan completeness is proved by a
-wall-and-degree certificate in :meth:`Fan.validate`.
+description method revisited" (1996), which also returns the constraints
+tight on each ray. From that incidence, a row is a facet iff the points it
+is tight on form an inclusion-maximal set (:func:`facet_rows`), and a point
+is a vertex iff it is the only point on all of its facets. Fan completeness
+is proved by a wall-and-degree certificate in :meth:`Fan.validate`.
 """
 
 import json
@@ -52,7 +55,9 @@ class Fan:
         if len(set(norm_rays)) != len(norm_rays):
             raise ValueError("rays not pairwise distinct after normalization")
         self.rays = tuple(norm_rays)
-        cones = sorted({tuple(sorted(c)) for c in maximal_cones})
+        cones = sorted(tuple(sorted(c)) for c in maximal_cones)
+        if len(set(cones)) != len(cones):
+            raise ValueError("a maximal cone is listed twice")
         for cone in cones:
             if len(cone) != dim:
                 raise ValueError("maximal cone must have exactly dim rays")
@@ -167,8 +172,10 @@ def _adjugate_int(m):
 
 def extreme_rays(constraints, d):
     """Extreme rays of {z in R^d : constraints . z >= 0} by incremental
-    double description, as sorted primitive integer tuples. The constraint
-    rows are integer vectors of rank d, so the cone is pointed."""
+    double description. Returns a dict from each ray, a primitive integer
+    tuple, to the frozenset of indices of the constraints tight on it; the
+    rays iterate in sorted order. The constraint rows are integer vectors
+    of rank d, so the cone is pointed."""
     init = rref(transpose(constraints))[1]
     if len(init) != d:
         raise InconsistentSystem(f"constraints do not span R^{d}")
@@ -210,7 +217,16 @@ def extreme_rays(constraints, d):
     for ray, _tight in rays:
         if any(dot(c, ray) < 0 for c in constraints):
             raise InconsistentSystem("double description produced an infeasible ray")
-    return sorted({r for r, _t in rays})
+    return dict(sorted(rays))
+
+
+def facet_rows(rows, contacts):
+    """Indices of the facet rows of a full-dimensional polytope or pointed
+    cone, given each row's contact set (the vertices or extreme rays it is
+    tight on): the rows whose contact sets are inclusion-maximal. A zero
+    row is never a candidate."""
+    live = [k for k, row in enumerate(rows) if any(row)]
+    return [k for k in live if not any(contacts[k] < contacts[j] for j in live)]
 
 
 @dataclass(frozen=True)
@@ -241,23 +257,23 @@ class HPolytope:
 class VPolytope:
     """Vertex list in canonical (lexicographic) order.
 
-    Producers guarantee irredundancy; ``normal_fan`` re-checks it. The
-    optional H-representation provenance carries the inequality system a
-    vertex enumeration started from, which normal-fan extraction then uses
-    instead of re-deriving facets from scratch.
+    Producers guarantee irredundancy; ``normal_fan`` re-checks it. A vertex
+    enumeration records the contact set of each row it started from, as a
+    dict (primitive integer normal, offset) -> frozenset of vertex indices,
+    from which facet extraction then selects the facets.
     """
 
     vertices: tuple
-    hrep: HPolytope = field(default=None, compare=False)
+    contacts: dict = field(default=None, compare=False)
 
-    def __init__(self, vertices, hrep=None):
+    def __init__(self, vertices, contacts=None):
         pts = sorted({tuple(Fraction(x) for x in v) for v in vertices})
         if not pts:
             raise ValueError("empty vertex list")
         if len({len(p) for p in pts}) != 1:
             raise ValueError("inconsistent point dimensions")
         object.__setattr__(self, "vertices", tuple(pts))
-        object.__setattr__(self, "hrep", hrep)
+        object.__setattr__(self, "contacts", contacts)
 
     @property
     def dim(self):
@@ -282,18 +298,23 @@ def vertices(p):
         raise Unbounded("constraint matrix is rank deficient")
     cone = [[-x for x in row] + [bi] for row, bi in zip(a_rows, b)]
     cone.append([0] * n + [1])
-    verts = []
-    for ray in extreme_rays(cone, n + 1):
+    found = []
+    for ray, tight in extreme_rays(cone, n + 1).items():
         t = ray[n]
         if t == 0:
             raise Unbounded(f"recession direction {list(ray[:n])} exists")
-        verts.append(tuple(Fraction(x, t) for x in ray[:n]))
-    if not verts:
+        found.append((tuple(Fraction(x, t) for x in ray[:n]), tight))
+    if not found:
         raise Empty("no feasible point")
-    verts.sort()
+    found.sort()
+    verts = [v for v, _tight in found]
     if _affine_rank(verts) != n:
         raise DimensionDeficient("polytope has no interior point")
-    return VPolytope(verts, hrep=p)
+    contacts = {
+        (tuple(row), bi): frozenset(j for j, (_v, tight) in enumerate(found) if i in tight)
+        for i, (row, bi) in enumerate(zip(a_rows, b))
+    }
+    return VPolytope(verts, contacts)
 
 
 def _affine_rank(points):
@@ -308,42 +329,29 @@ def facet_description(vp):
     """Outer facet normals of a full-dimensional VPolytope.
 
     Returns (normals, offsets, contact lists) with primitive integer normals
-    in canonical order. Uses the H-rep provenance when available; otherwise
-    the facets are the extreme rays (a, beta) of the cone of valid
-    inequalities {(a, beta) : a . v <= beta for every vertex v}. The polytope
-    is bounded, so the trivial ray (0, ..., 0, 1) is a positive combination
-    of facet rows and never extreme.
+    in canonical order. The candidate rows and their contact sets are the
+    ones a vertex enumeration recorded; otherwise they are the extreme rays
+    (a, beta) of the cone of valid inequalities {(a, beta) : a . v <= beta
+    for every point v}, whose tight constraints are exactly the points on
+    the row. The facets are the rows :func:`facet_rows` selects, and a
+    point is a vertex iff it is the only point on all of its facets.
     """
     n = vp.dim
     pts = vp.vertices
     if _affine_rank(pts) != n:
         raise DimensionDeficient("polytope is not full-dimensional")
-    facets = {}
-    if vp.hrep is not None:
-        cand_rows, cand_b = scale_rows_int(vp.hrep.ineq_matrix, vp.hrep.bounds)
-        seen = set()
-        for row, bi in zip(cand_rows, cand_b):
-            key = tuple(row) + (bi,)
-            if key in seen:
-                continue
-            seen.add(key)
-            contact = [i for i, v in enumerate(pts) if dot(row, v) == bi]
-            if len(contact) >= n and _affine_rank([pts[i] for i in contact]) == n - 1:
-                facets[(tuple(row), bi)] = contact
-    else:
+    candidates = vp.contacts
+    if candidates is None:
         valid = scale_rows_int([[-x for x in v] + [1] for v in pts])
-        for ray in extreme_rays(valid, n + 1):
-            normal, offset = ray[:n], ray[n]
-            facets[(normal, offset)] = [i for i, v in enumerate(pts) if dot(normal, v) == offset]
-    ordered = sorted(facets, key=lambda f: f[0], reverse=True)
-    normals = [f[0] for f in ordered]
-    offsets = [f[1] for f in ordered]
-    contacts = [facets[f] for f in ordered]
+        candidates = {(ray[:n], ray[n]): tight for ray, tight in extreme_rays(valid, n + 1).items()}
+    keys = list(candidates)
+    chosen = facet_rows([k[0] for k in keys], [candidates[k] for k in keys])
+    ordered = sorted((keys[k] for k in chosen), key=lambda f: f[0], reverse=True)
+    on_facet = [candidates[f] for f in ordered]
     for i, v in enumerate(pts):
-        active = [normals[k] for k in range(len(normals)) if i in contacts[k]]
-        if rank([list(a) for a in active]) != n:
+        if frozenset(range(len(pts))).intersection(*(c for c in on_facet if i in c)) != {i}:
             raise ValueError(f"point {v} is not a vertex (redundant input point)")
-    return normals, offsets, contacts
+    return [f[0] for f in ordered], [f[1] for f in ordered], [sorted(c) for c in on_facet]
 
 
 def normal_fan(vp):
@@ -396,7 +404,22 @@ def fan_to_json(fan):
 
 def fan_from_json(text):
     data = json.loads(text)
-    return Fan(data["dim"], data["rays"], data["cones"], data.get("labels"))
+    if not isinstance(data, dict):
+        raise ValueError("fan JSON must be an object")
+    dim, labels = data["dim"], data.get("labels")
+    if type(dim) is not int or not isinstance(labels, (list, type(None))):
+        raise ValueError("fan JSON needs an integer 'dim' and 'labels' as a list")
+    return Fan(dim, int_rows(data["rays"], dim), int_rows(data["cones"], dim), labels)
+
+
+def int_rows(value, width):
+    """A JSON value checked to be a list of integer lists of length width."""
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and len(row) == width and all(type(x) is int for x in row)
+        for row in value
+    ):
+        raise ValueError(f"expected a list of integer lists of length {width}")
+    return value
 
 
 def _frac_str(x):
@@ -418,57 +441,51 @@ def write_roff(vp):
 
 
 def parse_roff(text):
-    """Parse ROFF text into (vertex tuples, facet index lists)."""
+    """Parse ROFF text into (vertex tuples, facet index lists); malformed
+    text raises ValueError."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != "ROFF":
+    if len(lines) < 2 or lines[0] != "ROFF":
         raise ValueError("missing ROFF header")
     nv, nf = (int(tok) for tok in lines[1].split())
-    if len(lines) != 2 + nv + nf:
+    if nv < 1 or nf < 0 or len(lines) != 2 + nv + nf:
         raise ValueError("ROFF line count mismatch")
-    verts = []
-    for ln in lines[2 : 2 + nv]:
-        verts.append(tuple(Fraction(tok) for tok in ln.split()))
+    try:
+        verts = [tuple(Fraction(tok) for tok in ln.split()) for ln in lines[2 : 2 + nv]]
+    except ZeroDivisionError:
+        raise ValueError("vertex coordinate with zero denominator") from None
+    if len({len(v) for v in verts}) != 1:
+        raise ValueError("vertex rows differ in length")
     facets = []
     for ln in lines[2 + nv :]:
         toks = [int(tok) for tok in ln.split()]
-        if toks[0] != len(toks) - 1:
-            raise ValueError("facet count prefix mismatch")
+        if not 0 < toks[0] == len(toks) - 1 or not all(0 <= i < nv for i in toks[1:]):
+            raise ValueError(f"facet line {ln!r} needs a count prefix and indices in 0..{nv - 1}")
         facets.append(tuple(toks[1:]))
     return verts, facets
 
 
 def roff_normal_fan(verts, facet_lists):
-    """Normal fan reconstructed from ROFF data, recomputing each facet's
-    hyperplane from its vertex set. Raises ValueError on any geometric
-    inconsistency (non-coplanar facet, wrong orientation, non-simple vertex)."""
-    n = len(verts[0])
-    normals = []
+    """Normal fan of the polytope that ROFF data describes. Each facet's
+    hyperplane comes from its vertex set, oriented away from a vertex off
+    it; these halfspaces must have exactly the file's vertices and facet
+    lists, up to vertex order, or ValueError or a FanforgeError is raised."""
+    rows, bounds = [], []
     for fl in facet_lists:
-        pts = [verts[i] for i in fl]
-        base = pts[0]
-        diffs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
-        kb = kernel_basis(diffs) if diffs else [[Fraction(1)]]  # n == 1
+        base = verts[fl[0]]
+        kb = kernel_basis([[x - y for x, y in zip(verts[i], base)] for i in fl])
         if len(kb) != 1:
             raise ValueError("facet vertex set does not span a hyperplane")
         normal = primitive(kb[0])
         offset = dot(normal, base)
-        if any(dot(normal, p) != offset for p in pts):
-            raise ValueError("facet vertices are not coplanar")
-        others = [dot(normal, v) for i, v in enumerate(verts) if i not in fl]
-        if all(val < offset for val in others):
-            pass
-        elif all(val > offset for val in others):
-            normal = tuple(-x for x in normal)
-        else:
-            raise ValueError("facet hyperplane does not support the polytope")
-        normals.append(normal)
-    order = sorted(range(len(normals)), key=lambda k: normals[k], reverse=True)
-    ray_list = [normals[k] for k in order]
-    if len(set(ray_list)) != len(ray_list):
-        raise ValueError("duplicate facet normals")
-    pos_of = {old: new for new, old in enumerate(order)}
-    cones = []
-    for i in range(len(verts)):
-        cone = tuple(sorted(pos_of[k] for k, fl in enumerate(facet_lists) if i in fl))
-        cones.append(cone)
-    return Fan(n, ray_list, cones)
+        if next((dot(normal, v) > offset for i, v in enumerate(verts) if i not in fl), False):
+            normal, offset = tuple(-x for x in normal), -offset
+        rows.append(normal)
+        bounds.append(offset)
+    vp = vertices(HPolytope(rows, bounds))
+    if sorted(verts) != list(vp.vertices):
+        raise ValueError("the facet halfspaces have other vertices than the file")
+    position = {v: j for j, v in enumerate(vp.vertices)}
+    given = sorted(sorted(position[verts[i]] for i in fl) for fl in facet_lists)
+    if given != sorted(facet_description(vp)[2]):
+        raise ValueError("the facet lists are not the facets of the polytope")
+    return normal_fan(vp)

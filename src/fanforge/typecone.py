@@ -4,8 +4,9 @@ The type cone lives in R^N and has an n-dimensional lineality space (the
 span of the ray-matrix columns), so facet extraction works in the quotient:
 coordinates are reduced through a basis of the left kernel of G, the extreme
 rays of the reduced cone are computed exactly by incremental double
-description, and every facet is certified by an explicit point satisfying
-all other inequalities strictly and its own with equality.
+description, facets are the rows tight on inclusion-maximal sets of rays,
+and each is certified by an explicit point satisfying all other
+inequalities strictly and its own with equality.
 """
 
 import json
@@ -19,7 +20,7 @@ from .errors import (
     NotSimplicial,
 )
 from .linalg import dot, kernel_basis, primitive, rank, scale_rows_int, solve, transpose
-from .polyhedra import extreme_rays, p_h
+from .polyhedra import extreme_rays, facet_rows, p_h
 
 
 @dataclass(frozen=True)
@@ -155,9 +156,13 @@ class TypeCone:
     wall_list: tuple
     raw_inequalities: tuple  # one rational N-vector per wall
     facets: tuple  # primitive integer N-vectors, irredundant, sorted
-    k_matrix: tuple  # facets as rows
     facet_certificates: tuple  # reduced-space point certifying each facet
     open: bool = True
+
+    @property
+    def k_matrix(self):
+        """The matrix K whose rows are the facets."""
+        return self.facets
 
     @property
     def n_facets(self):
@@ -204,28 +209,26 @@ def type_cone(fan):
     wall_list = walls(fan)
     deps = [wall_dependency(fan, w) for w in wall_list]
     raw = [dependency_vector(fan, d) for d in deps]
-    g = fan.ray_matrix()
-    for vec in raw:
-        if any(sum(vec[i] * g[i][j] for i in range(fan.n_rays)) != 0 for j in range(fan.dim)):
-            raise InconsistentSystem("dependency normal does not annihilate the ray matrix")
+    columns = transpose(fan.ray_matrix())
     dedup = []
     seen = set()
     for vec in raw:
         p = primitive(vec)
         if p not in seen:
+            if any(dot(p, col) for col in columns):
+                raise InconsistentSystem("dependency normal does not annihilate the ray matrix")
             seen.add(p)
             dedup.append(p)
     reducer = _lineality_reducer(fan)
     reduced = [tuple(dot(row, vec) for row in reducer) for vec in dedup]
     d = len(reducer)
     extreme = extreme_rays(reduced, d)
+    rays = list(extreme)
+    contacts = [{k for k, t in enumerate(extreme.values()) if i in t} for i in range(len(reduced))]
     facets = []
     certificates = []
-    for idx, rvec in enumerate(reduced):
-        tight = [z for z in extreme if dot(rvec, z) == 0]
-        if rank([list(z) for z in tight]) != d - 1:
-            continue
-        cert = tuple(sum(z[i] for z in tight) for i in range(d))
+    for idx in facet_rows(reduced, contacts):
+        cert = tuple(sum(rays[k][i] for k in contacts[idx]) for i in range(d))
         for jdx, other in enumerate(reduced):
             val = dot(other, cert)
             if jdx == idx:
@@ -244,7 +247,6 @@ def type_cone(fan):
         fan.n_rays,
         tuple(wall_list),
         tuple(raw),
-        facets,
         facets,
         certificates,
     )

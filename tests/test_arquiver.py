@@ -9,7 +9,6 @@ from fanforge.arquiver import (
     injective_dims,
     knit_ar_quiver,
     linear_quiver,
-    mesh_equations,
     projective_dims,
 )
 from fanforge.errors import NonPositiveParameter, UnsupportedType
@@ -109,7 +108,7 @@ def test_mesh_additivity_signed():
 
 def test_mesh_equations_a2_golden():
     ar = knit_ar_quiver(linear_quiver(2))
-    eqs = mesh_equations(ar)
+    eqs = ar.meshes
     rendered = {
         (
             ar.vertex_label(m.start),
@@ -129,7 +128,7 @@ def test_mesh_equations_a2_golden():
 def test_mesh_equations_a3_pattern():
     # q_{i j} + q_{i+1 j+1} = q_{i j+1} + q_{i+1 j} + c_{i+1 j+1}
     ar = knit_ar_quiver(linear_quiver(3))
-    for m in mesh_equations(ar):
+    for m in ar.meshes:
         i, j = _parse(ar.vertex_label(m.start))
         assert _parse(ar.vertex_label(m.end)) == (i + 1, j + 1)
         mids = sorted(_parse(ar.vertex_label(x)) for x in m.middles)
@@ -151,7 +150,7 @@ def _valid_coord(p, n):
 
 def test_mesh_equation_a1_no_middles():
     ar = knit_ar_quiver(linear_quiver(1))
-    (mesh,) = mesh_equations(ar)
+    (mesh,) = ar.meshes
     assert mesh.middles == ()
 
 

@@ -1,7 +1,11 @@
+import copy
 import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fanforge.cli import main
 
@@ -203,3 +207,194 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 1
+
+
+@pytest.mark.parametrize("text", ["[1,2]", '"b"'])
+@pytest.mark.parametrize(
+    "argv",
+    [["typecone", "--fan"], ["realize", "--typecone"], ["fan", "--seed"]],
+)
+def test_json_that_is_not_an_object_is_input_error(tmp_path, capsys, argv, text):
+    fan_path = tmp_path / "fan.json"
+    run(capsys, ["fan", "--type", "A", "--rank", "2", "-o", str(fan_path)])
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    extra = ["--fan", str(fan_path)] if argv[0] == "realize" else []
+    code, out, err = run(capsys, argv + [str(bad)] + extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fanforge: error:") and err.count("\n") == 1
+
+
+def test_fan_listing_a_cone_twice_is_input_error(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    cones = [[0, 1], [0, 1], [1, 2], [0, 2]]
+    path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": cones}))
+    code, out, err = run(capsys, ["typecone", "--report", "--fan", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fanforge: error: a maximal cone is listed twice")
+
+
+def a2_roff(tmp_path, capsys):
+    fan_path = tmp_path / "fan.json"
+    off_path = tmp_path / "poly.off"
+    run(capsys, ["fan", "--type", "A", "--rank", "2", "-o", str(fan_path)])
+    run(capsys, ["realize", "--fan", str(fan_path), "-o", str(off_path)])
+    return fan_path, off_path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines[:-1] + ["2 0 99"],
+        lambda lines: lines[:-1] + ["2 -1 0"],
+        lambda lines: ["ROFF", "0 0"],
+        lambda lines: ["ROFF"],
+        lambda lines: lines[:2] + [lines[2] + " 1/1"] + lines[3:],
+        lambda lines: lines[:2] + ["1/0 1/1"] + lines[3:],
+        lambda lines: lines[:-1] + ["0"],
+    ],
+    ids=["index-too-large", "index-negative", "no-vertex", "no-counts", "ragged-vertex",
+         "zero-denominator", "empty-facet"],
+)
+def test_malformed_roff_is_input_error(tmp_path, capsys, edit):
+    fan_path, lines = a2_roff(tmp_path, capsys)
+    bad = tmp_path / "bad.off"
+    bad.write_text("\n".join(edit(lines)) + "\n")
+    code, out, err = run(capsys, ["verify", "--fan", str(fan_path), "--polytope", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fanforge: error:") and err.count("\n") == 1
+
+
+def test_verify_accepts_permuted_vertex_lines(tmp_path, capsys):
+    fan_path, lines = a2_roff(tmp_path, capsys)
+    nv = int(lines[1].split()[0])
+    order = list(range(nv))[::-1]  # new line k holds old vertex order[k]
+    new_index = {old: new for new, old in enumerate(order)}
+    facets = []
+    for line in lines[2 + nv :]:
+        count, *idx = line.split()
+        facets.append(" ".join([count] + [str(new_index[int(i)]) for i in idx]))
+    permuted = tmp_path / "permuted.off"
+    permuted.write_text("\n".join(lines[:2] + [lines[2 + k] for k in order] + facets) + "\n")
+    code, out, _ = run(capsys, ["verify", "--fan", str(fan_path), "--polytope", str(permuted)])
+    assert code == 0
+    assert out.startswith("verified")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 100) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def garbled_json(draw, valid):
+    """A random JSON value, or `valid` with one value somewhere inside it
+    replaced by a random JSON value or deleted."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    value = copy.deepcopy(valid)
+    node = value
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (list, dict)) and child and draw(st.booleans()):
+            node = child
+            continue
+        if draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(JSON_VALUES)
+        return value
+
+
+@st.composite
+def garbled_roff(draw, valid):
+    """`valid` ROFF text, cut short or with a few tokens or lines replaced,
+    deleted or repeated."""
+    lines = [line.split() for line in valid.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["token", "drop-line", "repeat-line", "cut"]))
+        if kind == "token" and lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i][j] = draw(st.sampled_from(["0", "-1", "3", "99", "1/0", "-2/3", "x", "", "7 7"]))
+        elif kind == "drop-line":
+            del lines[i]
+        elif kind == "repeat-line":
+            lines.insert(i, list(lines[i]))
+        else:
+            lines = lines[:i]
+        if not lines:
+            break
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@pytest.fixture(scope="module")
+def a2_files(tmp_path_factory):
+    """A2 fan, type cone and realization files, made through the CLI."""
+    d = tmp_path_factory.mktemp("a2")
+    paths = {k: d / f"a2.{k}" for k in ("fan", "tc", "off")}
+    assert main(["fan", "--type", "A", "--rank", "2", "-o", str(paths["fan"])]) == 0
+    assert main(["typecone", "--fan", str(paths["fan"]), "-o", str(paths["tc"])]) == 0
+    assert main(["realize", "--fan", str(paths["fan"]), "-o", str(paths["off"])]) == 0
+    return paths
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["typecone", "realize", "verify"]))
+def test_malformed_input_never_escapes_the_exit_code_contract(a2_files, tmp_path, capsys, data, command):
+    fan = str(a2_files["fan"])
+    bad = tmp_path / "bad.input"
+    if command == "verify":
+        bad.write_text(data.draw(garbled_roff(a2_files["off"].read_text())))
+        argv = ["verify", "--fan", fan, "--polytope", str(bad)]
+    else:
+        valid = json.loads(a2_files["fan" if command == "typecone" else "tc"].read_text())
+        bad.write_text(json.dumps(data.draw(garbled_json(valid))))
+        argv = ["typecone", "--fan", str(bad)] if command == "typecone" else [
+            "realize", "--fan", fan, "--typecone", str(bad)]
+    code, _out, err = run(capsys, argv)
+    # exit 0 is reached only by garbles that leave a valid input (a deleted
+    # label, two facet lines swapped, an unused type cone field)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("fanforge: error:") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+def _with_interior_vertex(lines):
+    nv, nf = map(int, lines[1].split())
+    verts = [[Fraction(tok) for tok in line.split()] for line in lines[2 : 2 + nv]]
+    centre = " ".join(str(sum(col) / nv) for col in zip(*verts))
+    return ["ROFF", f"{nv + 1} {nf}"] + lines[2 : 2 + nv] + [centre] + lines[2 + nv :]
+
+
+def _with_a_facet_short_of_a_vertex(lines):
+    # a facet away from vertex 0, so that vertex still orients its hyperplane
+    nv = int(lines[1].split()[0])
+    k = next(
+        i for i in range(2 + nv, len(lines))
+        if len(lines[i].split()) > 4 and "0" not in lines[i].split()[1:]
+    )
+    count, *idx = lines[k].split()
+    return lines[:k] + [" ".join([str(int(count) - 1)] + idx[:-1])] + lines[k + 1 :]
+
+
+@pytest.mark.parametrize("edit", [_with_interior_vertex, _with_a_facet_short_of_a_vertex])
+def test_verify_rejects_roff_that_disagrees_with_its_own_halfspaces(tmp_path, capsys, edit):
+    # the halfspaces of the remaining facets still cut out the right polytope
+    fan_path = tmp_path / "fan.json"
+    off_path = tmp_path / "poly.off"
+    run(capsys, ["fan", "--type", "A", "--rank", "3", "-o", str(fan_path)])
+    run(capsys, ["realize", "--fan", str(fan_path), "-o", str(off_path)])
+    bad = tmp_path / "bad.off"
+    bad.write_text("\n".join(edit(off_path.read_text().splitlines())) + "\n")
+    code, out, _ = run(capsys, ["verify", "--fan", str(fan_path), "--polytope", str(bad)])
+    assert code == 1
+    assert out.startswith("verification failed")

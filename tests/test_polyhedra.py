@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fanforge.clusterfan import enumerate_fan, initial_seed, mutate_seed
 from fanforge.errors import DimensionDeficient, Empty, Unbounded
-from fanforge.linalg import det_int, dot, kernel_basis, rank, rref, scale_rows_int, solve
+from fanforge.linalg import det_int, dot, kernel_basis, primitive, rank, rref, scale_rows_int, solve
 from fanforge.polyhedra import (
     Fan,
     HPolytope,
@@ -24,6 +24,7 @@ from fanforge.polyhedra import (
     vertices,
     write_roff,
 )
+from fanforge.typecone import _lineality_reducer, dependency_vector, type_cone, wall_dependency, walls
 
 
 def pentagon_hpoly():
@@ -212,6 +213,24 @@ def test_roundtrip_vertices_of_facet_hull():
     normals, offsets, _ = facet_description(vp)
     again = vertices(HPolytope(normals, offsets))
     assert again.vertices == vp.vertices
+
+
+CROSS_POLYTOPE_4 = [tuple(s * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)],  # interior point
+        [(0, 0), (2, 0), (0, 2), (1, 0)],  # edge midpoint
+        CROSS_POLYTOPE_4 + [(Fraction(1, 2), Fraction(1, 2), 0, 0)],  # edge on 4 facets
+    ],
+    ids=["interior", "edge-midpoint", "cross-polytope-edge-midpoint"],
+)
+def test_facet_description_rejects_a_point_that_is_no_vertex(points):
+    with pytest.raises(ValueError, match="is not a vertex"):
+        facet_description(VPolytope(points))
+    facet_description(VPolytope(points[:-1]))  # the same points without it are vertices
 
 
 def test_facet_normals_subset_of_fan_rays():
@@ -408,6 +427,20 @@ def corrupted_fans(draw):
         assume(False)
 
 
+def rank_rule_type_cone_facets(fan):
+    """Test oracle: the facet rule type_cone once used. A deduplicated wall
+    inequality is a facet iff the extreme rays of the reduced cone tight on
+    it have rank d - 1."""
+    dedup = sorted({primitive(dependency_vector(fan, wall_dependency(fan, w))) for w in walls(fan)})
+    reducer = _lineality_reducer(fan)
+    d = len(reducer)
+    reduced = [[dot(row, vec) for row in reducer] for vec in dedup]
+    rays = list(extreme_rays(reduced, d))
+    return tuple(
+        vec for vec, r in zip(dedup, reduced) if rank([z for z in rays if dot(r, z) == 0]) == d - 1
+    )
+
+
 @settings(max_examples=50, deadline=None)
 @example(star_polygon_fan(5, 2))
 @example(star_polygon_fan(7, 3))
@@ -415,7 +448,10 @@ def corrupted_fans(draw):
 @example(Fan(2, [(1, 0), (0, 1), (1, 1), (0, -1), (-1, 0)], [(0, 1), (0, 2), (2, 3), (3, 4), (1, 4)]))
 @given(corrupted_fans())
 def test_validate_matches_pairwise_oracle(fan):
-    assert _validates(fan) == complete_fan_oracle(fan)
+    complete = _validates(fan)
+    assert complete == complete_fan_oracle(fan)
+    if complete:
+        assert type_cone(fan).facets == rank_rule_type_cone_facets(fan)
 
 
 def test_strict_feasible_basic():
@@ -479,6 +515,20 @@ def scan_vertices(p):
     return pts
 
 
+def rank_filter_facets(p, vp):
+    """Test oracle: the facet rule of the H-representation branch that
+    facet_description once had. A distinct scaled row is a facet iff the
+    vertices on it have affine rank n - 1."""
+    facets = {}
+    for row, bi in zip(*scale_rows_int(p.ineq_matrix, p.bounds)):
+        contact = [i for i, v in enumerate(vp.vertices) if dot(row, v) == bi]
+        pts = [vp.vertices[i] for i in contact]
+        if len(contact) >= p.dim and rank([[x - y for x, y in zip(q, pts[0])] for q in pts]) == p.dim - 1:
+            facets[tuple(row)] = (bi, contact)
+    ordered = sorted(facets, reverse=True)
+    return ordered, [facets[f][0] for f in ordered], [facets[f][1] for f in ordered]
+
+
 def _outcome(fn, p):
     try:
         return list(fn(p))
@@ -523,6 +573,7 @@ def test_vertices_match_subset_scan_oracle(p):
     if isinstance(got, list):
         vp = vertices(p)
         assert facet_description(vp) == facet_description(VPolytope(vp.vertices))
+        assert facet_description(vp) == rank_filter_facets(p, vp)
 
 
 def test_oracle_cases_cover_every_outcome():

@@ -127,7 +127,7 @@ def test_qc_inconsistent_system_guard():
     fan = a2_fan()
     tc = type_cone(fan)
     rows = (tc.facets[0], tc.facets[1], tc.facets[0])  # rank 2, count 3
-    broken = dataclasses.replace(tc, facets=rows, k_matrix=rows)
+    broken = dataclasses.replace(tc, facets=rows)
     with pytest.raises(InconsistentSystem):
         qc_polytope(fan, broken, (1, 1, 1))
 
@@ -243,7 +243,7 @@ def test_qc_not_simplicial_guard():
     tc = type_cone(fan)
     import dataclasses
 
-    broken = dataclasses.replace(tc, facets=tc.facets[:2], k_matrix=tc.k_matrix[:2])
+    broken = dataclasses.replace(tc, facets=tc.facets[:2])
     with pytest.raises(NotSimplicial):
         qc_polytope(fan, broken, (1, 1, 1))
 
