@@ -23,7 +23,10 @@ def _budget_from_env():
 
 
 def _parse_fraction_list(text):
-    return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    try:
+        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ZeroDivisionError:
+        raise ValueError(f"a rational in {text!r} has a zero denominator") from None
 
 
 def _orientation_from_text(text):

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import BudgetExceeded, InconsistentSystem
 from .linalg import det_int, primitive
-from .polyhedra import Fan
+from .polyhedra import Fan, int_rows
 
 DEFAULT_BFS_BUDGET = 100_000
 
@@ -426,6 +426,12 @@ def flip_graph(polygon_size):
     return FlipGraph(tuple(tris), tuple(sorted(edges)))
 
 
+def _is_label(value):
+    return type(value) in (int, str) or (
+        isinstance(value, list) and all(type(x) is int for x in value)
+    )
+
+
 def seed_from_json(text):
     """Accept {"b": [[..]], "labels": [..]} or
     {"triangulation": {"polygon": m, "diagonals": [[a,b],...]}}."""
@@ -434,10 +440,17 @@ def seed_from_json(text):
         raise ValueError("seed JSON must be an object")
     if "triangulation" in data:
         td = data["triangulation"]
-        tri = Triangulation(td["polygon"], [tuple(d) for d in td["diagonals"]])
+        if not isinstance(td, dict) or type(td.get("polygon")) is not int:
+            raise ValueError("'triangulation' needs an integer 'polygon' and 'diagonals'")
+        tri = Triangulation(td["polygon"], [tuple(d) for d in int_rows(td["diagonals"], 2)])
         return seed_from_triangulation(tri), tri
     if "b" in data:
-        labels = data.get("labels")
+        b, labels = data["b"], data.get("labels")
+        if not isinstance(b, list):
+            raise ValueError("seed 'b' must be a square integer matrix")
+        int_rows(b, len(b))
+        if labels and not (isinstance(labels, list) and all(map(_is_label, labels))):
+            raise ValueError("seed 'labels' must list integers, strings or integer lists")
         ids = tuple(tuple(l) if isinstance(l, list) else l for l in labels) if labels else None
-        return initial_seed(data["b"], cluster_ids=ids), None
+        return initial_seed(b, cluster_ids=ids), None
     raise ValueError("seed JSON needs a 'b' matrix or a 'triangulation'")

@@ -1,13 +1,17 @@
 """Exact linear algebra over the integers and fractions.Fraction.
 
 Matrices are lists of row lists; entries are ints or Fractions. Nothing in
-here ever touches a float. Elimination runs fraction-free on integer rows.
-All outputs are canonical: kernel bases come from the reduced row echelon
-form, so identical inputs give identical results.
+here ever touches a float. All elimination is one fraction-free
+Gauss-Jordan on integer rows (:func:`_echelon`): `rank` and the pivot-only
+callers read its pivots and integer rows directly, and `rref`,
+`kernel_basis` and `solve` divide to Fractions only at the end, and only
+the entries they return. All outputs are canonical: kernel bases come from
+the reduced row echelon form, so identical inputs give identical results.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def transpose(m):
@@ -15,19 +19,17 @@ def transpose(m):
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
-def rref(rows):
-    """Reduced row echelon form. Returns (rref rows, pivot column list).
-
-    Fraction-free Gauss-Jordan: every row is scaled to integers once, kept
-    primitive after each elimination step, and divided by its pivot only at
-    the end. The RREF is unique, so this equals Fraction elimination.
-    """
-    m = scale_rows_int(rows)
+def _echelon(m):
+    """Fraction-free Gauss-Jordan on integer rows, in place. Returns the
+    pivot column list; afterwards row r of m has its pivot in column
+    pivots[r] and zeros in every other pivot column, and the rows after
+    the last pivot row are zero. A row changed by an elimination step is
+    divided by the gcd of its entries."""
     if not m:
-        return [], []
+        return []
     nrows, ncols = len(m), len(m[0])
     pivots = []
     r = 0
@@ -48,13 +50,29 @@ def rref(rows):
                 m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def rref(rows):
+    """Reduced row echelon form. Returns (rref rows, pivot column list).
+
+    The rows are scaled to integers once and eliminated by :func:`_echelon`;
+    each pivot row is divided by its pivot only at the end. The RREF is
+    unique, so this equals Fraction elimination. `kernel_basis` and `solve`
+    read the same integer echelon and divide only the entries they return.
+    """
+    m = scale_rows_int(rows)
+    pivots = _echelon(m)
+    if not m:
+        return [], []
     red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    red += [[Fraction(0)] * ncols for _ in range(nrows - r)]
+    red += [[Fraction(0)] * len(m[0]) for _ in range(len(m) - len(pivots))]
     return red, pivots
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    """Rank of a rational matrix: the pivot count of its integer echelon."""
+    return len(_echelon(scale_rows_int(rows)))
 
 
 def kernel_basis(rows):
@@ -62,14 +80,15 @@ def kernel_basis(rows):
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = rref(rows)
+    m = scale_rows_int(rows)
+    pivots = _echelon(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
+        for row, p in zip(m, pivots):
+            v[p] = Fraction(-row[f], row[p])
         basis.append(v)
     return basis
 
@@ -79,13 +98,13 @@ def solve(a, b):
     if not a:
         return None if any(x != 0 for x in b) else []
     ncols = len(a[0])
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    red, pivots = rref(aug)
+    m = scale_rows_int([list(row) + [bi] for row, bi in zip(a, b)])
+    pivots = _echelon(m)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
+    for row, p in zip(m, pivots):
+        x[p] = Fraction(row[ncols], row[p])
     return x
 
 
@@ -118,11 +137,12 @@ def det_int(m):
 def primitive(vec):
     """Primitive integer vector from a rational one. Positive scaling only:
     the direction is preserved, never flipped."""
-    fracs = [x if type(x) in (int, Fraction) else Fraction(x) for x in vec]
-    denom = lcm(*(x.denominator for x in fracs))
-    ints = [x.numerator * (denom // x.denominator) for x in fracs]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints) if g else tuple(ints)
+    if any(type(x) is not int for x in vec):
+        fracs = [x if type(x) in (int, Fraction) else Fraction(x) for x in vec]
+        denom = lcm(*(x.denominator for x in fracs))
+        vec = [x.numerator * (denom // x.denominator) for x in fracs]
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
 def scale_rows_int(rows, rhs=None):

@@ -5,25 +5,31 @@ Every cone question (vertices, facets, type cones) goes through one
 routine, :func:`extreme_rays`, an incremental double description on integer
 vectors with the combinatorial adjacency test of Fukuda and Prodon, "Double
 description method revisited" (1996), which also returns the constraints
-tight on each ray. From that incidence, a row is a facet iff the points it
-is tight on form an inclusion-maximal set (:func:`facet_rows`), and a point
-is a vertex iff it is the only point on all of its facets. Fan completeness
-is proved by a wall-and-degree certificate in :meth:`Fan.validate`.
+tight on each ray. Incidence is kept as int bitmasks (bit i for constraint,
+vertex or ray i), so the adjacency test and every facet question below are
+bitwise ANDs. From that incidence, a row is a facet iff the points it is
+tight on form an inclusion-maximal set (:func:`facet_rows`), and a point is
+a vertex iff it is the only point on all of its facets. Vertex enumeration
+stays in integers up to its output: full-dimensionality is the integer rank
+of the homogeneous rays, and each vertex becomes a Fraction tuple once.
+Fan completeness is proved by a wall-and-degree certificate in
+:meth:`Fan.validate`.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import DimensionDeficient, Empty, InconsistentSystem, Unbounded
 from .linalg import (
+    _echelon,
     det_int,
     dot,
     kernel_basis,
     primitive,
     rank,
-    rref,
     scale_rows_int,
     transpose,
 )
@@ -163,56 +169,62 @@ class Fan:
 
 def _adjugate_int(m):
     """Adjugate of an invertible square integer matrix: its determinant
-    times the inverse from one fraction-free elimination of [m | I]."""
+    times the inverse. The integer echelon of [m | I] has row i's pivot p_i
+    in column i, so row i of the inverse is the row's right half over p_i."""
     n = len(m)
     det = det_int(m)
-    red, _pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
-    return [[int(det * x) for x in row[n:]] for row in red]
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    _echelon(rows)
+    return [[det * x // row[i] for x in row[n:]] for i, row in enumerate(rows)]
 
 
 def extreme_rays(constraints, d):
     """Extreme rays of {z in R^d : constraints . z >= 0} by incremental
     double description. Returns a dict from each ray, a primitive integer
-    tuple, to the frozenset of indices of the constraints tight on it; the
-    rays iterate in sorted order. The constraint rows are integer vectors
-    of rank d, so the cone is pointed."""
-    init = rref(transpose(constraints))[1]
+    tuple, to the bitmask of the constraints tight on it (bit i for
+    constraints[i]); the rays iterate in sorted order. The constraint rows
+    are integer vectors of rank d, so the cone is pointed."""
+    init = _echelon(transpose(constraints))
     if len(init) != d:
         raise InconsistentSystem(f"constraints do not span R^{d}")
     # the initial simplicial cone's rays are the columns of the inverse,
-    # i.e. of the adjugate oriented by the sign of the determinant
+    # i.e. of the adjugate oriented by the sign of the determinant, which
+    # a0 . adj = det I gives as a0[0] . (column 0 of adj)
     a0 = [list(constraints[i]) for i in init]
-    sign = 1 if det_int(a0) > 0 else -1
     adj = _adjugate_int(a0)
+    sign = 1 if dot(a0[0], [row[0] for row in adj]) > 0 else -1
+    basis = sum(1 << i for i in init)
     rays = [
-        (primitive([sign * adj[i][j] for i in range(d)]), frozenset(init) - {init[j]})
+        (primitive([sign * adj[i][j] for i in range(d)]), basis ^ 1 << init[j])
         for j in range(d)
     ]
-    for ci in range(len(constraints)):
-        if ci in init:
+    for ci, a in enumerate(constraints):
+        bit = 1 << ci
+        if basis & bit:
             continue
-        a = constraints[ci]
         plus, zero, minus = [], [], []
         for ray, tight in rays:
             v = dot(a, ray)
             if v > 0:
                 plus.append((ray, tight, v))
             elif v == 0:
-                zero.append((ray, tight | {ci}))
+                zero.append((ray, tight | bit))
             else:
                 minus.append((ray, tight, v))
         new = []
+        masks = [t for _r, t in rays]
         for rp, tp, vp in plus:
             for rm, tm, vm in minus:
                 common = tp & tm
                 # adjacent iff they share at least d - 2 tight rows and no
-                # third ray is tight on all of them
-                if len(common) < d - 2 or any(
-                    common <= t for _r, t in rays if t is not tp and t is not tm
+                # third ray is tight on all of them (distinct extreme rays
+                # of a pointed cone have distinct tight sets)
+                if common.bit_count() < d - 2 or any(
+                    t & common == common and t != tp and t != tm for t in masks
                 ):
                     continue
                 combo = [vp * y - vm * x for x, y in zip(rp, rm)]
-                new.append((primitive(combo), common | {ci}))
+                new.append((primitive(combo), common | bit))
         rays = [(r, t) for r, t, _v in plus] + zero + new
     for ray, _tight in rays:
         if any(dot(c, ray) < 0 for c in constraints):
@@ -220,13 +232,26 @@ def extreme_rays(constraints, d):
     return dict(sorted(rays))
 
 
+def row_contacts(tight, count):
+    """The contact bitmask of each of count constraint rows (bit j for
+    tight[j]), from the bitmask of the rows tight on each ray or vertex."""
+    return [sum(1 << j for j, t in enumerate(tight) if t >> i & 1) for i in range(count)]
+
+
 def facet_rows(rows, contacts):
     """Indices of the facet rows of a full-dimensional polytope or pointed
-    cone, given each row's contact set (the vertices or extreme rays it is
-    tight on): the rows whose contact sets are inclusion-maximal. A zero
-    row is never a candidate."""
+    cone, given each row's contact set as a bitmask (bit j for the j-th
+    vertex or extreme ray it is tight on): the rows whose contact sets are
+    inclusion-maximal. A zero row is never a candidate."""
     live = [k for k, row in enumerate(rows) if any(row)]
-    return [k for k in live if not any(contacts[k] < contacts[j] for j in live)]
+    masks = [contacts[k] for k in live]
+    return [
+        k for k in live if not any(m != contacts[k] and m | contacts[k] == m for m in masks)
+    ]
+
+
+def _fraction(x):
+    return x if type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -238,8 +263,8 @@ class HPolytope:
     bounds: tuple
 
     def __init__(self, ineq_matrix, bounds):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in ineq_matrix)
-        b = tuple(Fraction(x) for x in bounds)
+        rows = tuple(tuple(_fraction(x) for x in row) for row in ineq_matrix)
+        b = tuple(_fraction(x) for x in bounds)
         if len(rows) != len(b):
             raise ValueError("one bound per inequality row required")
         object.__setattr__(self, "ineq_matrix", rows)
@@ -259,15 +284,17 @@ class VPolytope:
 
     Producers guarantee irredundancy; ``normal_fan`` re-checks it. A vertex
     enumeration records the contact set of each row it started from, as a
-    dict (primitive integer normal, offset) -> frozenset of vertex indices,
-    from which facet extraction then selects the facets.
+    dict (primitive integer normal, offset) -> bitmask of vertex indices
+    (bit j for vertices[j]), from which facet extraction then selects the
+    facets.
     """
 
     vertices: tuple
     contacts: dict = field(default=None, compare=False)
 
     def __init__(self, vertices, contacts=None):
-        pts = sorted({tuple(Fraction(x) for x in v) for v in vertices})
+        pts = [tuple(_fraction(x) for x in v) for v in vertices]
+        pts = [pts[i] for i in _lex_order(pts)]
         if not pts:
             raise ValueError("empty vertex list")
         if len({len(p) for p in pts}) != 1:
@@ -280,6 +307,15 @@ class VPolytope:
         return len(self.vertices[0])
 
 
+def _lex_order(points):
+    """Indices of the distinct rational points in lexicographic order. The
+    points are compared as integer vectors over their common denominator,
+    which orders them as the Fractions would."""
+    den = lcm(*(x.denominator for v in points for x in v))
+    keyed = {tuple(x.numerator * (den // x.denominator) for x in v): i for i, v in enumerate(points)}
+    return [keyed[k] for k in sorted(keyed)]
+
+
 def vertices(p):
     """Exact vertex enumeration of a bounded H-polytope.
 
@@ -288,7 +324,9 @@ def vertices(p):
     (t = 0). Boundedness is decided first, then emptiness (no ray at all),
     then full-dimensionality; the three failure modes raise distinct errors.
     A recession direction reports Unbounded whether or not the region is
-    empty.
+    empty. The rays stay integer vectors until the vertex tuples are built:
+    the homogeneous rays have rank n + 1 iff the vertices have affine rank
+    n.
     """
     a_rows, b = scale_rows_int(p.ineq_matrix, p.bounds)
     n = p.dim
@@ -298,31 +336,26 @@ def vertices(p):
         raise Unbounded("constraint matrix is rank deficient")
     cone = [[-x for x in row] + [bi] for row, bi in zip(a_rows, b)]
     cone.append([0] * n + [1])
-    found = []
-    for ray, tight in extreme_rays(cone, n + 1).items():
-        t = ray[n]
-        if t == 0:
+    rays = extreme_rays(cone, n + 1)
+    for ray in rays:
+        if ray[n] == 0:
             raise Unbounded(f"recession direction {list(ray[:n])} exists")
-        found.append((tuple(Fraction(x, t) for x in ray[:n]), tight))
-    if not found:
+    if not rays:
         raise Empty("no feasible point")
-    found.sort()
-    verts = [v for v, _tight in found]
-    if _affine_rank(verts) != n:
+    if rank(list(rays)) != n + 1:
         raise DimensionDeficient("polytope has no interior point")
-    contacts = {
-        (tuple(row), bi): frozenset(j for j, (_v, tight) in enumerate(found) if i in tight)
-        for i, (row, bi) in enumerate(zip(a_rows, b))
-    }
-    return VPolytope(verts, contacts)
+    verts = [tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray in rays]
+    order = _lex_order(verts)
+    tight = list(rays.values())
+    keys = [(tuple(row), bi) for row, bi in zip(a_rows, b)]
+    contacts = row_contacts([tight[k] for k in order], len(keys))
+    return VPolytope([verts[k] for k in order], dict(zip(keys, contacts)))
 
 
 def _affine_rank(points):
-    if len(points) <= 1:
-        return 0
-    p0 = points[0]
-    diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    return rank(diffs)
+    """Affine rank of a nonempty point list: the rank of the points
+    homogenized as (p, 1), less one."""
+    return rank([list(p) + [1] for p in points]) - 1
 
 
 def facet_description(vp):
@@ -349,19 +382,24 @@ def facet_description(vp):
     ordered = sorted((keys[k] for k in chosen), key=lambda f: f[0], reverse=True)
     on_facet = [candidates[f] for f in ordered]
     for i, v in enumerate(pts):
-        if frozenset(range(len(pts))).intersection(*(c for c in on_facet if i in c)) != {i}:
+        common = (1 << len(pts)) - 1
+        for c in on_facet:
+            if c >> i & 1:
+                common &= c
+        if common != 1 << i:
             raise ValueError(f"point {v} is not a vertex (redundant input point)")
-    return [f[0] for f in ordered], [f[1] for f in ordered], [sorted(c) for c in on_facet]
+    lists = [[j for j in range(len(pts)) if c >> j & 1] for c in on_facet]
+    return [f[0] for f in ordered], [f[1] for f in ordered], lists
 
 
 def normal_fan(vp):
     """Outer normal fan of a full-dimensional VPolytope: rays are the
     primitive facet normals, one maximal cone per vertex."""
     normals, _offsets, contacts = facet_description(vp)
-    cones = []
-    for i in range(len(vp.vertices)):
-        cone = tuple(sorted(k for k in range(len(normals)) if i in contacts[k]))
-        cones.append(cone)
+    cones = [[] for _ in vp.vertices]
+    for k, on_facet in enumerate(contacts):
+        for i in on_facet:
+            cones[i].append(k)
     return Fan(vp.dim, normals, cones)
 
 

@@ -20,7 +20,7 @@ from .errors import (
     NotSimplicial,
 )
 from .linalg import dot, kernel_basis, primitive, rank, scale_rows_int, solve, transpose
-from .polyhedra import extreme_rays, facet_rows, p_h
+from .polyhedra import extreme_rays, facet_rows, p_h, row_contacts
 
 
 @dataclass(frozen=True)
@@ -224,11 +224,12 @@ def type_cone(fan):
     d = len(reducer)
     extreme = extreme_rays(reduced, d)
     rays = list(extreme)
-    contacts = [{k for k, t in enumerate(extreme.values()) if i in t} for i in range(len(reduced))]
+    contacts = row_contacts(list(extreme.values()), len(reduced))
     facets = []
     certificates = []
     for idx in facet_rows(reduced, contacts):
-        cert = tuple(sum(rays[k][i] for k in contacts[idx]) for i in range(d))
+        on_facet = [ray for k, ray in enumerate(rays) if contacts[idx] >> k & 1]
+        cert = tuple(sum(ray[i] for ray in on_facet) for i in range(d))
         for jdx, other in enumerate(reduced):
             val = dot(other, cert)
             if jdx == idx:
@@ -279,12 +280,15 @@ class SlackCertificate:
         )
 
     def check(self):
+        """K G = 0 on the integer matrices, and K h = c on h scaled to
+        integers: K (s h) = s c for the scale s of (h, 1) to a primitive
+        integer vector."""
+        columns = list(zip(*self.ray_matrix))
         for k_row in self.k_matrix:
-            for j in range(len(self.ray_matrix[0])):
-                if sum(k_row[i] * self.ray_matrix[i][j] for i in range(len(k_row))) != 0:
-                    raise InconsistentSystem("K G != 0")
-        kh = [dot(k_row, self.h) for k_row in self.k_matrix]
-        if list(kh) != [Fraction(x) for x in self.c]:
+            if any(dot(k_row, col) for col in columns):
+                raise InconsistentSystem("K G != 0")
+        *h_int, s = primitive([*self.h, 1])
+        if [dot(k_row, h_int) for k_row in self.k_matrix] != [s * Fraction(x) for x in self.c]:
             raise InconsistentSystem("K h != c")
         return True
 

@@ -196,6 +196,33 @@ def test_bad_c_vector_is_input_error(tmp_path, capsys):
     assert err.startswith("fanforge: error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["realize", "--c", "1/0,1,1"], ["realize", "--h", "1/0,1,1,1,1"], ["abhy", "--c", "1/0"]],
+)
+def test_zero_denominator_is_input_error(tmp_path, capsys, argv):
+    fan_path = tmp_path / "fan.json"
+    run(capsys, ["fan", "--type", "A", "--rank", "2", "-o", str(fan_path)])
+    extra = ["--fan", str(fan_path)] if argv[0] == "realize" else []
+    code, out, err = run(capsys, argv + extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fanforge: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [{"b": 5}, {"triangulation": {"polygon": "x", "diagonals": 3}}],
+)
+def test_wrongly_typed_seed_is_input_error(tmp_path, capsys, seed):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(seed))
+    code, out, err = run(capsys, ["fan", "--seed", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fanforge: error:") and err.count("\n") == 1
+
+
 def test_console_script_entry_point():
     import subprocess
     import sys
@@ -345,14 +372,24 @@ def a2_files(tmp_path_factory):
     return paths
 
 
+VALID_SEEDS = (
+    {"b": [[0, 1], [-1, 0]], "labels": [[1, 0], [0, 1]]},
+    {"triangulation": {"polygon": 5, "diagonals": [[1, 3], [1, 4]]}},
+)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), command=st.sampled_from(["typecone", "realize", "verify"]))
+@given(data=st.data(), command=st.sampled_from(["typecone", "realize", "verify", "fan"]))
 def test_malformed_input_never_escapes_the_exit_code_contract(a2_files, tmp_path, capsys, data, command):
     fan = str(a2_files["fan"])
     bad = tmp_path / "bad.input"
     if command == "verify":
         bad.write_text(data.draw(garbled_roff(a2_files["off"].read_text())))
         argv = ["verify", "--fan", fan, "--polytope", str(bad)]
+    elif command == "fan":
+        # a garbled exchange matrix may be of infinite type: the budget ends it
+        bad.write_text(json.dumps(data.draw(garbled_json(data.draw(st.sampled_from(VALID_SEEDS))))))
+        argv = ["fan", "--budget", "60", "--seed", str(bad)]
     else:
         valid = json.loads(a2_files["fan" if command == "typecone" else "tc"].read_text())
         bad.write_text(json.dumps(data.draw(garbled_json(valid))))
@@ -360,7 +397,7 @@ def test_malformed_input_never_escapes_the_exit_code_contract(a2_files, tmp_path
             "realize", "--fan", fan, "--typecone", str(bad)]
     code, _out, err = run(capsys, argv)
     # exit 0 is reached only by garbles that leave a valid input (a deleted
-    # label, two facet lines swapped, an unused type cone field)
+    # label, two facet lines swapped, an unused type cone or seed field)
     assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("fanforge: error:") and err.count("\n") == 1

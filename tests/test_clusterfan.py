@@ -337,6 +337,23 @@ def test_seed_json_triangulation():
     assert seed.b_matrix == ((0, 1), (-1, 0))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"b": 5}',
+        '{"b": [[0, "1"], [-1, 0]]}',
+        '{"b": [[0, 1], [-1, 0]], "labels": [1.5, 2]}',
+        '{"b": [[0, 1], [-1, 0]], "labels": 3}',
+        '{"triangulation": {"polygon": "x", "diagonals": 3}}',
+        '{"triangulation": {"polygon": 5, "diagonals": 3}}',
+        '{"triangulation": [5]}',
+    ],
+)
+def test_seed_json_with_wrongly_typed_fields_raises_value_error(text):
+    with pytest.raises(ValueError):
+        seed_from_json(text)
+
+
 def test_dot_export_deterministic():
     enum = enumerate_fan(initial_seed(A2_B))
     dot = enum.graph.to_dot()

@@ -1,5 +1,6 @@
 """Contract checks must survive `python -O`, which strips `assert`: the
-package raises FanforgeError subclasses instead."""
+package raises FanforgeError subclasses instead. The integer kernels stay
+in integers: they construct no Fraction."""
 
 import ast
 from pathlib import Path
@@ -24,3 +25,33 @@ def test_no_assert_contracts(path):
         or (isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node))
     ]
     assert not offenders, f"{path.name}: assert-based contract checks at lines {offenders}"
+
+
+# (module, function) pairs that must run on integers only
+INTEGER_KERNELS = [
+    ("linalg.py", "_echelon"),
+    ("linalg.py", "rank"),
+    ("linalg.py", "det_int"),
+    ("polyhedra.py", "_adjugate_int"),
+    ("polyhedra.py", "extreme_rays"),
+]
+
+
+def _constructs_fraction(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "Fraction") or (
+        isinstance(func, ast.Attribute) and func.attr == "Fraction"
+    )
+
+
+@pytest.mark.parametrize("module, name", INTEGER_KERNELS, ids=lambda x: x)
+def test_integer_kernels_construct_no_fraction(module, name):
+    path = next(p for p in SOURCES if p.name == module)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    [function] = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    offenders = [node.lineno for node in ast.walk(function) if _constructs_fraction(node)]
+    assert not offenders, f"{module}:{name} constructs a Fraction at lines {offenders}"

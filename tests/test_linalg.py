@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fanforge.linalg import (
@@ -14,6 +14,7 @@ from fanforge.linalg import (
     solve,
     transpose,
 )
+from fanforge.polyhedra import _adjugate_int
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -151,3 +152,26 @@ def test_integer_rref_matches_fraction_reference(m):
     assert pivots == want_pivots
     assert red == want_red
     assert all(isinstance(x, Fraction) for row in red for x in row)
+
+
+rational_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda ncols: st.lists(
+        st.lists(small_int | small_rational, min_size=ncols, max_size=ncols), max_size=6
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices)
+def test_integer_rank_matches_rref_pivot_count(m):
+    assert rank(m) == len(rref(m)[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(square))
+def test_adjugate_is_det_times_the_fraction_inverse(m):
+    det = det_int(m)
+    assume(det != 0)
+    n = len(m)
+    columns = [solve(m, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
+    assert _adjugate_int(m) == [[det * columns[j][i] for j in range(n)] for i in range(n)]

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanforge.clusterfan import enumerate_fan, initial_seed, mutate_seed
-from fanforge.errors import DimensionDeficient, Empty, Unbounded
+from fanforge.errors import DimensionDeficient, Empty, InconsistentSystem, Unbounded
 from fanforge.linalg import det_int, dot, kernel_basis, primitive, rank, rref, scale_rows_int, solve
 from fanforge.polyhedra import (
     Fan,
@@ -427,14 +427,19 @@ def corrupted_fans(draw):
         assume(False)
 
 
+def type_cone_reduction(fan):
+    """The deduplicated wall inequalities of the fan's type cone, the same
+    rows reduced through the lineality quotient, and its dimension d."""
+    dedup = sorted({primitive(dependency_vector(fan, wall_dependency(fan, w))) for w in walls(fan)})
+    reducer = _lineality_reducer(fan)
+    return dedup, [[dot(row, vec) for row in reducer] for vec in dedup], len(reducer)
+
+
 def rank_rule_type_cone_facets(fan):
     """Test oracle: the facet rule type_cone once used. A deduplicated wall
     inequality is a facet iff the extreme rays of the reduced cone tight on
     it have rank d - 1."""
-    dedup = sorted({primitive(dependency_vector(fan, wall_dependency(fan, w))) for w in walls(fan)})
-    reducer = _lineality_reducer(fan)
-    d = len(reducer)
-    reduced = [[dot(row, vec) for row in reducer] for vec in dedup]
+    dedup, reduced, d = type_cone_reduction(fan)
     rays = list(extreme_rays(reduced, d))
     return tuple(
         vec for vec, r in zip(dedup, reduced) if rank([z for z in rays if dot(r, z) == 0]) == d - 1
@@ -452,6 +457,19 @@ def test_validate_matches_pairwise_oracle(fan):
     assert complete == complete_fan_oracle(fan)
     if complete:
         assert type_cone(fan).facets == rank_rule_type_cone_facets(fan)
+
+
+def assert_tight_masks_exact(constraints, d):
+    """Every ray's bitmask has bit i set iff constraints[i] . ray == 0."""
+    for ray, mask in extreme_rays(constraints, d).items():
+        assert mask == sum(1 << i for i, c in enumerate(constraints) if dot(c, ray) == 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(base_fans())
+def test_extreme_ray_masks_on_type_cone_reductions(fan):
+    _dedup, reduced, d = type_cone_reduction(fan)
+    assert_tight_masks_exact(reduced, d)
 
 
 def test_strict_feasible_basic():
@@ -583,3 +601,17 @@ def test_oracle_cases_cover_every_outcome():
     assert _outcome(scan_vertices, HPolytope([(1, 0), (0, 1)], (1, 1))) is Unbounded
     assert _outcome(scan_vertices, HPolytope([(1, 0), (-1, 0), (0, 1), (0, -1)], (-1, 0, 1, 1))) is Empty
     assert _outcome(scan_vertices, HPolytope([(1, 0), (-1, 0), (0, 1), (0, -1)], (0, 0, 1, 1))) is DimensionDeficient
+
+
+@settings(max_examples=150, deadline=None)
+@example(OCTAHEDRON)
+@example(SQUARE_PYRAMID)
+@given(small_hpolytopes())
+def test_extreme_ray_masks_on_homogenized_hpolytope_cones(p):
+    a_rows, b = scale_rows_int(p.ineq_matrix, p.bounds)
+    cone = [[-x for x in row] + [bi] for row, bi in zip(a_rows, b)] + [[0] * p.dim + [1]]
+    if rank(cone) == p.dim + 1:
+        assert_tight_masks_exact(cone, p.dim + 1)
+    else:
+        with pytest.raises(InconsistentSystem):
+            extreme_rays(cone, p.dim + 1)

@@ -9,7 +9,7 @@ from fanforge.clusterfan import (
     initial_seed,
     seed_from_triangulation,
 )
-from fanforge.errors import NonPositiveParameter, NotSimplicial
+from fanforge.errors import InconsistentSystem, NonPositiveParameter, NotSimplicial
 from fanforge.linalg import dot, solve
 from fanforge.polyhedra import Fan, fan_eq, normal_fan, p_h, vertices
 from fanforge.typecone import (
@@ -227,6 +227,28 @@ def test_qc_polytope_a2():
     assert fan_eq(normal_fan(vp), fan)
     for v in vp.vertices:
         assert all(s >= 0 for s in cert.slack(v))
+
+
+def test_slack_certificate_rejects_a_wrong_fiber():
+    import dataclasses
+
+    fan = a2_fan()
+    _poly, cert = qc_polytope(fan, type_cone(fan), (Fraction(1, 2), 2, Fraction(3, 7)))
+    assert cert.check()
+    h_off = list(cert.h)
+    h_off[0] += Fraction(1, 3)
+    c_off = list(cert.c)
+    c_off[2] += Fraction(1, 7)
+    g_off = [list(row) for row in cert.ray_matrix]
+    g_off[0][0] += 1
+    for changes, message in [
+        ({"h": tuple(h_off)}, "K h != c"),
+        ({"c": tuple(c_off)}, "K h != c"),
+        ({"c": cert.c[:2]}, "K h != c"),
+        ({"ray_matrix": tuple(map(tuple, g_off))}, "K G != 0"),
+    ]:
+        with pytest.raises(InconsistentSystem, match=message):
+            dataclasses.replace(cert, **changes).check()
 
 
 def test_qc_rejects_bad_parameters():
