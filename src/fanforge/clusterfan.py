@@ -3,17 +3,24 @@
 A seed is an exchange matrix together with the g- and c-matrix companions;
 mutation follows the sign-coherent tropical recurrence, so cluster variables
 are tracked purely through their integer g-vectors (which separate variables
-in finite type). The fan enumerator is a BFS over seeds modulo cluster-set
-equality; for type A it can carry polygon triangulations alongside, which
-yields the diagonal-to-ray dictionary used by the mesh cross-checks.
+in finite type). A seed also carries the positive integer symmetrizer D of
+its exchange matrix: it is derived once for a seed built from input, and
+mutation, which preserves D-symmetrizability, passes it on, so each mutated
+matrix is certified by the integer identity d_i b_ij = -d_j b_ji instead of
+a fresh derivation. The fan enumerator is a BFS over seeds modulo
+cluster-set equality. It raises InfiniteType as soon as a reached seed has
+|b_ij b_ji| > 3 (Fomin-Zelevinsky, "Cluster algebras II", Invent.
+Math. 2003, Thm 1.8); for type A it can carry polygon triangulations
+alongside, which yields the diagonal-to-ray dictionary used by the mesh
+cross-checks.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceeded, InconsistentSystem
+from .errors import BudgetExceeded, InconsistentSystem, InfiniteType
 from .linalg import det_int, primitive
 from .polyhedra import Fan, int_rows
 
@@ -52,7 +59,19 @@ def _symmetrizer(b):
                     stack.append(j)
                 elif d[j] != req:
                     return None
-    return list(primitive(d))
+    return primitive(d)
+
+
+def _symmetrizes(d, b):
+    """Whether d is a positive integer vector with d_i b_ij = -d_j b_ji for
+    all i <= j (which also forces a zero diagonal)."""
+    n = len(b)
+    return (
+        d is not None
+        and len(d) == n
+        and all(type(x) is int and x > 0 for x in d)
+        and all(d[i] * b[i][j] == -d[j] * b[j][i] for i in range(n) for j in range(i, n))
+    )
 
 
 @dataclass(frozen=True)
@@ -64,10 +83,14 @@ class Seed:
     g_matrix: tuple
     c_matrix: tuple
     cluster_ids: tuple
+    # positive integer D with d_i b_ij = -d_j b_ji; derived when not given
+    symmetrizer: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.rank
-        if _symmetrizer(self.b_matrix) is None:
+        if self.symmetrizer is None:
+            object.__setattr__(self, "symmetrizer", _symmetrizer(self.b_matrix))
+        if not _symmetrizes(self.symmetrizer, self.b_matrix):
             raise ValueError("exchange matrix is not skew-symmetrizable")
         if abs(det_int([list(r) for r in self.g_matrix])) != 1:
             raise ValueError("g-matrix is not unimodular")
@@ -102,8 +125,9 @@ def initial_seed(b_matrix, cluster_ids=None):
 def mutate_seed(seed, k):
     """Mutation in direction k (0-based). Exchange matrix mutates by the
     standard rule; g and c mutate by the sign-coherent tropical recurrence.
-    An involution: mutate_seed(mutate_seed(s, k), k) == s up to cluster ids,
-    and exactly equal when ids are g-vector keyed."""
+    The symmetrizer is passed on unchanged and certifies the new exchange
+    matrix. An involution: mutate_seed(mutate_seed(s, k), k) == s up to
+    cluster ids, and exactly equal when ids are g-vector keyed."""
     n = seed.rank
     if not 0 <= k < n:
         raise ValueError(f"direction {k} out of range")
@@ -138,7 +162,7 @@ def mutate_seed(seed, k):
 
     ids = list(seed.cluster_ids)
     ids[k] = tuple(g2[i][k] for i in range(n))
-    return Seed(_tuples(b2), _tuples(g2), _tuples(c2), tuple(ids))
+    return Seed(_tuples(b2), _tuples(g2), _tuples(c2), tuple(ids), seed.symmetrizer)
 
 
 @dataclass(frozen=True)
@@ -291,6 +315,19 @@ class FanEnumeration:
     diagonal_rays: dict
 
 
+def _check_finite_type(b, node):
+    """Raise InfiniteType if some |b_ij * b_ji| exceeds 3: a seed of finite
+    type has none (Fomin-Zelevinsky, Cluster algebras II, Thm 1.8)."""
+    n = len(b)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(b[i][j] * b[j][i]) > 3:
+                raise InfiniteType(
+                    f"seed {node} of the BFS has |b[{i}][{j}] * b[{j}][{i}]| = "
+                    f"{abs(b[i][j] * b[j][i])} > 3: the cluster algebra is of infinite type"
+                )
+
+
 def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     """BFS over seeds modulo cluster-set equality.
 
@@ -299,12 +336,15 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     orthant and its basis vectors come first) and one maximal cone per
     cluster. With a triangulation supplied, flips are tracked alongside
     mutations and every diagonal is matched to its g-vector ray; agreement
-    across all clusters containing the diagonal is checked.
+    across all clusters containing the diagonal is checked. Raises
+    InfiniteType, a BudgetExceeded, as soon as a reached seed is not
+    2-finite, and BudgetExceeded when more than budget seeds are reached.
     """
     n = seed.rank
     if triangulation is not None:
         if seed.b_matrix != seed_from_triangulation(triangulation).b_matrix:
             raise ValueError("seed does not match the triangulation (flip tracking would drift)")
+    _check_finite_type(seed.b_matrix, 0)
     start_key = frozenset(seed.g_columns())
     states = {start_key: (seed, triangulation.diagonals if triangulation else None)}
     order = [start_key]
@@ -316,9 +356,8 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
         s, diags = states[key]
         out = []
         for k in range(n):
+            # Seed.__post_init__ checks the mutated g-matrix's unimodularity
             s2 = mutate_seed(s, k)
-            if abs(det_int([list(r) for r in s2.g_matrix])) != 1:
-                raise InconsistentSystem("g-matrix lost unimodularity")
             diags2 = None
             if diags is not None:
                 # flip() also re-validates the flipped triangulation
@@ -333,6 +372,7 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
             for old_ray, s2, diags2 in expand(key):
                 key2 = frozenset(s2.g_columns())
                 if key2 not in states:
+                    _check_finite_type(s2.b_matrix, len(states))
                     states[key2] = (s2, diags2)
                     order.append(key2)
                     next_frontier.append(key2)

@@ -43,3 +43,8 @@ class InconsistentSystem(FanforgeError):
 
 class BudgetExceeded(FanforgeError):
     """Seed BFS exceeded its node budget (input not of finite type?)."""
+
+
+class InfiniteType(BudgetExceeded):
+    """A seed reached by mutation has |b_ij * b_ji| > 3, so the cluster
+    algebra is of infinite type and no node budget suffices."""

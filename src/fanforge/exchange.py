@@ -137,18 +137,20 @@ def verify_mutation_theorem(fan, graph):
     regular = graph.is_regular(fan.dim)
     connected = graph.is_connected()
     wall_list = walls(fan)
+    deps = [wall_dependency(fan, w) for w in wall_list]
     unit_walls = 0
     integral = True
-    for w in wall_list:
-        dep = wall_dependency(fan, w)
-        if dep.alpha == 1 and dep.alpha_prime == 1:
+    for dep in deps:
+        det, (a, *lam) = dep.integer_form
+        if a == -det:  # alpha = alpha' = 1: det*(r + r') = sum(lambda_s s)
             unit_walls += 1
+            w = dep.wall
             r, r2 = fan.rays[w.exchanged[0]], fan.rays[w.exchanged[1]]
             combo = [
-                sum(dep.middle_coeffs[s] * fan.rays[s][i] for s in w.shared)
+                sum(x * fan.rays[s][i] for x, s in zip(lam, w.shared))
                 for i in range(fan.dim)
             ]
-            if [x + y for x, y in zip(r, r2)] != combo:
+            if [det * (x + y) for x, y in zip(r, r2)] != combo:
                 integral = False
     report = {
         "unique_complement": unique_complement,
@@ -157,7 +159,7 @@ def verify_mutation_theorem(fan, graph):
         "exchange_relations_integral": integral,
         "walls_checked": len(wall_list),
         "walls_with_unit_coefficients": unit_walls,
-        "uerp": unique_exchange_check(fan, wall_list)["holds"],
+        "uerp": unique_exchange_check(fan, wall_list, deps)["holds"],
     }
     report["holds"] = (
         unique_complement and regular and connected and integral

@@ -77,7 +77,8 @@ class Fan:
         if len(labels) != len(self.rays):
             raise ValueError("one label per ray required")
         self.labels = tuple(labels)
-        # per-cone adjugate data for the validate certificate, built lazily
+        # per-cone adjugate data for the validate certificate and the wall
+        # dependencies (typecone.wall_dependency), built lazily
         self._cone_inverses = None
 
     @property
@@ -106,7 +107,7 @@ class Fan:
                 # rays as columns: lambda = adj.x / det solves sum(lambda_i r_i) = x
                 m = [[self.rays[i][k] for i in cone] for k in range(self.dim)]
                 d = det_int(m)
-                adj = _adjugate_int(m)
+                adj = _adjugate_int(m, d)
                 if d < 0:
                     d = -d
                     adj = [[-x for x in row] for row in adj]
@@ -167,12 +168,12 @@ class Fan:
         return True
 
 
-def _adjugate_int(m):
-    """Adjugate of an invertible square integer matrix: its determinant
-    times the inverse. The integer echelon of [m | I] has row i's pivot p_i
-    in column i, so row i of the inverse is the row's right half over p_i."""
+def _adjugate_int(m, det):
+    """Adjugate of an invertible square integer matrix with determinant det:
+    det times the inverse. The integer echelon of [m | I] has row i's pivot
+    p_i in column i, so row i of the inverse is the row's right half over
+    p_i."""
     n = len(m)
-    det = det_int(m)
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     _echelon(rows)
     return [[det * x // row[i] for x in row[n:]] for i, row in enumerate(rows)]
@@ -188,11 +189,11 @@ def extreme_rays(constraints, d):
     if len(init) != d:
         raise InconsistentSystem(f"constraints do not span R^{d}")
     # the initial simplicial cone's rays are the columns of the inverse,
-    # i.e. of the adjugate oriented by the sign of the determinant, which
-    # a0 . adj = det I gives as a0[0] . (column 0 of adj)
+    # i.e. of the adjugate oriented by the sign of the determinant
     a0 = [list(constraints[i]) for i in init]
-    adj = _adjugate_int(a0)
-    sign = 1 if dot(a0[0], [row[0] for row in adj]) > 0 else -1
+    det = det_int(a0)
+    adj = _adjugate_int(a0, det)
+    sign = 1 if det > 0 else -1
     basis = sum(1 << i for i in init)
     rays = [
         (primitive([sign * adj[i][j] for i in range(d)]), basis ^ 1 << init[j])

@@ -1,5 +1,11 @@
 """Walls, normalized linear dependencies, and McMullen type cones.
 
+A wall's dependency is read off the integer adjugate of one of its two
+cones, the same per-cone data that :meth:`Fan.validate` builds and caches:
+if det.r' = sum lambda_k a_k over that cone's rays a_k, the dependency is
+that identity scaled to alpha + alpha' = 2. No wall runs an elimination of
+its own.
+
 The type cone lives in R^N and has an n-dimensional lineality space (the
 span of the ray-matrix columns), so facet extraction works in the quotient:
 coordinates are reduced through a basis of the left kernel of G, the extreme
@@ -10,7 +16,7 @@ inequalities strictly and its own with equality.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -36,12 +42,17 @@ class Wall:
 @dataclass(frozen=True)
 class LinearDependency:
     """alpha*r + alpha_prime*r' = sum alpha_i s_i with alpha + alpha_prime = 2
-    and both positive; middle_coeffs maps shared ray index -> alpha_i."""
+    and both positive; middle_coeffs maps shared ray index -> alpha_i.
+
+    integer_form is the unscaled integer identity the Fractions are read
+    from: (det, lambdas) with det > 0 and det*r' = lambdas[0]*r +
+    sum(lambdas[1 + i] * shared[i])."""
 
     wall: Wall
     alpha: Fraction
     alpha_prime: Fraction
     middle_coeffs: dict
+    integer_form: tuple = field(default=None, compare=False, repr=False)
 
 
 def walls(fan):
@@ -67,24 +78,33 @@ def _adjacent_pairs(fan):
 
 
 def wall_dependency(fan, wall):
-    """The unique linear dependency across a wall, scaled to alpha+alpha'=2."""
-    cols = [wall.exchanged[0], wall.exchanged[1], *wall.shared]
-    matrix = [[fan.rays[c][i] for c in cols] for i in range(fan.dim)]
-    kernel = kernel_basis(matrix)
-    if len(kernel) != 1:
-        raise DegenerateWall(
-            f"wall {wall.exchanged} has kernel dimension {len(kernel)}"
-        )
-    vec = kernel[0]
-    alpha, alpha_prime = vec[0], vec[1]
-    if alpha == 0 or alpha_prime == 0 or (alpha > 0) != (alpha_prime > 0):
+    """The unique linear dependency across a wall, scaled to alpha+alpha'=2.
+
+    Cone A = {r} + shared is nonsingular (Fan.__init__ checks every maximal
+    cone), so the rays r, r' and shared have a one-dimensional kernel and
+    r' = sum(lambda_k a_k) / det over cone A's rays a_k, with lambda_k =
+    adj_A[k] . r' from cone A's cached adjugate. With a = lambda_r the
+    normalized dependency is alpha = -2a/(det-a), alpha' = 2det/(det-a) and
+    alpha_s = 2 lambda_s/(det-a); it has alpha, alpha' > 0 iff a < 0.
+    """
+    r, r2 = wall.exchanged
+    cone = fan.maximal_cones[wall.cone_a]
+    if cone != tuple(sorted((r, *wall.shared))):
+        raise DegenerateWall(f"wall {wall.exchanged} is not a facet of cone {wall.cone_a}")
+    adj, det = fan._cone_data()[wall.cone_a]
+    ray = fan.rays[r2]
+    lam = dict(zip(cone, (dot(row, ray) for row in adj)))
+    a = lam[r]
+    if a >= 0:
         raise DegenerateWall(
             f"exchanged rays of wall {wall.exchanged} are not on opposite sides"
         )
-    scale = 2 / (alpha + alpha_prime)
-    vec = [x * scale for x in vec]
-    middles = {s: -vec[2 + i] for i, s in enumerate(wall.shared)}
-    return LinearDependency(wall, vec[0], vec[1], middles)
+    den = det - a
+    middles = {s: Fraction(2 * lam[s], den) for s in wall.shared}
+    lambdas = (a, *(lam[s] for s in wall.shared))
+    return LinearDependency(
+        wall, Fraction(-2 * a, den), Fraction(2 * det, den), middles, (det, lambdas)
+    )
 
 
 def dependency_vector(fan, dep):

@@ -223,6 +223,21 @@ def test_wrongly_typed_seed_is_input_error(tmp_path, capsys, seed):
     assert err.startswith("fanforge: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "b",
+    [[[0, 2], [-2, 0]], [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]],
+    ids=["kronecker", "affine_a2", "markov"],
+)
+def test_infinite_type_seed_is_input_error(tmp_path, capsys, b):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps({"b": b}))
+    code, out, err = run(capsys, ["fan", "--seed", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fanforge: error:") and err.count("\n") == 1
+    assert "infinite type" in err
+
+
 def test_console_script_entry_point():
     import subprocess
     import sys

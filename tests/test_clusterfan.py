@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanforge.clusterfan import (
+    Seed,
     Triangulation,
+    _symmetrizer,
     all_triangulations,
     diagonals_cross,
     enumerate_fan,
@@ -16,10 +18,23 @@ from fanforge.clusterfan import (
     seed_from_json,
     seed_from_triangulation,
 )
-from fanforge.errors import BudgetExceeded
+from fanforge.errors import BudgetExceeded, InfiniteType
 
 A2_B = [[0, 1], [-1, 0]]
 A3_B = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
+A4_B = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
+D4_B = [[0, 1, 0, 0], [-1, 0, -1, -1], [0, 1, 0, 0], [0, 1, 0, 0]]
+B3_B = [[0, 1, 0], [-2, 0, 1], [0, -1, 0]]
+C3_B = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
+G2_B = [[0, 1], [-3, 0]]
+# mutation-infinite or infinite-type seeds: each has or soon reaches a pair
+# with |b_ij * b_ji| > 3
+INFINITE_B = {
+    "kronecker": [[0, 2], [-2, 0]],
+    "affine_a2": [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+    "markov": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]],
+    "affine_a1_2": [[0, 1], [-4, 0]],
+}
 
 CATALAN = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429}
 
@@ -203,6 +218,61 @@ def test_budget_guard():
     markov = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
     with pytest.raises(BudgetExceeded):
         enumerate_fan(initial_seed(markov), budget=50)
+
+
+def test_budget_guard_on_a_finite_type_seed_is_not_infinite_type():
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_fan(initial_seed(A4_B), budget=10)
+    assert not isinstance(info.value, InfiniteType)
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_B))
+def test_infinite_type_is_rejected_within_a_handful_of_nodes(name):
+    # a budget of 8 would raise plain BudgetExceeded first if the
+    # 2-finiteness test did not fire within 8 nodes
+    with pytest.raises(InfiniteType, match="infinite type"):
+        enumerate_fan(initial_seed(INFINITE_B[name]), budget=8)
+
+
+def test_seed_carries_its_symmetrizer():
+    assert initial_seed(A3_B).symmetrizer == (1, 1, 1)
+    assert initial_seed(B3_B).symmetrizer == (2, 1, 1)
+    assert initial_seed(G2_B).symmetrizer == (3, 1)
+
+
+def test_seed_with_a_wrong_symmetrizer_raises_value_error():
+    b = ((0, 1), (-2, 0))
+    ident = ((1, 0), (0, 1))
+    assert Seed(b, ident, ident, ident, (2, 1)).symmetrizer == (2, 1)
+    assert Seed(b, ident, ident, ident, (4, 2)) == initial_seed(b)
+    for d in [(1, 1), (1, 2), (0, 0), (-2, -1), (2,), (2, 1, 1)]:
+        with pytest.raises(ValueError):
+            Seed(b, ident, ident, ident, d)
+    # a nonzero diagonal entry is not symmetrized by any D
+    with pytest.raises(ValueError):
+        Seed(((1, 0), (0, 0)), ident, ident, ident, (1, 1))
+
+
+def test_mutation_rejects_a_seed_whose_symmetrizer_was_replaced():
+    seed = initial_seed(B3_B)
+    object.__setattr__(seed, "symmetrizer", (1, 1, 1))
+    with pytest.raises(ValueError):
+        mutate_seed(seed, 1)
+
+
+SYMMETRIZABLE_B = {"A3": A3_B, "A4": A4_B, "D4": D4_B, "B3": B3_B, "C3": C3_B, "G2": G2_B}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(SYMMETRIZABLE_B)),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=15),
+)
+def test_carried_symmetrizer_matches_a_fresh_derivation(name, walk):
+    seed = initial_seed(SYMMETRIZABLE_B[name])
+    for k in walk:
+        seed = mutate_seed(seed, k % seed.rank)
+        assert seed.symmetrizer == _symmetrizer(seed.b_matrix)
 
 
 def test_flip_graph_square():

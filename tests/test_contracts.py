@@ -34,6 +34,7 @@ INTEGER_KERNELS = [
     ("linalg.py", "det_int"),
     ("polyhedra.py", "_adjugate_int"),
     ("polyhedra.py", "extreme_rays"),
+    ("clusterfan.py", "mutate_seed"),
 ]
 
 

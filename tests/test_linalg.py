@@ -174,4 +174,4 @@ def test_adjugate_is_det_times_the_fraction_inverse(m):
     assume(det != 0)
     n = len(m)
     columns = [solve(m, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
-    assert _adjugate_int(m) == [[det * columns[j][i] for j in range(n)] for i in range(n)]
+    assert _adjugate_int(m, det) == [[det * columns[j][i] for j in range(n)] for i in range(n)]

@@ -2,16 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanforge.clusterfan import (
     all_triangulations,
     enumerate_fan,
     initial_seed,
+    mutate_seed,
     seed_from_triangulation,
 )
-from fanforge.errors import InconsistentSystem, NonPositiveParameter, NotSimplicial
-from fanforge.linalg import dot, solve
-from fanforge.polyhedra import Fan, fan_eq, normal_fan, p_h, vertices
+from fanforge.errors import (
+    DegenerateWall,
+    InconsistentSystem,
+    NonPositiveParameter,
+    NotSimplicial,
+)
+from fanforge.linalg import dot, kernel_basis, solve
+from fanforge.polyhedra import Fan, HPolytope, fan_eq, normal_fan, p_h, vertices
 from fanforge.typecone import (
     qc_polytope,
     type_cone,
@@ -117,6 +125,75 @@ def test_degenerate_wall_errors():
     # too many shared rays: kernel dimension exceeds one
     with pytest.raises(DegenerateWall):
         wall_dependency(fan, Wall(0, 1, (2, 3), (0, 1)))
+
+
+def kernel_route_dependency(fan, wall):
+    """Oracle: the wall dependency as the one kernel vector of the matrix
+    with columns r, r' and the shared rays, scaled to alpha + alpha' = 2.
+    Returns (alpha, alpha', middle coefficients)."""
+    cols = [wall.exchanged[0], wall.exchanged[1], *wall.shared]
+    kernel = kernel_basis([[fan.rays[c][i] for c in cols] for i in range(fan.dim)])
+    if len(kernel) != 1:
+        raise DegenerateWall(f"kernel dimension {len(kernel)}")
+    alpha, alpha_prime = kernel[0][0], kernel[0][1]
+    if alpha == 0 or alpha_prime == 0 or (alpha > 0) != (alpha_prime > 0):
+        raise DegenerateWall("exchanged rays on one side")
+    vec = [x * 2 / (alpha + alpha_prime) for x in kernel[0]]
+    return vec[0], vec[1], {s: -vec[2 + i] for i, s in enumerate(wall.shared)}
+
+
+MUTATION_SEEDS = [
+    [[0, 1], [-1, 0]],
+    [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
+    [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
+    [[0, 1, 0, 0], [-1, 0, -1, -1], [0, 1, 0, 0], [0, 1, 0, 0]],
+    [[0, 1, 0], [-2, 0, 1], [0, -1, 0]],
+    [[0, 1], [-3, 0]],
+]
+
+
+@st.composite
+def dependency_fans(draw):
+    """g-vector fans of randomly mutated A2-A4, D4, B3 and G2 seeds, or
+    normal fans of random box-clipped polygons, whose cones need not be
+    unimodular."""
+    if draw(st.booleans()):
+        seed = initial_seed(draw(st.sampled_from(MUTATION_SEEDS)))
+        for k in draw(st.lists(st.integers(min_value=0, max_value=seed.rank - 1), max_size=5)):
+            seed = mutate_seed(seed, k)
+        return enumerate_fan(initial_seed(seed.b_matrix)).fan
+    coeff = st.integers(min_value=-3, max_value=3)
+    rows = draw(st.lists(st.tuples(coeff, coeff), max_size=5))
+    rows += [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    bounds = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=len(rows), max_size=len(rows)))
+    return normal_fan(vertices(HPolytope(rows, bounds)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dependency_fans())
+def test_wall_dependency_matches_the_kernel_route(fan):
+    for w in walls(fan):
+        dep = wall_dependency(fan, w)
+        assert (dep.alpha, dep.alpha_prime, dep.middle_coeffs) == kernel_route_dependency(fan, w)
+        assert list(dep.middle_coeffs) == list(w.shared)
+        values = (dep.alpha, dep.alpha_prime, *dep.middle_coeffs.values())
+        assert all(type(x) is Fraction for x in values)
+        det, (a, *lam) = dep.integer_form
+        r, r2 = fan.rays[w.exchanged[0]], fan.rays[w.exchanged[1]]
+        combo = [
+            a * r[i] + sum(x * fan.rays[s][i] for x, s in zip(lam, w.shared))
+            for i in range(fan.dim)
+        ]
+        assert det > 0 and [det * y for y in r2] == combo
+
+
+def test_degenerate_wall_of_a_folded_fan():
+    # the cones share the ray (1, 0) and both other rays lie above it
+    fan = Fan(2, [(1, 0), (1, 1), (2, 1)], [(0, 1), (0, 2)])
+    (w,) = walls(fan)
+    for route in (wall_dependency, kernel_route_dependency):
+        with pytest.raises(DegenerateWall):
+            route(fan, w)
 
 
 def test_qc_inconsistent_system_guard():
