@@ -1,8 +1,8 @@
 """Seeds, mutation, and fan enumeration.
 
-A seed is an exchange matrix plus the g- and c-matrix companions. Mutation
-is an involution; iterating it from any finite-type seed closes up into a
-complete simplicial fan whose maximal cones are the clusters.
+A seed is an exchange matrix plus its g- and c-vectors, one per direction.
+Mutation is an involution; iterating it from any finite-type seed closes up
+into a complete simplicial fan whose maximal cones are the clusters.
 """
 
 from fanforge import (
@@ -14,13 +14,13 @@ from fanforge import (
     seed_from_triangulation,
 )
 
-# Start from the rank-3 path quiver.
+# Start from the rank-3 path quiver; its g-vectors form the identity matrix.
 seed = initial_seed([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
-print("initial g-matrix:", seed.g_matrix)
+print("initial g-matrix:", seed.g_vectors)
 
 # One mutation flips one g-vector; doing it twice returns the seed.
 s1 = mutate_seed(seed, 0)
-print("after mu_0, new g-vector:", s1.g_column(0))
+print("after mu_0, new g-vector:", s1.g_vectors[0])
 assert mutate_seed(s1, 0) == seed
 
 # Breadth-first search modulo cluster equality enumerates the whole fan.

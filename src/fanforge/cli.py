@@ -19,7 +19,12 @@ DEFAULT_BUDGET = clusterfan.DEFAULT_BFS_BUDGET
 
 def _budget_from_env():
     raw = os.environ.get("FANFORGE_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"FANFORGE_BUDGET must be an integer, not {raw!r}") from None
 
 
 def _parse_fraction_list(text):
@@ -165,6 +170,16 @@ def cmd_realize(args):
         )
         poly, _cert = typecone.qc_polytope(fan, tc, c)
     vp = polyhedra.vertices(poly)
+    # the heights or a type cone file may be wrong: prove the polytope
+    # realizes the fan before writing it
+    try:
+        realizes = polyhedra.fan_eq(polyhedra.normal_fan(vp), fan)
+    except (FanforgeError, ValueError) as exc:
+        print(f"realization failed: {exc}")
+        return 1
+    if not realizes:
+        print("realization failed: the normal fan of the polytope differs from the fan")
+        return 1
     _write_out(polyhedra.write_roff(vp), args.output)
     return 0
 
@@ -416,9 +431,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        args.budget = _budget_from_env()
     try:
+        if getattr(args, "budget", None) is None and hasattr(args, "budget"):
+            args.budget = _budget_from_env()
         return args.func(args)
     except BrokenPipeError:
         return 0

@@ -1,15 +1,17 @@
 """Seeds, g-vector mutation, fan enumeration, and the polygon oracle.
 
-A seed is an exchange matrix together with the g- and c-matrix companions;
-mutation follows the sign-coherent tropical recurrence, so cluster variables
-are tracked purely through their integer g-vectors (which separate variables
-in finite type). A seed also carries the positive integer symmetrizer D of
-its exchange matrix: it is derived once for a seed built from input, and
-mutation, which preserves D-symmetrizability, passes it on, so each mutated
-matrix is certified by the integer identity d_i b_ij = -d_j b_ji instead of
-a fresh derivation. The fan enumerator is a BFS over seeds modulo
-cluster-set equality. It raises InfiniteType as soon as a reached seed has
-|b_ij b_ji| > 3 (Fomin-Zelevinsky, "Cluster algebras II", Invent.
+A seed is an exchange matrix together with its g-vectors and c-vectors,
+stored as one tuple per direction; mutation follows the sign-coherent
+tropical recurrence (Nakanishi-Zelevinsky, "On tropical dualities in cluster
+algebras", 2012), which replaces g-vector k and the c-vectors it touches, so
+cluster variables are tracked purely through their integer g-vectors (which
+separate variables in finite type). A seed also carries the positive integer
+symmetrizer D of its exchange matrix: it is derived once for a seed built
+from input, and mutation, which preserves D-symmetrizability, passes it on,
+so each mutated matrix is certified by the integer identity
+d_i b_ij = -d_j b_ji instead of a fresh derivation. The fan enumerator is a BFS over seeds
+modulo cluster-set equality. It raises InfiniteType as soon as a reached
+seed has |b_ij b_ji| > 3 (Fomin-Zelevinsky, "Cluster algebras II", Invent.
 Math. 2003, Thm 1.8); for type A it can carry polygon triangulations
 alongside, which yields the diagonal-to-ray dictionary used by the mesh
 cross-checks.
@@ -76,80 +78,69 @@ def _symmetrizes(d, b):
 
 @dataclass(frozen=True)
 class Seed:
-    """Mutation state: exchange matrix plus g/c companion matrices whose
-    columns are the g-vectors and c-vectors of the current cluster."""
+    """Mutation state: the exchange matrix plus the g-vectors and c-vectors
+    of the current cluster, one tuple per direction."""
 
     b_matrix: tuple
-    g_matrix: tuple
-    c_matrix: tuple
+    g_vectors: tuple
+    c_vectors: tuple
     cluster_ids: tuple
     # positive integer D with d_i b_ij = -d_j b_ji; derived when not given
     symmetrizer: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        n = self.rank
         if self.symmetrizer is None:
             object.__setattr__(self, "symmetrizer", _symmetrizer(self.b_matrix))
         if not _symmetrizes(self.symmetrizer, self.b_matrix):
             raise ValueError("exchange matrix is not skew-symmetrizable")
-        if abs(det_int([list(r) for r in self.g_matrix])) != 1:
-            raise ValueError("g-matrix is not unimodular")
-        for k in range(n):
-            col = [self.c_matrix[j][k] for j in range(n)]
-            if not (all(x >= 0 for x in col) or all(x <= 0 for x in col)):
-                raise ValueError(f"c-vector column {k} is not sign-coherent")
-        if len(self.cluster_ids) != n:
+        # a determinant is transpose-invariant: the g-vectors may be its rows
+        if abs(det_int(self.g_vectors)) != 1:
+            raise ValueError("g-vectors are not unimodular")
+        for k, c in enumerate(self.c_vectors):
+            if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
+                raise ValueError(f"c-vector {k} is not sign-coherent")
+        if len(self.cluster_ids) != self.rank:
             raise ValueError("one cluster id per direction required")
 
     @property
     def rank(self):
         return len(self.b_matrix)
 
-    def g_column(self, k):
-        return tuple(self.g_matrix[i][k] for i in range(self.rank))
-
-    def g_columns(self):
-        return tuple(self.g_column(k) for k in range(self.rank))
-
 
 def initial_seed(b_matrix, cluster_ids=None):
     """Seed with g = c = identity over the given exchange matrix."""
     b = _tuples(b_matrix)
-    n = len(b)
-    ident = _identity(n)
-    if cluster_ids is None:
-        cluster_ids = tuple(tuple(ident[i][k] for i in range(n)) for k in range(n))
-    return Seed(b, ident, ident, tuple(cluster_ids))
+    ident = _identity(len(b))
+    return Seed(b, ident, ident, ident if cluster_ids is None else tuple(cluster_ids))
 
 
 def mutate_seed(seed, k):
     """Mutation in direction k (0-based). Exchange matrix mutates by the
-    standard rule; g and c mutate by the sign-coherent tropical recurrence.
-    The symmetrizer is passed on unchanged and certifies the new exchange
-    matrix. An involution: mutate_seed(mutate_seed(s, k), k) == s up to
-    cluster ids, and exactly equal when ids are g-vector keyed."""
+    standard rule; g- and c-vectors mutate by the sign-coherent tropical
+    recurrence, and every vector it does not change is shared with the old
+    seed. The symmetrizer is passed on unchanged and certifies the new
+    exchange matrix. An involution: mutate_seed(mutate_seed(s, k), k) == s
+    up to cluster ids, and exactly equal when ids are g-vector keyed."""
     n = seed.rank
     if not 0 <= k < n:
         raise ValueError(f"direction {k} out of range")
-    b = [list(r) for r in seed.b_matrix]
-    g = [list(r) for r in seed.g_matrix]
-    c = [list(r) for r in seed.c_matrix]
-    col = [c[j][k] for j in range(n)]
-    eps = 1 if any(x > 0 for x in col) else -1
+    b, g, c = seed.b_matrix, seed.g_vectors, seed.c_vectors
+    eps = 1 if any(x > 0 for x in c[k]) else -1
 
-    # g' = g . Jg with Jg[j][k] += max(0, -eps*b[j][k]), Jg[k][k] = -1
-    g2 = [row[:] for row in g]
-    for i in range(n):
-        g2[i][k] = -g[i][k] + sum(
-            g[i][j] * max(0, -eps * b[j][k]) for j in range(n) if j != k
-        )
-    # c' = c . Jc with Jc[k][j] += max(0, eps*b[k][j]), Jc[k][k] = -1
-    c2 = [row[:] for row in c]
-    for i in range(n):
-        c2[i][k] = -c[i][k]
-        for j in range(n):
-            if j != k:
-                c2[i][j] = c[i][j] + c[i][k] * max(0, eps * b[k][j])
+    # g'_k = -g_k + sum_{j != k} max(0, -eps*b_jk) g_j
+    g_k = [-x for x in g[k]]
+    for j in range(n):
+        coeff = -eps * b[j][k]
+        if j != k and coeff > 0:
+            g_k = [x + coeff * y for x, y in zip(g_k, g[j])]
+    g2 = g[:k] + (tuple(g_k),) + g[k + 1 :]
+    # c'_j = c_j + max(0, eps*b_kj) c_k for j != k, and c'_k = -c_k
+    c2 = list(c)
+    c2[k] = tuple(-x for x in c[k])
+    for j in range(n):
+        coeff = eps * b[k][j]
+        if j != k and coeff > 0:
+            c2[j] = tuple(x + coeff * y for x, y in zip(c[j], c[k]))
 
     b2 = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -161,8 +152,8 @@ def mutate_seed(seed, k):
                 b2[i][j] = b[i][j] + s * max(0, b[i][k] * b[k][j])
 
     ids = list(seed.cluster_ids)
-    ids[k] = tuple(g2[i][k] for i in range(n))
-    return Seed(_tuples(b2), _tuples(g2), _tuples(c2), tuple(ids), seed.symmetrizer)
+    ids[k] = g2[k]
+    return Seed(_tuples(b2), g2, tuple(c2), tuple(ids), seed.symmetrizer)
 
 
 @dataclass(frozen=True)
@@ -345,7 +336,7 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
         if seed.b_matrix != seed_from_triangulation(triangulation).b_matrix:
             raise ValueError("seed does not match the triangulation (flip tracking would drift)")
     _check_finite_type(seed.b_matrix, 0)
-    start_key = frozenset(seed.g_columns())
+    start_key = frozenset(seed.g_vectors)
     states = {start_key: (seed, triangulation.diagonals if triangulation else None)}
     order = [start_key]
     edges = set()
@@ -356,21 +347,21 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
         s, diags = states[key]
         out = []
         for k in range(n):
-            # Seed.__post_init__ checks the mutated g-matrix's unimodularity
+            # Seed.__post_init__ checks the mutated g-vectors' unimodularity
             s2 = mutate_seed(s, k)
             diags2 = None
             if diags is not None:
                 # flip() also re-validates the flipped triangulation
                 _flipped, new_diag = flip(Triangulation(poly, diags), diags[k])
                 diags2 = tuple(new_diag if i == k else diags[i] for i in range(n))
-            out.append((s.g_column(k), s2, diags2))
+            out.append((tuple(sorted((s.g_vectors[k], s2.g_vectors[k]))), s2, diags2))
         return out
 
     while frontier:
         next_frontier = []
         for key in frontier:
-            for old_ray, s2, diags2 in expand(key):
-                key2 = frozenset(s2.g_columns())
+            for ray_pair, s2, diags2 in expand(key):
+                key2 = frozenset(s2.g_vectors)
                 if key2 not in states:
                     _check_finite_type(s2.b_matrix, len(states))
                     states[key2] = (s2, diags2)
@@ -378,8 +369,7 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
                     next_frontier.append(key2)
                     if len(states) > budget:
                         raise BudgetExceeded(f"seed BFS exceeded {budget} nodes")
-                new_ray = next(iter(key2 - key))
-                edges.add((frozenset((key, key2)), tuple(sorted((old_ray, new_ray)))))
+                edges.add((frozenset((key, key2)), ray_pair))
         frontier = next_frontier
 
     all_rays = sorted({g for key in order for g in key}, reverse=True)
@@ -391,7 +381,7 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
         for key in order:
             s, diags = states[key]
             for k in range(n):
-                g = s.g_column(k)
+                g = s.g_vectors[k]
                 prev = diagonal_rays.setdefault(diags[k], g)
                 if prev != g:
                     raise InconsistentSystem(

@@ -93,6 +93,47 @@ def test_realize_with_height_vector(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("h", ["1,1,1,1,3", "1,2,1,1,1"])
+def test_realize_rejects_heights_whose_polytope_is_not_a_realization(tmp_path, capsys, h):
+    # 1,1,1,1,3 cuts out a quadrilateral; 1,2,1,1,1 has a vertex on three facets
+    fan_path = tmp_path / "fan.json"
+    off_path = tmp_path / "poly.off"
+    run(capsys, ["fan", "--type", "A", "--rank", "2", "-o", str(fan_path)])
+    code, out, err = run(capsys, ["realize", "--fan", str(fan_path), "--h", h, "-o", str(off_path)])
+    assert code == 1
+    assert out.startswith("realization failed") and out.count("\n") == 1
+    assert err == ""
+    assert not off_path.exists()
+
+
+def test_realize_rejects_a_type_cone_file_with_tampered_facets(tmp_path, capsys):
+    fan_path = tmp_path / "fan.json"
+    tc_path = tmp_path / "tc.json"
+    off_path = tmp_path / "poly.off"
+    run(capsys, ["fan", "--type", "A", "--rank", "2", "-o", str(fan_path)])
+    run(capsys, ["typecone", "--fan", str(fan_path), "-o", str(tc_path)])
+    tc = json.loads(tc_path.read_text())
+    f0, f1 = tc["facets"][:2]
+    # still orthogonal to every ray, so K h = c is solved and certified, but
+    # the resulting h lies outside the type cone
+    tc["facets"][0] = [a + b for a, b in zip(f0, f1)]
+    tc_path.write_text(json.dumps(tc))
+    code, out, _ = run(
+        capsys, ["realize", "--fan", str(fan_path), "--typecone", str(tc_path), "-o", str(off_path)]
+    )
+    assert code == 1
+    assert out.startswith("realization failed")
+    assert not off_path.exists()
+
+
+def test_non_integer_budget_in_the_environment_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("FANFORGE_BUDGET", "abc")
+    code, out, err = run(capsys, ["fan", "--type", "A", "--rank", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fanforge: error: FANFORGE_BUDGET") and err.count("\n") == 1
+
+
 def test_verify_detects_corruption(tmp_path, capsys):
     fan_path = tmp_path / "fan.json"
     off_path = tmp_path / "poly.off"

@@ -76,8 +76,8 @@ def test_triangulation_validation():
 def test_seed_from_pentagon_fan_triangulation():
     seed = seed_from_triangulation(fan_triangulation(5))
     assert seed.b_matrix == ((0, 1), (-1, 0))
-    assert seed.g_matrix == ((1, 0), (0, 1))
-    assert seed.c_matrix == ((1, 0), (0, 1))
+    assert seed.g_vectors == ((1, 0), (0, 1))
+    assert seed.c_vectors == ((1, 0), (0, 1))
 
 
 def test_seed_from_hexagon_snake_is_acyclic_a3():
@@ -103,7 +103,7 @@ def test_seed_from_internal_triangle_has_3_cycle():
 
 def test_mutate_single_step_a1():
     seed = initial_seed([[0]])
-    assert mutate_seed(seed, 0).g_column(0) == (-1,)
+    assert mutate_seed(seed, 0).g_vectors[0] == (-1,)
 
 
 def test_mutate_involution_simple():
@@ -133,8 +133,8 @@ def test_pentagon_periodicity():
     for k in (0, 1, 0, 1, 0):
         s = mutate_seed(s, k)
     # the initial cluster returns with its two variables swapped
-    assert frozenset(s.g_columns()) == frozenset(seed.g_columns())
-    assert s.g_columns() == (seed.g_column(1), seed.g_column(0))
+    assert frozenset(s.g_vectors) == frozenset(seed.g_vectors)
+    assert s.g_vectors == (seed.g_vectors[1], seed.g_vectors[0])
 
 
 def test_enumerate_a1():
@@ -275,6 +275,132 @@ def test_carried_symmetrizer_matches_a_fresh_derivation(name, walk):
         assert seed.symmetrizer == _symmetrizer(seed.b_matrix)
 
 
+def _row_major_mutation(b, g, c, ids, k):
+    """Reference mutation on the g- and c-matrices, whose columns are the
+    g- and c-vectors: the matrix form of the tropical recurrence,
+    g' = g.Jg and c' = c.Jc, one entry at a time."""
+    n = len(b)
+    col = [c[j][k] for j in range(n)]
+    eps = 1 if any(x > 0 for x in col) else -1
+    # g' = g . Jg with Jg[j][k] += max(0, -eps*b[j][k]), Jg[k][k] = -1
+    g2 = [list(row) for row in g]
+    for i in range(n):
+        g2[i][k] = -g[i][k] + sum(
+            g[i][j] * max(0, -eps * b[j][k]) for j in range(n) if j != k
+        )
+    # c' = c . Jc with Jc[k][j] += max(0, eps*b[k][j]), Jc[k][k] = -1
+    c2 = [list(row) for row in c]
+    for i in range(n):
+        c2[i][k] = -c[i][k]
+        for j in range(n):
+            if j != k:
+                c2[i][j] = c[i][j] + c[i][k] * max(0, eps * b[k][j])
+    b2 = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == k or j == k:
+                b2[i][j] = -b[i][j]
+            else:
+                s = (b[i][k] > 0) - (b[i][k] < 0)
+                b2[i][j] = b[i][j] + s * max(0, b[i][k] * b[k][j])
+    ids = list(ids)
+    ids[k] = tuple(g2[i][k] for i in range(n))
+    return tuple(map(tuple, b2)), tuple(map(tuple, g2)), tuple(map(tuple, c2)), tuple(ids)
+
+
+def _transpose(vectors):
+    return tuple(zip(*vectors))
+
+
+TRIANGULATION_SEEDS = {
+    "hexagon-snake": snake_triangulation(6),
+    "hexagon-internal-triangle": Triangulation(6, [(2, 4), (4, 6), (2, 6)]),
+    "heptagon-fan": fan_triangulation(7),
+    "octagon-zigzag": Triangulation(8, [(1, 3), (3, 5), (5, 7), (1, 5), (1, 7)]),
+}
+DIFFERENTIAL_SEEDS = {
+    **{name: initial_seed(b) for name, b in SYMMETRIZABLE_B.items()},
+    **{name: seed_from_triangulation(t) for name, t in TRIANGULATION_SEEDS.items()},
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(DIFFERENTIAL_SEEDS)),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=20),
+)
+def test_mutation_equals_the_row_major_reference(name, walk):
+    seed = DIFFERENTIAL_SEEDS[name]
+    b, g, c, ids = seed.b_matrix, seed.g_vectors, seed.c_vectors, seed.cluster_ids
+    g, c = _transpose(g), _transpose(c)
+    symmetrizer = seed.symmetrizer
+    for step in walk:
+        k = step % seed.rank
+        seed = mutate_seed(seed, k)
+        b, g, c, ids = _row_major_mutation(b, g, c, ids, k)
+        assert seed.b_matrix == b
+        assert _transpose(seed.g_vectors) == g
+        assert _transpose(seed.c_vectors) == c
+        assert seed.cluster_ids == ids
+        assert seed.symmetrizer == symmetrizer
+
+
+def test_seed_rejects_g_vectors_that_are_not_unimodular():
+    b, ident = ((0, 1), (-1, 0)), ((1, 0), (0, 1))
+    assert Seed(b, ((1, 1), (0, 1)), ident, ident).g_vectors == ((1, 1), (0, 1))
+    for g in [((1, 1), (1, -1)), ((1, 0), (2, 0)), ((2, 0), (0, 1))]:
+        with pytest.raises(ValueError, match="unimodular"):
+            Seed(b, g, ident, ident)
+
+
+def test_seed_rejects_a_c_vector_that_is_not_sign_coherent():
+    b, ident = ((0, 1), (-1, 0)), ((1, 0), (0, 1))
+    assert Seed(b, ident, ((-1, 0), (1, 1)), ident).c_vectors == ((-1, 0), (1, 1))
+    # read as a matrix by rows, both columns of ((1, -1), (1, 0)) would be
+    # sign-coherent: the check reads the c-vectors themselves
+    for c in [((1, -1), (0, 1)), ((1, -1), (1, 0)), ((1, 0), (2, -1))]:
+        with pytest.raises(ValueError, match="sign-coherent"):
+            Seed(b, ident, c, ident)
+
+
+def test_seed_rejects_cluster_ids_of_the_wrong_length():
+    b, ident = ((0, 1), (-1, 0)), ((1, 0), (0, 1))
+    for ids in [(), ((1, 0),), ident + ((1, 1),)]:
+        with pytest.raises(ValueError, match="cluster id"):
+            Seed(b, ident, ident, ids)
+
+
+@st.composite
+def mutated_non_2_finite_seeds(draw):
+    """A random skew-symmetric 3x3 or 4x4 seed with some |b_ij b_ji| >= 4,
+    mutated along a random walk of L <= 3 steps; returns (seed, n, L)."""
+    n = draw(st.sampled_from([3, 4]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    b = [[0] * n for _ in range(n)]
+    for i, j in pairs:
+        b[i][j] = draw(st.integers(min_value=-3, max_value=3))
+    i, j = draw(st.sampled_from(pairs))
+    b[i][j] = draw(st.sampled_from([-3, -2, 2, 3]))
+    for i, j in pairs:
+        b[j][i] = -b[i][j]
+    walk = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3))
+    seed = initial_seed(b)
+    for k in walk:
+        seed = mutate_seed(seed, k)
+    return seed, n, len(walk)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated_non_2_finite_seeds())
+def test_infinite_type_is_rejected_within_the_walk_back(case):
+    # undoing the walk reaches the start seed, which is not 2-finite, within
+    # depth L; the BFS reaches every seed of depth <= L within
+    # sum_{i <= L} n^i nodes, so plain BudgetExceeded cannot come first
+    seed, n, length = case
+    with pytest.raises(InfiniteType, match="infinite type"):
+        enumerate_fan(seed, budget=sum(n**i for i in range(length + 1)))
+
+
 def test_flip_graph_square():
     g = flip_graph(4)
     assert len(g.nodes) == 2
@@ -390,7 +516,7 @@ def test_g_columns_unimodular_along_walk():
 
     for _ in range(50):
         seed = mutate_seed(seed, rng.randrange(3))
-        assert abs(det_int([list(r) for r in seed.g_matrix])) == 1
+        assert abs(det_int([list(r) for r in seed.g_vectors])) == 1
 
 
 def test_seed_json_b_matrix():
