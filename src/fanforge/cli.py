@@ -17,14 +17,20 @@ from .errors import FanforgeError
 DEFAULT_BUDGET = clusterfan.DEFAULT_BFS_BUDGET
 
 
-def _budget_from_env():
-    raw = os.environ.get("FANFORGE_BUDGET")
-    if not raw:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"FANFORGE_BUDGET must be an integer, not {raw!r}") from None
+def _budget(args):
+    """The BFS node budget: --budget, else FANFORGE_BUDGET, else the
+    default; it must be at least 1."""
+    if args.budget is not None:
+        budget, source = args.budget, "--budget"
+    else:
+        raw, source = os.environ.get("FANFORGE_BUDGET"), "FANFORGE_BUDGET"
+        try:
+            budget = int(raw) if raw else DEFAULT_BUDGET
+        except ValueError:
+            raise ValueError(f"FANFORGE_BUDGET must be an integer, not {raw!r}") from None
+    if budget < 1:
+        raise ValueError(f"{source} must be at least 1, not {budget}")
+    return budget
 
 
 def _parse_fraction_list(text):
@@ -169,10 +175,10 @@ def cmd_realize(args):
             else [Fraction(1)] * (fan.n_rays - fan.dim)
         )
         poly, _cert = typecone.qc_polytope(fan, tc, c)
-    vp = polyhedra.vertices(poly)
     # the heights or a type cone file may be wrong: prove the polytope
     # realizes the fan before writing it
     try:
+        vp = polyhedra.vertices(poly)
         realizes = polyhedra.fan_eq(polyhedra.normal_fan(vp), fan)
     except (FanforgeError, ValueError) as exc:
         print(f"realization failed: {exc}")
@@ -432,8 +438,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-            args.budget = _budget_from_env()
+        if hasattr(args, "budget"):
+            args.budget = _budget(args)
         return args.func(args)
     except BrokenPipeError:
         return 0

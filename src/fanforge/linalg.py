@@ -3,10 +3,11 @@
 Matrices are lists of row lists; entries are ints or Fractions. Nothing in
 here ever touches a float. All elimination is one fraction-free
 Gauss-Jordan on integer rows (:func:`_echelon`): `rank` and the pivot-only
-callers read its pivots and integer rows directly, and `rref`,
-`kernel_basis` and `solve` divide to Fractions only at the end, and only
-the entries they return. All outputs are canonical: kernel bases come from
-the reduced row echelon form, so identical inputs give identical results.
+callers read its pivots and integer rows directly, `kernel_basis` scales
+each kernel vector to a primitive integer vector, and only `solve` divides
+to Fractions, at the end and only in the entries it returns. All outputs
+are canonical: kernel bases come from the reduced row echelon form, so
+identical inputs give identical results.
 """
 
 from fractions import Fraction
@@ -53,43 +54,28 @@ def _echelon(m):
     return pivots
 
 
-def rref(rows):
-    """Reduced row echelon form. Returns (rref rows, pivot column list).
-
-    The rows are scaled to integers once and eliminated by :func:`_echelon`;
-    each pivot row is divided by its pivot only at the end. The RREF is
-    unique, so this equals Fraction elimination. `kernel_basis` and `solve`
-    read the same integer echelon and divide only the entries they return.
-    """
-    m = scale_rows_int(rows)
-    pivots = _echelon(m)
-    if not m:
-        return [], []
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    red += [[Fraction(0)] * len(m[0]) for _ in range(len(m) - len(pivots))]
-    return red, pivots
-
-
 def rank(rows):
     """Rank of a rational matrix: the pivot count of its integer echelon."""
     return len(_echelon(scale_rows_int(rows)))
 
 
 def kernel_basis(rows):
-    """Canonical basis of {x : rows . x = 0}, one vector per free column."""
+    """Canonical basis of {x : rows . x = 0}, one vector per free column:
+    the reduced-echelon kernel vector of that column, scaled positively to
+    a primitive integer tuple."""
     if not rows:
         return []
     ncols = len(rows[0])
     m = scale_rows_int(rows)
     pivots = _echelon(m)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in (c for c in range(ncols) if c not in pivots):
+        scale = lcm(*(row[p] for row, p in zip(m, pivots) if row[f]))
+        v = [0] * ncols
+        v[f] = scale
         for row, p in zip(m, pivots):
-            v[p] = Fraction(-row[f], row[p])
-        basis.append(v)
+            v[p] = -row[f] * scale // row[p]
+        basis.append(primitive(v))
     return basis
 
 

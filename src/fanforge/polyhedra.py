@@ -85,10 +85,6 @@ class Fan:
     def n_rays(self):
         return len(self.rays)
 
-    def ray_matrix(self):
-        """The N x n matrix whose rows are the rays, in fan order."""
-        return [list(r) for r in self.rays]
-
     def __eq__(self, other):
         return (
             isinstance(other, Fan)
@@ -133,7 +129,8 @@ class Fan:
         2. every (n-1)-subset of a maximal cone lies in exactly two cones;
         3. across every such wall the two exchanged rays lie strictly on
            opposite sides of the wall's hyperplane;
-        4. the sum of the rays of cone 0 lies in exactly one closed cone.
+        4. the sum of the rays of cone 0 lies in exactly one closed cone;
+        5. every ray lies in some maximal cone.
 
         Steps 2-3 make the cones a closed pseudomanifold whose neighbours
         never fold back onto each other, so on each connected component the
@@ -142,7 +139,8 @@ class Fan:
         lies on no other cone, hence is generic, so step 4 forces a single
         component of degree one: the cones cover R^n with disjoint interiors
         and meet face to face. This is the pseudomanifold/degree argument of
-        De Loera, Rambau and Santos, *Triangulations* (2010), ch. 4.
+        De Loera, Rambau and Santos, *Triangulations* (2010), ch. 4. Step 5
+        makes the rays exactly those of the cones.
         """
         if not self.maximal_cones:
             raise ValueError("fan has no maximal cone")
@@ -165,6 +163,10 @@ class Fan:
         covering = sum(all(dot(row, point) >= 0 for row in adj) for adj, _den in data)
         if covering != 1:
             raise ValueError(f"interior point {point} of cone 0 lies in {covering} cones")
+        unused = set(range(self.n_rays)).difference(*self.maximal_cones)
+        if unused:
+            i = min(unused)
+            raise ValueError(f"ray {i} {self.rays[i]} lies in no maximal cone")
         return True
 
 
@@ -257,15 +259,16 @@ def _fraction(x):
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Rational halfspace intersection {x : A x <= b}; rows of A are outer
-    facet normals when the representation is irredundant."""
+    """Rational halfspace intersection {x : A x <= b}, with the entries of A
+    and b stored as given (ints or Fractions); rows of A are outer facet
+    normals when the representation is irredundant."""
 
     ineq_matrix: tuple
     bounds: tuple
 
     def __init__(self, ineq_matrix, bounds):
-        rows = tuple(tuple(_fraction(x) for x in row) for row in ineq_matrix)
-        b = tuple(_fraction(x) for x in bounds)
+        rows = tuple(map(tuple, ineq_matrix))
+        b = tuple(bounds)
         if len(rows) != len(b):
             raise ValueError("one bound per inequality row required")
         object.__setattr__(self, "ineq_matrix", rows)
@@ -274,9 +277,6 @@ class HPolytope:
     @property
     def dim(self):
         return len(self.ineq_matrix[0]) if self.ineq_matrix else 0
-
-    def contains(self, point):
-        return all(dot(row, point) <= bi for row, bi in zip(self.ineq_matrix, self.bounds))
 
 
 @dataclass(frozen=True)
@@ -353,12 +353,6 @@ def vertices(p):
     return VPolytope([verts[k] for k in order], dict(zip(keys, contacts)))
 
 
-def _affine_rank(points):
-    """Affine rank of a nonempty point list: the rank of the points
-    homogenized as (p, 1), less one."""
-    return rank([list(p) + [1] for p in points]) - 1
-
-
 def facet_description(vp):
     """Outer facet normals of a full-dimensional VPolytope.
 
@@ -369,14 +363,17 @@ def facet_description(vp):
     for every point v}, whose tight constraints are exactly the points on
     the row. The facets are the rows :func:`facet_rows` selects, and a
     point is a vertex iff it is the only point on all of its facets.
+    Full-dimensionality is proved here only for a point list: a vertex
+    enumeration has proved it for its own output. The points span R^n
+    affinely iff the valid-inequality rows (-v, 1) have rank n + 1.
     """
     n = vp.dim
     pts = vp.vertices
-    if _affine_rank(pts) != n:
-        raise DimensionDeficient("polytope is not full-dimensional")
     candidates = vp.contacts
     if candidates is None:
         valid = scale_rows_int([[-x for x in v] + [1] for v in pts])
+        if rank(valid) != n + 1:
+            raise DimensionDeficient("polytope is not full-dimensional")
         candidates = {(ray[:n], ray[n]): tight for ray, tight in extreme_rays(valid, n + 1).items()}
     keys = list(candidates)
     chosen = facet_rows([k[0] for k in keys], [candidates[k] for k in keys])
@@ -408,7 +405,7 @@ def p_h(fan, h):
     """The polytope {x : Gx <= h} with G the fan's ray matrix in fan order."""
     if len(h) != fan.n_rays:
         raise ValueError(f"height vector must have length {fan.n_rays}")
-    return HPolytope(fan.ray_matrix(), h)
+    return HPolytope(fan.rays, h)
 
 
 def fan_eq(f1, f2):
@@ -514,7 +511,7 @@ def roff_normal_fan(verts, facet_lists):
         kb = kernel_basis([[x - y for x, y in zip(verts[i], base)] for i in fl])
         if len(kb) != 1:
             raise ValueError("facet vertex set does not span a hyperplane")
-        normal = primitive(kb[0])
+        normal = kb[0]
         offset = dot(normal, base)
         if next((dot(normal, v) > offset for i, v in enumerate(verts) if i not in fl), False):
             normal, offset = tuple(-x for x in normal), -offset

@@ -4,7 +4,9 @@ A wall's dependency is read off the integer adjugate of one of its two
 cones, the same per-cone data that :meth:`Fan.validate` builds and caches:
 if det.r' = sum lambda_k a_k over that cone's rays a_k, the dependency is
 that identity scaled to alpha + alpha' = 2. No wall runs an elimination of
-its own.
+its own. The type cone and the unique exchange check read the identity's
+primitive integer normal instead; Fractions appear only in the normalized
+coefficients and in the report of a failed check.
 
 The type cone lives in R^N and has an n-dimensional lineality space (the
 span of the ray-matrix columns), so facet extraction works in the quotient:
@@ -25,7 +27,7 @@ from .errors import (
     NonPositiveParameter,
     NotSimplicial,
 )
-from .linalg import dot, kernel_basis, primitive, rank, scale_rows_int, solve, transpose
+from .linalg import dot, kernel_basis, primitive, rank, solve, transpose
 from .polyhedra import extreme_rays, facet_rows, p_h, row_contacts
 
 
@@ -52,7 +54,7 @@ class LinearDependency:
     alpha: Fraction
     alpha_prime: Fraction
     middle_coeffs: dict
-    integer_form: tuple = field(default=None, compare=False, repr=False)
+    integer_form: tuple = field(compare=False, repr=False)
 
 
 def walls(fan):
@@ -108,22 +110,26 @@ def wall_dependency(fan, wall):
 
 
 def dependency_vector(fan, dep):
-    """Dependency as a functional on all N rays: alpha at r, alpha' at r',
-    -alpha_i at the shared rays, zero elsewhere. This is also the raw type
-    cone inequality normal of the wall."""
-    vec = [Fraction(0)] * fan.n_rays
-    vec[dep.wall.exchanged[0]] = Fraction(dep.alpha)
-    vec[dep.wall.exchanged[1]] = Fraction(dep.alpha_prime)
-    for s, coeff in dep.middle_coeffs.items():
-        vec[s] = -Fraction(coeff)
-    return tuple(vec)
+    """Dependency as a primitive integer functional on all N rays, read
+    from its integer form: -a at r, det at r', -lambda_s at each shared s,
+    zero elsewhere. It is a positive multiple of (alpha, alpha', -alpha_s),
+    and it is the raw type cone inequality normal of the wall."""
+    det, (a, *lam) = dep.integer_form
+    vec = [0] * fan.n_rays
+    vec[dep.wall.exchanged[0]] = -a
+    vec[dep.wall.exchanged[1]] = det
+    for s, x in zip(dep.wall.shared, lam):
+        vec[s] = -x
+    return primitive(vec)
 
 
 def unique_exchange_check(fan, wall_list=None, dependencies=None):
-    """Group walls by exchanged ray pair and compare the full normalized
-    dependency vectors (the strictest reading). The weaker reading, equality
-    only on the walls' common supports, is reported alongside whenever the
-    two disagree."""
+    """Group walls by exchanged ray pair and compare the full dependency
+    vectors (the strictest reading); equal primitive integer normals are
+    equal normalized dependencies. A group that fails is reported with its
+    vectors normalized to alpha + alpha' = 2, and the weaker reading,
+    equality only on the walls' common supports, is reported alongside
+    whenever the two disagree."""
     if wall_list is None:
         wall_list = walls(fan)
     if dependencies is None:
@@ -136,9 +142,11 @@ def unique_exchange_check(fan, wall_list=None, dependencies=None):
     weak_disagrees = False
     for key in sorted(groups):
         deps = groups[key]
-        vectors = [dependency_vector(fan, d) for d in deps]
-        if len(set(vectors)) == 1:
+        normals = [dependency_vector(fan, d) for d in deps]
+        if len(set(normals)) == 1:
             continue
+        r, r2 = key
+        vectors = [tuple(Fraction(2 * x, v[r] + v[r2]) for x in v) for v in normals]
         weak_ok = True
         for i in range(len(deps)):
             for j in range(i + 1, len(deps)):
@@ -174,7 +182,7 @@ class TypeCone:
 
     n_rays: int
     wall_list: tuple
-    raw_inequalities: tuple  # one rational N-vector per wall
+    raw_inequalities: tuple  # one primitive integer N-vector per wall
     facets: tuple  # primitive integer N-vectors, irredundant, sorted
     facet_certificates: tuple  # reduced-space point certifying each facet
     open: bool = True
@@ -221,24 +229,18 @@ class TypeCone:
 def type_cone(fan):
     """Type cone of a complete simplicial fan.
 
-    Raw inequalities come from all wall dependencies; deduplication uses
-    primitive normalization with positive scaling only (sign is meaningful);
-    irredundancy is certified facet by facet in the quotient by the
-    lineality space.
+    Raw inequalities are the primitive integer normals of all wall
+    dependencies, deduplicated in wall order (positive scaling only, so
+    sign is meaningful); irredundancy is certified facet by facet in the
+    quotient by the lineality space.
     """
     wall_list = walls(fan)
-    deps = [wall_dependency(fan, w) for w in wall_list]
-    raw = [dependency_vector(fan, d) for d in deps]
-    columns = transpose(fan.ray_matrix())
-    dedup = []
-    seen = set()
-    for vec in raw:
-        p = primitive(vec)
-        if p not in seen:
-            if any(dot(p, col) for col in columns):
-                raise InconsistentSystem("dependency normal does not annihilate the ray matrix")
-            seen.add(p)
-            dedup.append(p)
+    raw = [dependency_vector(fan, wall_dependency(fan, w)) for w in wall_list]
+    dedup = list(dict.fromkeys(raw))
+    columns = transpose(fan.rays)
+    for p in dedup:
+        if any(dot(p, col) for col in columns):
+            raise InconsistentSystem("dependency normal does not annihilate the ray matrix")
     reducer = _lineality_reducer(fan)
     reduced = [tuple(dot(row, vec) for row in reducer) for vec in dedup]
     d = len(reducer)
@@ -276,11 +278,10 @@ def type_cone(fan):
 def _lineality_reducer(fan):
     """Integer basis of the left kernel of the ray matrix G, as rows. The
     type cone inequalities live in this (N-n)-dimensional quotient."""
-    g = fan.ray_matrix()
-    basis = kernel_basis(transpose(g))
+    basis = kernel_basis(transpose(fan.rays))
     if len(basis) != fan.n_rays - fan.dim:
         raise InconsistentSystem("ray matrix does not have full column rank")
-    return scale_rows_int([list(b) for b in basis])
+    return basis
 
 
 @dataclass(frozen=True)
@@ -332,6 +333,6 @@ def qc_polytope(fan, tc, c):
     h = solve(k_rows, c)
     if h is None:
         raise InconsistentSystem("Kh = c is not solvable")
-    cert = SlackCertificate(tuple(h), tuple(c), tc.k_matrix, tuple(map(tuple, fan.ray_matrix())))
+    cert = SlackCertificate(tuple(h), tuple(c), tc.k_matrix, fan.rays)
     cert.check()
     return p_h(fan, h), cert

@@ -106,6 +106,19 @@ def test_realize_rejects_heights_whose_polytope_is_not_a_realization(tmp_path, c
     assert not off_path.exists()
 
 
+@pytest.mark.parametrize("h", ["0,0,0,0,0", "-1,-1,-1,-1,-1"])
+def test_realize_rejects_heights_whose_polytope_is_a_point_or_empty(tmp_path, capsys, h):
+    fan_path = tmp_path / "fan.json"
+    off_path = tmp_path / "poly.off"
+    run(capsys, ["fan", "--type", "A", "--rank", "2", "-o", str(fan_path)])
+    argv = ["realize", "--fan", str(fan_path), f"--h={h}", "-o", str(off_path)]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out.startswith("realization failed") and out.count("\n") == 1
+    assert err == ""
+    assert not off_path.exists()
+
+
 def test_realize_rejects_a_type_cone_file_with_tampered_facets(tmp_path, capsys):
     fan_path = tmp_path / "fan.json"
     tc_path = tmp_path / "tc.json"
@@ -132,6 +145,23 @@ def test_non_integer_budget_in_the_environment_is_input_error(capsys, monkeypatc
     assert code == 2
     assert out == ""
     assert err.startswith("fanforge: error: FANFORGE_BUDGET") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_budget_below_one_is_input_error(capsys, budget):
+    code, out, err = run(capsys, ["fan", "--type", "A", "--rank", "2", f"--budget={budget}"])
+    assert code == 2
+    assert out == ""
+    assert err == f"fanforge: error: --budget must be at least 1, not {budget}\n"
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_budget_below_one_in_the_environment_is_input_error(capsys, monkeypatch, budget):
+    monkeypatch.setenv("FANFORGE_BUDGET", budget)
+    code, out, err = run(capsys, ["graph", "--type", "A", "--rank", "2"])
+    assert code == 2
+    assert out == ""
+    assert err == f"fanforge: error: FANFORGE_BUDGET must be at least 1, not {budget}\n"
 
 
 def test_verify_detects_corruption(tmp_path, capsys):
@@ -317,6 +347,18 @@ def test_fan_listing_a_cone_twice_is_input_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("fanforge: error: a maximal cone is listed twice")
+
+
+@pytest.mark.parametrize("command", ["typecone", "realize"])
+def test_fan_with_a_ray_in_no_cone_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "unused.json"
+    rays = [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]]
+    cones = [[0, 1], [1, 2], [2, 3], [0, 3]]
+    path.write_text(json.dumps({"dim": 2, "rays": rays, "cones": cones}))
+    code, out, err = run(capsys, [command, "--fan", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "fanforge: error: ray 4 (1, 1) lies in no maximal cone\n"
 
 
 def a2_roff(tmp_path, capsys):

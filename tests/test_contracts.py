@@ -31,10 +31,14 @@ def test_no_assert_contracts(path):
 INTEGER_KERNELS = [
     ("linalg.py", "_echelon"),
     ("linalg.py", "rank"),
+    ("linalg.py", "kernel_basis"),
     ("linalg.py", "det_int"),
     ("polyhedra.py", "_adjugate_int"),
     ("polyhedra.py", "extreme_rays"),
     ("clusterfan.py", "mutate_seed"),
+    ("typecone.py", "dependency_vector"),
+    ("typecone.py", "_lineality_reducer"),
+    ("typecone.py", "type_cone"),
 ]
 
 

@@ -4,12 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fanforge.linalg import (
+    _echelon,
     det_int,
     dot,
     kernel_basis,
     primitive,
     rank,
-    rref,
     scale_rows_int,
     solve,
     transpose,
@@ -108,6 +108,19 @@ def test_scale_rows_int():
     assert rhs == [5, 3]
 
 
+def rref(rows):
+    """Reduced row echelon form, (rref rows, pivot column list), read off
+    the integer echelon: each pivot row is divided by its pivot at the
+    end. The RREF is unique, so this equals Fraction elimination."""
+    m = scale_rows_int(rows)
+    pivots = _echelon(m)
+    if not m:
+        return [], []
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    red += [[Fraction(0)] * len(m[0]) for _ in range(len(m) - len(pivots))]
+    return red, pivots
+
+
 def test_rref_pivots():
     red, pivots = rref([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
     assert pivots == [0, 1]
@@ -132,6 +145,33 @@ def fraction_rref(rows):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def fraction_kernel(rows):
+    """Reference kernel basis: the kernel vector of each free column of
+    the Fraction RREF, made a primitive integer vector."""
+    red, pivots = fraction_rref(rows)
+    basis = []
+    for f in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(len(rows[0]))]
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(primitive(v))
+    return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda ncols: st.lists(
+            st.lists(small_int, min_size=ncols, max_size=ncols), min_size=1, max_size=6
+        )
+    )
+)
+def test_kernel_basis_is_the_primitive_fraction_kernel(m):
+    basis = kernel_basis(m)
+    assert basis == fraction_kernel(m)
+    assert all(type(x) is int for v in basis for x in v)
 
 
 small_rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)

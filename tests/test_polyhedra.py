@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fanforge.clusterfan import enumerate_fan, initial_seed, mutate_seed
 from fanforge.errors import DimensionDeficient, Empty, InconsistentSystem, Unbounded
-from fanforge.linalg import det_int, dot, kernel_basis, primitive, rank, rref, scale_rows_int, solve
+from fanforge.linalg import det_int, dot, kernel_basis, primitive, rank, scale_rows_int, solve
 from fanforge.polyhedra import (
     Fan,
     HPolytope,
@@ -25,6 +25,12 @@ from fanforge.polyhedra import (
     write_roff,
 )
 from fanforge.typecone import _lineality_reducer, dependency_vector, type_cone, wall_dependency, walls
+from test_linalg import rref
+
+
+def contains(poly, point):
+    """Membership of a point in the closed H-polytope."""
+    return all(dot(row, point) <= bi for row, bi in zip(poly.ineq_matrix, poly.bounds))
 
 
 def pentagon_hpoly():
@@ -143,10 +149,10 @@ def test_p_h_pentagon():
 
 def test_p_h_zero_height_is_origin():
     poly = p_h(a2_fan(), (0, 0, 0, 0, 0))
-    assert poly.contains((0, 0))
+    assert contains(poly, (0, 0))
     eps = Fraction(1, 100)
     for direction in [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)]:
-        assert not poly.contains((eps * direction[0], eps * direction[1]))
+        assert not contains(poly, (eps * direction[0], eps * direction[1]))
     # DimensionDeficient rather than Unbounded: the recession cone is {0}
     with pytest.raises(DimensionDeficient):
         vertices(poly)
@@ -299,6 +305,13 @@ def fold_fan():
     back at the 300-degree ray and covers 270..300 three times."""
     rays = [(1, 0), (-1, 2), (-1, -2), (1, -2), (0, -1)]
     return Fan(2, rays, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+
+
+def test_validate_rejects_a_ray_in_no_maximal_cone():
+    quadrants = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    fan = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)], quadrants)
+    with pytest.raises(ValueError, match=r"ray 4 \(1, 1\) lies in no maximal cone"):
+        fan.validate()
 
 
 def test_validate_rejects_fold_covered_once_at_its_interior_point():
@@ -523,7 +536,7 @@ def scan_vertices(p):
             Fraction(det_int([row[:j] + [b[i]] + row[j + 1 :] for row, i in zip(sub, subset)]), den)
             for j in range(n)
         )
-        if p.contains(x):
+        if contains(p, x):
             verts.add(x)
     if not verts:
         raise Empty("no feasible point")

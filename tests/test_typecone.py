@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanforge.clusterfan import (
@@ -18,9 +18,10 @@ from fanforge.errors import (
     NonPositiveParameter,
     NotSimplicial,
 )
-from fanforge.linalg import dot, kernel_basis, solve
+from fanforge.linalg import dot, kernel_basis, primitive, solve
 from fanforge.polyhedra import Fan, HPolytope, fan_eq, normal_fan, p_h, vertices
 from fanforge.typecone import (
+    dependency_vector,
     qc_polytope,
     type_cone,
     unique_exchange_check,
@@ -138,7 +139,7 @@ def kernel_route_dependency(fan, wall):
     alpha, alpha_prime = kernel[0][0], kernel[0][1]
     if alpha == 0 or alpha_prime == 0 or (alpha > 0) != (alpha_prime > 0):
         raise DegenerateWall("exchanged rays on one side")
-    vec = [x * 2 / (alpha + alpha_prime) for x in kernel[0]]
+    vec = [Fraction(2 * x, alpha + alpha_prime) for x in kernel[0]]
     return vec[0], vec[1], {s: -vec[2 + i] for i, s in enumerate(wall.shared)}
 
 
@@ -185,6 +186,103 @@ def test_wall_dependency_matches_the_kernel_route(fan):
             for i in range(fan.dim)
         ]
         assert det > 0 and [det * y for y in r2] == combo
+
+
+def fraction_dependency_vector(fan, dep):
+    """The dependency as a Fraction functional on all N rays, rebuilt from
+    its normalized coefficients: alpha at r, alpha' at r', -alpha_s at the
+    shared rays, zero elsewhere."""
+    vec = [Fraction(0)] * fan.n_rays
+    vec[dep.wall.exchanged[0]] = dep.alpha
+    vec[dep.wall.exchanged[1]] = dep.alpha_prime
+    for s, coeff in dep.middle_coeffs.items():
+        vec[s] = -coeff
+    return tuple(vec)
+
+
+@st.composite
+def mutated_fans(draw):
+    """g-vector fans of randomly mutated A3, A4, D4 and B3 seeds."""
+    seed = initial_seed(draw(st.sampled_from(MUTATION_SEEDS[1:5])))
+    for k in draw(st.lists(st.integers(min_value=0, max_value=seed.rank - 1), max_size=5)):
+        seed = mutate_seed(seed, k)
+    return enumerate_fan(initial_seed(seed.b_matrix)).fan
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutated_fans())
+def test_dependency_vector_is_the_primitive_normalized_dependency(fan):
+    for w in walls(fan):
+        dep = wall_dependency(fan, w)
+        assert dependency_vector(fan, dep) == primitive(fraction_dependency_vector(fan, dep))
+
+
+def fraction_unique_exchange_check(fan):
+    """Test oracle: the unique exchange check on normalized Fraction
+    vectors, comparing and reporting them as they are."""
+    groups = {}
+    for w in walls(fan):
+        dep = wall_dependency(fan, w)
+        groups.setdefault(tuple(sorted(w.exchanged)), []).append(dep)
+    violations = []
+    weak_disagrees = False
+    for key in sorted(groups):
+        deps = groups[key]
+        vectors = [fraction_dependency_vector(fan, d) for d in deps]
+        if len(set(vectors)) == 1:
+            continue
+        weak_ok = True
+        for i in range(len(deps)):
+            for j in range(i + 1, len(deps)):
+                support = set(key)
+                support |= set(deps[i].wall.shared) & set(deps[j].wall.shared)
+                if any(vectors[i][s] != vectors[j][s] for s in support):
+                    weak_ok = False
+        if weak_ok:
+            weak_disagrees = True
+        violations.append(
+            {
+                "exchanged": key,
+                "wall_count": len(deps),
+                "distinct_dependencies": len(set(vectors)),
+                "walls": [(d.wall.cone_a, d.wall.cone_b) for d in deps],
+                "vectors": [[str(x) for x in v] for v in sorted(set(vectors))],
+                "weak_reading_agrees": weak_ok,
+            }
+        )
+    return {
+        "holds": not violations,
+        "violations": violations,
+        "weak_vs_strict_disagreement": weak_disagrees,
+    }
+
+
+@st.composite
+def suspension_fans(draw):
+    """Complete rank-3 fans: four equator rays in the plane z = 0, one per
+    quarter-turn sector so they run in cyclic order, a random pole above
+    and one below, and the 8 cones spanned by an adjacent equator pair and
+    a pole."""
+    coord = st.integers(min_value=-3, max_value=3)
+    equator = []
+    for turn in range(4):
+        x = draw(st.integers(min_value=1, max_value=4))
+        y = draw(st.integers(min_value=0, max_value=4))
+        for _ in range(turn):
+            x, y = -y, x
+        equator.append((x, y, 0))
+    north = (draw(coord), draw(coord), draw(st.integers(min_value=1, max_value=3)))
+    south = (draw(coord), draw(coord), draw(st.integers(min_value=-3, max_value=-1)))
+    cones = [(i, (i + 1) % 4, pole) for i in range(4) for pole in (4, 5)]
+    return Fan(3, equator + [north, south], cones)
+
+
+@settings(max_examples=80, deadline=None)
+@example(perturbed_orthant_fan())
+@given(suspension_fans())
+def test_unique_exchange_check_matches_the_fraction_oracle(fan):
+    fan.validate()
+    assert unique_exchange_check(fan) == fraction_unique_exchange_check(fan)
 
 
 def test_degenerate_wall_of_a_folded_fan():
@@ -353,7 +451,7 @@ def test_translation_invariance():
     poly, cert = qc_polytope(fan, tc, (1, 1, 1))
     h = list(cert.h)
     x0 = [Fraction(3), Fraction(-2)]
-    g = fan.ray_matrix()
+    g = fan.rays
     h2 = [hi + dot(row, x0) for hi, row in zip(h, g)]
     assert [dot(k, h2) for k in tc.k_matrix] == [dot(k, h) for k in tc.k_matrix]
     # the translating x is recovered exactly from h2 - h
