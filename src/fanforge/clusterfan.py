@@ -9,12 +9,14 @@ separate variables in finite type). A seed also carries the positive integer
 symmetrizer D of its exchange matrix: it is derived once for a seed built
 from input, and mutation, which preserves D-symmetrizability, passes it on,
 so each mutated matrix is certified by the integer identity
-d_i b_ij = -d_j b_ji instead of a fresh derivation. The fan enumerator is a BFS over seeds
-modulo cluster-set equality. It raises InfiniteType as soon as a reached
-seed has |b_ij b_ji| > 3 (Fomin-Zelevinsky, "Cluster algebras II", Invent.
-Math. 2003, Thm 1.8); for type A it can carry polygon triangulations
-alongside, which yields the diagonal-to-ray dictionary used by the mesh
-cross-checks.
+d_i b_ij = -d_j b_ji instead of a fresh derivation. The fan enumerator is a
+BFS over clusters: mutation in direction k changes only g-vector k, so a
+neighbour is named by the frozenset of g-vectors with g_k exchanged
+(exchanged_g_vector), and a full seed is built, once, only for a cluster
+not seen before. It raises InfiniteType as soon as a reached seed has
+|b_ij b_ji| > 3 (Fomin-Zelevinsky, "Cluster algebras II", Invent. Math.
+2003, Thm 1.8); for type A it can carry polygon triangulations alongside,
+which yields the diagonal-to-ray dictionary used by the mesh cross-checks.
 """
 
 import json
@@ -27,10 +29,6 @@ from .linalg import det_int, primitive
 from .polyhedra import Fan, int_rows
 
 DEFAULT_BFS_BUDGET = 100_000
-
-
-def _tuples(m):
-    return tuple(tuple(row) for row in m)
 
 
 def _identity(n):
@@ -109,9 +107,27 @@ class Seed:
 
 def initial_seed(b_matrix, cluster_ids=None):
     """Seed with g = c = identity over the given exchange matrix."""
-    b = _tuples(b_matrix)
+    b = tuple(tuple(row) for row in b_matrix)
     ident = _identity(len(b))
     return Seed(b, ident, ident, ident if cluster_ids is None else tuple(cluster_ids))
+
+
+def exchanged_g_vector(seed, k):
+    """The g-vector that mutation in direction k (0-based) puts in place of
+    g_k: g'_k = -g_k + sum_{j != k} max(0, -eps*b_jk) g_j, where eps is the
+    sign of c_k. Mutation changes no other g-vector, so this alone names
+    the neighbouring cluster."""
+    n = seed.rank
+    if not 0 <= k < n:
+        raise ValueError(f"direction {k} out of range")
+    b, g = seed.b_matrix, seed.g_vectors
+    eps = 1 if any(x > 0 for x in seed.c_vectors[k]) else -1
+    g_k = [-x for x in g[k]]
+    for j in range(n):
+        coeff = -eps * b[j][k]
+        if j != k and coeff > 0:
+            g_k = [x + coeff * y for x, y in zip(g_k, g[j])]
+    return tuple(g_k)
 
 
 def mutate_seed(seed, k):
@@ -121,19 +137,10 @@ def mutate_seed(seed, k):
     seed. The symmetrizer is passed on unchanged and certifies the new
     exchange matrix. An involution: mutate_seed(mutate_seed(s, k), k) == s
     up to cluster ids, and exactly equal when ids are g-vector keyed."""
+    g_k = exchanged_g_vector(seed, k)
     n = seed.rank
-    if not 0 <= k < n:
-        raise ValueError(f"direction {k} out of range")
     b, g, c = seed.b_matrix, seed.g_vectors, seed.c_vectors
     eps = 1 if any(x > 0 for x in c[k]) else -1
-
-    # g'_k = -g_k + sum_{j != k} max(0, -eps*b_jk) g_j
-    g_k = [-x for x in g[k]]
-    for j in range(n):
-        coeff = -eps * b[j][k]
-        if j != k and coeff > 0:
-            g_k = [x + coeff * y for x, y in zip(g_k, g[j])]
-    g2 = g[:k] + (tuple(g_k),) + g[k + 1 :]
     # c'_j = c_j + max(0, eps*b_kj) c_k for j != k, and c'_k = -c_k
     c2 = list(c)
     c2[k] = tuple(-x for x in c[k])
@@ -141,19 +148,19 @@ def mutate_seed(seed, k):
         coeff = eps * b[k][j]
         if j != k and coeff > 0:
             c2[j] = tuple(x + coeff * y for x, y in zip(c[j], c[k]))
-
-    b2 = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == k or j == k:
-                b2[i][j] = -b[i][j]
-            else:
-                s = (b[i][k] > 0) - (b[i][k] < 0)
-                b2[i][j] = b[i][j] + s * max(0, b[i][k] * b[k][j])
-
-    ids = list(seed.cluster_ids)
-    ids[k] = g2[k]
-    return Seed(_tuples(b2), g2, tuple(c2), tuple(ids), seed.symmetrizer)
+    # b'_ij = -b_ij on row and column k, else b_ij + sgn(b_ik) max(0, b_ik b_kj),
+    # which is b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2, an exact division
+    b2 = tuple(
+        tuple(
+            -b[i][j]
+            if k in (i, j)
+            else b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    g2, ids = g[:k] + (g_k,) + g[k + 1 :], seed.cluster_ids
+    return Seed(b2, g2, tuple(c2), ids[:k] + (g_k,) + ids[k + 1 :], seed.symmetrizer)
 
 
 @dataclass(frozen=True)
@@ -325,9 +332,11 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     Returns a FanEnumeration whose fan has all distinct g-vectors as rays
     (lexicographically decreasing, so the initial cluster is the positive
     orthant and its basis vectors come first) and one maximal cone per
-    cluster. With a triangulation supplied, flips are tracked alongside
-    mutations and every diagonal is matched to its g-vector ray; agreement
-    across all clusters containing the diagonal is checked. Raises
+    cluster, in first-discovery order. With a triangulation supplied, flips
+    are tracked alongside mutations and every diagonal is matched to its
+    g-vector ray; agreement across all clusters containing the diagonal is
+    checked, for each new seed on the one pair it does not share with its
+    parent. Raises
     InfiniteType, a BudgetExceeded, as soon as a reached seed is not
     2-finite, and BudgetExceeded when more than budget seeds are reached.
     """
@@ -336,57 +345,44 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
         if seed.b_matrix != seed_from_triangulation(triangulation).b_matrix:
             raise ValueError("seed does not match the triangulation (flip tracking would drift)")
     _check_finite_type(seed.b_matrix, 0)
+    diags = triangulation.diagonals if triangulation else None
+    # the start seed's diagonals are distinct, so its pairs cannot disagree
+    diagonal_rays = dict(zip(diags, seed.g_vectors)) if triangulation else {}
     start_key = frozenset(seed.g_vectors)
-    states = {start_key: (seed, triangulation.diagonals if triangulation else None)}
+    states = {start_key: (seed, diags)}
     order = [start_key]
     edges = set()
-    frontier = [start_key]
     poly = triangulation.polygon_size if triangulation else None
-
-    def expand(key):
+    for key in order:
         s, diags = states[key]
-        out = []
         for k in range(n):
-            # Seed.__post_init__ checks the mutated g-vectors' unimodularity
-            s2 = mutate_seed(s, k)
-            diags2 = None
-            if diags is not None:
-                # flip() also re-validates the flipped triangulation
-                _flipped, new_diag = flip(Triangulation(poly, diags), diags[k])
-                diags2 = tuple(new_diag if i == k else diags[i] for i in range(n))
-            out.append((tuple(sorted((s.g_vectors[k], s2.g_vectors[k]))), s2, diags2))
-        return out
-
-    while frontier:
-        next_frontier = []
-        for key in frontier:
-            for ray_pair, s2, diags2 in expand(key):
-                key2 = frozenset(s2.g_vectors)
-                if key2 not in states:
-                    _check_finite_type(s2.b_matrix, len(states))
-                    states[key2] = (s2, diags2)
-                    order.append(key2)
-                    next_frontier.append(key2)
-                    if len(states) > budget:
-                        raise BudgetExceeded(f"seed BFS exceeded {budget} nodes")
-                edges.add((frozenset((key, key2)), ray_pair))
-        frontier = next_frontier
+            g_k, g2 = s.g_vectors[k], exchanged_g_vector(s, k)
+            key2 = key - {g_k} | {g2}
+            if key2 not in states:
+                # Seed.__post_init__ checks the mutated g-vectors' unimodularity
+                s2 = mutate_seed(s, k)
+                _check_finite_type(s2.b_matrix, len(states))
+                diags2 = None
+                if diags is not None:
+                    # flip() also re-validates the flipped triangulation
+                    _flipped, new_diag = flip(Triangulation(poly, diags), diags[k])
+                    diags2 = diags[:k] + (new_diag,) + diags[k + 1 :]
+                    # s2 shares every other (diagonal, g-vector) pair with s
+                    if diagonal_rays.setdefault(new_diag, g2) != g2:
+                        raise InconsistentSystem(
+                            f"diagonal {new_diag} matched two distinct g-vectors"
+                        )
+                states[key2] = (s2, diags2)
+                order.append(key2)
+                if len(states) > budget:
+                    raise BudgetExceeded(f"seed BFS exceeded {budget} nodes")
+            edges.add((frozenset((key, key2)), tuple(sorted((g_k, g2)))))
 
     all_rays = sorted({g for key in order for g in key}, reverse=True)
     ray_index = {g: i for i, g in enumerate(all_rays)}
     cone_of = {key: tuple(sorted(ray_index[g] for g in key)) for key in order}
     labels = None
-    diagonal_rays = {}
     if triangulation is not None:
-        for key in order:
-            s, diags = states[key]
-            for k in range(n):
-                g = s.g_vectors[k]
-                prev = diagonal_rays.setdefault(diags[k], g)
-                if prev != g:
-                    raise InconsistentSystem(
-                        f"diagonal {diags[k]} matched two distinct g-vectors"
-                    )
         ray_diag = {ray_index[g]: d for d, g in diagonal_rays.items()}
         labels = [f"{ray_diag[i][0]}-{ray_diag[i][1]}" for i in range(len(all_rays))]
 

@@ -64,12 +64,15 @@ class Fan:
         cones = sorted(tuple(sorted(c)) for c in maximal_cones)
         if len(set(cones)) != len(cones):
             raise ValueError("a maximal cone is listed twice")
+        # one determinant per cone, rays as rows; _cone_data reuses it
+        self._cone_dets = []
         for cone in cones:
             if len(cone) != dim:
                 raise ValueError("maximal cone must have exactly dim rays")
             if cone[0] < 0 or cone[-1] >= len(self.rays):
                 raise ValueError("cone ray index out of range")
-            if det_int([list(self.rays[i]) for i in cone]) == 0:
+            self._cone_dets.append(det_int([self.rays[i] for i in cone]))
+            if self._cone_dets[-1] == 0:
                 raise ValueError("maximal cone is not simplicial (rank deficient)")
         self.maximal_cones = tuple(cones)
         if labels is None:
@@ -99,10 +102,10 @@ class Fan:
     def _cone_data(self):
         if self._cone_inverses is None:
             data = []
-            for cone in self.maximal_cones:
-                # rays as columns: lambda = adj.x / det solves sum(lambda_i r_i) = x
+            for cone, d in zip(self.maximal_cones, self._cone_dets):
+                # rays as columns: lambda = adj.x / det solves sum(lambda_i r_i) = x;
+                # d, taken with rays as rows, is det(m): det is transpose-invariant
                 m = [[self.rays[i][k] for i in cone] for k in range(self.dim)]
-                d = det_int(m)
                 adj = _adjugate_int(m, d)
                 if d < 0:
                     d = -d

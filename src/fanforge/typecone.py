@@ -177,15 +177,14 @@ def unique_exchange_check(fan, wall_list=None, dependencies=None):
 class TypeCone:
     """Inequality description of the cone of admissible height vectors.
 
-    The normals are stored closed; the cone itself is open (``open`` flag),
-    so membership defaults to strict comparison."""
+    The normals are stored closed; the cone itself is open, so membership
+    is strict comparison."""
 
     n_rays: int
     wall_list: tuple
     raw_inequalities: tuple  # one primitive integer N-vector per wall
     facets: tuple  # primitive integer N-vectors, irredundant, sorted
     facet_certificates: tuple  # reduced-space point certifying each facet
-    open: bool = True
 
     @property
     def k_matrix(self):
@@ -199,15 +198,10 @@ class TypeCone:
     def is_simplicial(self, dim):
         return self.n_facets == self.n_rays - dim
 
-    def contains(self, h, strict=None):
-        """Membership of a height vector; strict comparison by default
-        because the cone is open."""
-        if strict is None:
-            strict = self.open
-        values = [dot(f, h) for f in self.facets]
-        if strict:
-            return all(v > 0 for v in values)
-        return all(v >= 0 for v in values)
+    def contains(self, h):
+        """Membership of a height vector in the open cone: every facet
+        normal pairs strictly positively with h."""
+        return all(dot(f, h) > 0 for f in self.facets)
 
     def to_json(self):
         payload = {

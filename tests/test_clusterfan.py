@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanforge import clusterfan
 from fanforge.clusterfan import (
+    ExchangeGraph,
     Seed,
     Triangulation,
+    _check_finite_type,
     _symmetrizer,
     all_triangulations,
     diagonals_cross,
     enumerate_fan,
+    exchanged_g_vector,
     flip,
     flip_graph,
     initial_seed,
@@ -18,7 +22,8 @@ from fanforge.clusterfan import (
     seed_from_json,
     seed_from_triangulation,
 )
-from fanforge.errors import BudgetExceeded, InfiniteType
+from fanforge.errors import BudgetExceeded, InconsistentSystem, InfiniteType
+from fanforge.polyhedra import Fan
 
 A2_B = [[0, 1], [-1, 0]]
 A3_B = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
@@ -556,3 +561,121 @@ def test_dot_export_deterministic():
     assert dot == enum.graph.to_dot()
     assert dot.startswith("graph exchange {")
     assert dot.count(" -- ") == 5
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(DIFFERENTIAL_SEEDS)),
+    st.lists(st.integers(min_value=0, max_value=4), max_size=20),
+)
+def test_exchanged_g_vector_is_the_mutated_seeds_g_vector(name, walk):
+    seed = DIFFERENTIAL_SEEDS[name]
+    for step in walk:
+        seed = mutate_seed(seed, step % seed.rank)
+        for k in range(seed.rank):
+            assert exchanged_g_vector(seed, k) == mutate_seed(seed, k).g_vectors[k]
+    with pytest.raises(ValueError, match="out of range"):
+        exchanged_g_vector(seed, seed.rank)
+
+
+def _eager_enumerate_fan(seed, triangulation=None):
+    """Reference BFS: level by level, it builds all n mutated seeds (and
+    flipped triangulations) of every cluster, keys each by its full
+    g-vector set, and matches every (diagonal, g-vector) pair of every
+    cluster in a second pass."""
+    n = seed.rank
+    _check_finite_type(seed.b_matrix, 0)
+    start_key = frozenset(seed.g_vectors)
+    states = {start_key: (seed, triangulation.diagonals if triangulation else None)}
+    order, frontier, edges = [start_key], [start_key], set()
+    while frontier:
+        next_frontier = []
+        for key in frontier:
+            s, diags = states[key]
+            for k in range(n):
+                s2 = mutate_seed(s, k)
+                diags2 = None
+                if diags is not None:
+                    _t, new_diag = flip(Triangulation(triangulation.polygon_size, diags), diags[k])
+                    diags2 = tuple(new_diag if i == k else diags[i] for i in range(n))
+                key2 = frozenset(s2.g_vectors)
+                if key2 not in states:
+                    _check_finite_type(s2.b_matrix, len(states))
+                    states[key2] = (s2, diags2)
+                    order.append(key2)
+                    next_frontier.append(key2)
+                ray_pair = tuple(sorted((s.g_vectors[k], s2.g_vectors[k])))
+                edges.add((frozenset((key, key2)), ray_pair))
+        frontier = next_frontier
+
+    all_rays = sorted({g for key in order for g in key}, reverse=True)
+    ray_index = {g: i for i, g in enumerate(all_rays)}
+    cone_of = {key: tuple(sorted(ray_index[g] for g in key)) for key in order}
+    labels, diagonal_rays = None, {}
+    if triangulation is not None:
+        for key in order:
+            s, diags = states[key]
+            for k in range(n):
+                if diagonal_rays.setdefault(diags[k], s.g_vectors[k]) != s.g_vectors[k]:
+                    raise InconsistentSystem(f"diagonal {diags[k]} matched two g-vectors")
+        ray_diag = {ray_index[g]: d for d, g in diagonal_rays.items()}
+        labels = [f"{ray_diag[i][0]}-{ray_diag[i][1]}" for i in range(len(all_rays))]
+    fan = Fan(n, all_rays, list(cone_of.values()), labels)
+    cone_pos = {cone: i for i, cone in enumerate(fan.maximal_cones)}
+    node_of_key = {key: cone_pos[cone_of[key]] for key in order}
+    graph_edges = set()
+    for key_pair, ray_pair in edges:
+        k1, k2 = tuple(key_pair)
+        a, b = sorted((node_of_key[k1], node_of_key[k2]))
+        graph_edges.add((a, b, tuple(sorted(ray_index[g] for g in ray_pair))))
+    graph = ExchangeGraph(fan.maximal_cones, tuple(sorted(graph_edges)))
+    node_triangulations = ()
+    if triangulation is not None:
+        by_node = sorted((node_of_key[key], states[key][1]) for key in order)
+        node_triangulations = tuple(t for _i, t in by_node)
+    return fan, graph, node_triangulations, diagonal_rays
+
+
+def _assert_same_enumeration(seed, triangulation=None):
+    got = enumerate_fan(seed, triangulation=triangulation)
+    fan, graph, node_triangulations, diagonal_rays = _eager_enumerate_fan(seed, triangulation)
+    assert got.fan == fan and got.fan.labels == fan.labels
+    assert got.graph == graph
+    assert got.node_triangulations == node_triangulations
+    assert got.diagonal_rays == diagonal_rays
+    assert list(got.diagonal_rays) == list(diagonal_rays)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(SYMMETRIZABLE_B)),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=12),
+)
+def test_bfs_equals_the_eager_reference_on_mutated_seeds(name, walk):
+    seed = initial_seed(SYMMETRIZABLE_B[name])
+    for step in walk:
+        seed = mutate_seed(seed, step % seed.rank)
+    _assert_same_enumeration(seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=6, max_value=8), st.integers(min_value=0))
+def test_bfs_equals_the_eager_reference_on_triangulations(polygon, index):
+    tris = all_triangulations(polygon)
+    tri = tris[index % len(tris)]
+    _assert_same_enumeration(seed_from_triangulation(tri), tri)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "heptagon-fan"])
+def test_bfs_builds_one_seed_per_new_cluster(monkeypatch, name):
+    tri = TRIANGULATION_SEEDS.get(name)
+    seed = DIFFERENTIAL_SEEDS[name]
+    calls = []
+
+    def counting_mutate_seed(s, k):
+        calls.append(k)
+        return mutate_seed(s, k)
+
+    monkeypatch.setattr(clusterfan, "mutate_seed", counting_mutate_seed)
+    enum = enumerate_fan(seed, triangulation=tri)
+    assert len(calls) == len(enum.graph.nodes) - 1

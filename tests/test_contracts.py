@@ -36,6 +36,7 @@ INTEGER_KERNELS = [
     ("polyhedra.py", "_adjugate_int"),
     ("polyhedra.py", "extreme_rays"),
     ("clusterfan.py", "mutate_seed"),
+    ("clusterfan.py", "exchanged_g_vector"),
     ("typecone.py", "dependency_vector"),
     ("typecone.py", "_lineality_reducer"),
     ("typecone.py", "type_cone"),
