@@ -124,7 +124,6 @@ class MeshRelation:
 class ARQuiver:
     quiver: DynkinQuiver
     vertices: tuple
-    arrows: tuple
     meshes: tuple
     projection_vertices: tuple
 
@@ -189,7 +188,6 @@ def knit_ar_quiver(quiver, enable_e=False):
     shift = 1 - min(p[v] for v in verts)  # row v starts at slice p(v)-1+shift >= 0
     p = {v: p[v] + shift for v in verts}
 
-    pdims = projective_dims(quiver)
     idims = injective_dims(quiver)
     inj_lookup = {idims[j]: j for j in verts}
 
@@ -241,18 +239,13 @@ def knit_ar_quiver(quiver, enable_e=False):
         MeshRelation(vid[s], tuple(sorted(vid[m] for m in mids)), vid[e], ci)
         for ci, (s, mids, e) in enumerate(meshes_sorted)
     )
-    arrows = set()
-    for mesh in meshes:
-        for mid in mesh.middles:
-            arrows.add((mesh.start, mid))
-            arrows.add((mid, mesh.end))
     projections = [None] * n
     for i, v in enumerate(vertices):
         if v.injective_index is not None:
             projections[v.injective_index - 1] = i
     if any(x is None for x in projections):
         raise SingularSystem("knitting did not reach every injective")
-    return ARQuiver(quiver, vertices, tuple(sorted(arrows)), meshes, tuple(projections))
+    return ARQuiver(quiver, vertices, meshes, tuple(projections))
 
 
 @dataclass(frozen=True)

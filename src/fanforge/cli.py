@@ -118,11 +118,9 @@ def cmd_graph(args):
     if args.annotate:
         labels = {}
         for w in typecone.walls(enum.fan):
-            dep = typecone.wall_dependency(enum.fan, w)
+            coeffs = typecone.wall_dependency(enum.fan, w).middle_coeffs
             key = tuple(sorted(w.exchanged))
-            mids = "+".join(
-                f"{dep.middle_coeffs[s]}*h{s}" for s in w.shared if dep.middle_coeffs[s]
-            )
+            mids = "+".join(f"{x}*h{s}" for s, x in coeffs.items() if x)
             labels[key] = f"h{key[0]}+h{key[1]}>{mids or '0'}"
     _write_out(enum.graph.to_dot(labels), args.output)
     return 0

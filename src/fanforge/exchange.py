@@ -89,7 +89,8 @@ def relative_ar_meshes(tri, enumeration=None):
 
     The diagonal -> ray dictionary comes from the tracked fan enumeration
     started at the triangulation's seed; pass the enumeration in when it has
-    already been computed.
+    already been computed. An enumeration started anywhere else, where the
+    k-th diagonal of tri is not the k-th unit ray, raises ValueError.
     """
     if enumeration is None:
         enumeration = enumerate_fan(seed_from_triangulation(tri), triangulation=tri)
@@ -98,6 +99,9 @@ def relative_ar_meshes(tri, enumeration=None):
     ray_index = {ray: i for i, ray in enumerate(fan.rays)}
     m = tri.polygon_size
     n = m - 3
+    for k, d in enumerate(tri.diagonals):
+        if diag_ray.get(d) != tuple(int(i == k) for i in range(n)):
+            raise ValueError("the enumeration was not started at this triangulation")
     initial = set(tri.diagonals)
     meshes = []
     excluded_count = 0
@@ -128,16 +132,17 @@ def verify_mutation_theorem(fan, graph):
 
     Checks (i) every wall borders exactly two maximal cones (unique
     complement), (ii) the exchange graph is n-regular and connected, and
-    (iii) each wall dependency with alpha = alpha' = 1 is an exact integer
-    exchange relation whose middle terms are supported on the shared rays.
+    (iii) each wall dependency with alpha = alpha' = 1 is an exchange
+    relation r + r' = sum(c_s s) over the shared rays with integer
+    coefficients c_s: its integer identity det*(r + r') = sum(lambda_s s)
+    holds and det divides every lambda_s.
     """
     unique_complement = all(
         len(cones) == 2 for cones in fan.wall_subsets().values()
     )
     regular = graph.is_regular(fan.dim)
     connected = graph.is_connected()
-    wall_list = walls(fan)
-    deps = [wall_dependency(fan, w) for w in wall_list]
+    deps = [wall_dependency(fan, w) for w in walls(fan)]
     unit_walls = 0
     integral = True
     for dep in deps:
@@ -150,16 +155,16 @@ def verify_mutation_theorem(fan, graph):
                 sum(x * fan.rays[s][i] for x, s in zip(lam, w.shared))
                 for i in range(fan.dim)
             ]
-            if [det * (x + y) for x, y in zip(r, r2)] != combo:
+            if any(x % det for x in lam) or [det * (x + y) for x, y in zip(r, r2)] != combo:
                 integral = False
     report = {
         "unique_complement": unique_complement,
         "regular": regular,
         "connected": connected,
         "exchange_relations_integral": integral,
-        "walls_checked": len(wall_list),
+        "walls_checked": len(deps),
         "walls_with_unit_coefficients": unit_walls,
-        "uerp": unique_exchange_check(fan, wall_list, deps)["holds"],
+        "uerp": unique_exchange_check(fan, deps)["holds"],
     }
     report["holds"] = (
         unique_complement and regular and connected and integral

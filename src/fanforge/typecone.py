@@ -1,12 +1,12 @@
 """Walls, normalized linear dependencies, and McMullen type cones.
 
-A wall's dependency is read off the integer adjugate of one of its two
-cones, the same per-cone data that :meth:`Fan.validate` builds and caches:
-if det.r' = sum lambda_k a_k over that cone's rays a_k, the dependency is
-that identity scaled to alpha + alpha' = 2. No wall runs an elimination of
-its own. The type cone and the unique exchange check read the identity's
-primitive integer normal instead; Fractions appear only in the normalized
-coefficients and in the report of a failed check.
+A wall is an (n-1)-subset of the fan's cone table and the two cones listed
+under it. Its dependency is read off the integer adjugate of one of those
+cones, the per-cone data that :meth:`Fan.validate` builds and caches:
+det.r' = sum lambda_k a_k over the cone's rays a_k, kept in integers. The
+type cone, the unique exchange check and the mutation theorem read that
+identity; Fractions appear only when its coefficients are read normalized
+to alpha + alpha' = 2, and in the report of a failed check.
 
 The type cone lives in R^N and has an n-dimensional lineality space (the
 span of the ray-matrix columns), so facet extraction works in the quotient:
@@ -18,8 +18,9 @@ inequalities strictly and its own with equality.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     DegenerateWall,
@@ -43,44 +44,48 @@ class Wall:
 
 @dataclass(frozen=True)
 class LinearDependency:
-    """alpha*r + alpha_prime*r' = sum alpha_i s_i with alpha + alpha_prime = 2
-    and both positive; middle_coeffs maps shared ray index -> alpha_i.
-
-    integer_form is the unscaled integer identity the Fractions are read
-    from: (det, lambdas) with det > 0 and det*r' = lambdas[0]*r +
-    sum(lambdas[1 + i] * shared[i])."""
+    """The dependency across a wall as one integer identity, integer_form =
+    (det, lambdas): det > 0 and det*r' = lambdas[0]*r + sum(lambdas[1 + i] *
+    shared[i]). alpha, alpha_prime and middle_coeffs (shared ray -> alpha_i,
+    in shared-ray order) are computed on each read, as Fractions normalized
+    to alpha*r + alpha_prime*r' = sum alpha_i s_i, alpha + alpha_prime = 2."""
 
     wall: Wall
-    alpha: Fraction
-    alpha_prime: Fraction
-    middle_coeffs: dict
-    integer_form: tuple = field(compare=False, repr=False)
+    integer_form: tuple
+
+    def _normalized(self, x):
+        det, (a, *_) = self.integer_form
+        return Fraction(2 * x, det - a)
+
+    @property
+    def alpha(self):
+        return self._normalized(-self.integer_form[1][0])
+
+    @property
+    def alpha_prime(self):
+        return self._normalized(self.integer_form[0])
+
+    @property
+    def middle_coeffs(self):
+        lam = self.integer_form[1][1:]
+        return {s: self._normalized(x) for s, x in zip(self.wall.shared, lam)}
 
 
 def walls(fan):
-    """All walls of the fan in canonical order (by cone index pair)."""
-    out = []
-    for (a, b) in _adjacent_pairs(fan):
-        cone_a, cone_b = fan.maximal_cones[a], fan.maximal_cones[b]
-        shared = tuple(sorted(set(cone_a) & set(cone_b)))
-        r = next(i for i in cone_a if i not in shared)
-        r2 = next(i for i in cone_b if i not in shared)
-        out.append(Wall(a, b, shared, (r, r2)))
-    return out
-
-
-def _adjacent_pairs(fan):
-    seen = set()
-    incidence = fan.wall_subsets()
-    for _sub, cones in sorted(incidence.items()):
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                seen.add((cones[i], cones[j]))
-    return sorted(seen)
+    """All walls of the fan in canonical order (by cone index pair). Each
+    (n-1)-subset of the cone table is the shared face of every pair of cones
+    listed under it; two distinct cones share at most one such subset."""
+    cones = fan.maximal_cones
+    out = [
+        Wall(a, b, sub, tuple(next(i for i in cones[c] if i not in sub) for c in (a, b)))
+        for sub, incident in fan.wall_subsets().items()
+        for a, b in combinations(incident, 2)
+    ]
+    return sorted(out, key=lambda w: (w.cone_a, w.cone_b))
 
 
 def wall_dependency(fan, wall):
-    """The unique linear dependency across a wall, scaled to alpha+alpha'=2.
+    """The unique linear dependency across a wall, as its integer identity.
 
     Cone A = {r} + shared is nonsingular (Fan.__init__ checks every maximal
     cone), so the rays r, r' and shared have a one-dimensional kernel and
@@ -101,12 +106,7 @@ def wall_dependency(fan, wall):
         raise DegenerateWall(
             f"exchanged rays of wall {wall.exchanged} are not on opposite sides"
         )
-    den = det - a
-    middles = {s: Fraction(2 * lam[s], den) for s in wall.shared}
-    lambdas = (a, *(lam[s] for s in wall.shared))
-    return LinearDependency(
-        wall, Fraction(-2 * a, den), Fraction(2 * det, den), middles, (det, lambdas)
-    )
+    return LinearDependency(wall, (det, (a, *(lam[s] for s in wall.shared))))
 
 
 def dependency_vector(fan, dep):
@@ -123,17 +123,15 @@ def dependency_vector(fan, dep):
     return primitive(vec)
 
 
-def unique_exchange_check(fan, wall_list=None, dependencies=None):
+def unique_exchange_check(fan, dependencies=None):
     """Group walls by exchanged ray pair and compare the full dependency
     vectors (the strictest reading); equal primitive integer normals are
     equal normalized dependencies. A group that fails is reported with its
     vectors normalized to alpha + alpha' = 2, and the weaker reading,
     equality only on the walls' common supports, is reported alongside
     whenever the two disagree."""
-    if wall_list is None:
-        wall_list = walls(fan)
     if dependencies is None:
-        dependencies = [wall_dependency(fan, w) for w in wall_list]
+        dependencies = [wall_dependency(fan, w) for w in walls(fan)]
     groups = {}
     for dep in dependencies:
         key = tuple(sorted(dep.wall.exchanged))

@@ -1,21 +1,25 @@
 """The benchmark's byte oracle, run in process: `fan`, `typecone` and, on
 the rungs that list them, `abhy` reproduce every sha256 digest in
 perfbench/digests.json. The digest file is only read. The exchange graph's
-DOT bytes (`fan --graph-out`, `graph --annotate`) are pinned below."""
+DOT bytes (`fan --graph-out`, `graph --annotate`), the `typecone --report`
+lines of three non-simply-laced or triangulation seeds and the stdout of
+every demo are pinned below."""
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fanforge.cli import main
 
-DIGESTS = json.loads(
-    (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text())
 RUNGS = sorted({key.split("/")[0] for key in DIGESTS})
 
 
@@ -100,3 +104,45 @@ def test_annotated_graph_matches_the_recorded_digest(tmp_path, name):
     dot = tmp_path / "graph.dot"
     argv = ["graph", *_seed_args(tmp_path, name), "--annotate", "-o", dot]
     assert _digest(argv, dot) == ANNOTATED[name]
+
+
+# `typecone --report` stdout and exit code, recorded before the wall layer
+# kept one integer identity per wall.
+REPORTS = {
+    "G2": "facets=6 expected=6 uerp=true\n",
+    "B3": "facets=9 expected=9 uerp=true\n",
+    "heptagon": "facets=10 expected=10 uerp=true\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_typecone_report_matches_the_recorded_line(tmp_path, name):
+    fan = tmp_path / "fan.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fan", *_seed_args(tmp_path, name), "-o", str(fan)]) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["typecone", "--fan", str(fan), "--report"]) == 0
+    assert out.getvalue() == REPORTS[name]
+
+
+# sha256 of each demo's stdout, recorded with the digests above. Demo 03
+# prints a wall's normalized coefficients (alpha, alpha', middle_coeffs).
+DEMO_DIGESTS = {
+    "01_pentagon_from_mesh_equations.py": "2df1cea17667bb6db716b0e650b9c662907e372beed2566d8a6aa04a160aef14",
+    "02_enumerate_gvector_fans.py": "baf80ee9eb2163d4a575578e47a4d23db23fe8b4c7008b89cfdd979fe75775c1",
+    "03_type_cones_and_realizations.py": "b7ee82aab5f0acca307fe4d4e386c1b61d5a1d62f90a64e24db69cd6af1aedfa",
+    "04_ar_mesh_cross_check.py": "8f7da3184e188956e9115c7426811634dd82f9f241e96987770d261e4d081623",
+    "05_exact_polyhedra_toolkit.py": "d379a6c12adc2879f03ee40ab814251f9a74c00a3e523aece00d00d091c002fc",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_DIGESTS))
+def test_demo_stdout_matches_the_recorded_digest(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], capture_output=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == DEMO_DIGESTS[demo]

@@ -40,6 +40,8 @@ INTEGER_KERNELS = [
     ("typecone.py", "dependency_vector"),
     ("typecone.py", "_lineality_reducer"),
     ("typecone.py", "type_cone"),
+    ("typecone.py", "wall_dependency"),
+    ("exchange.py", "verify_mutation_theorem"),
 ]
 
 

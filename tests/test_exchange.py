@@ -1,6 +1,7 @@
 import pytest
 
 from fanforge.clusterfan import (
+    ExchangeGraph,
     Triangulation,
     all_triangulations,
     enumerate_fan,
@@ -14,7 +15,8 @@ from fanforge.exchange import (
     verify_mutation_theorem,
 )
 from fanforge.linalg import primitive
-from fanforge.typecone import type_cone
+from fanforge.polyhedra import Fan
+from fanforge.typecone import type_cone, walls
 
 
 def fan_triangulation(polygon):
@@ -115,3 +117,29 @@ def test_verify_mutation_theorem_a1():
     report = verify_mutation_theorem(enum.fan, enum.graph)
     assert report["holds"]
     assert report["walls_checked"] == 1
+
+
+def test_relative_meshes_reject_an_enumeration_from_another_triangulation():
+    start = Triangulation(6, [(1, 3), (1, 4), (1, 5)])
+    enum = enumerate_fan(seed_from_triangulation(start), triangulation=start)
+    with pytest.raises(ValueError, match="not started at this triangulation"):
+        relative_ar_meshes(Triangulation(6, [(2, 4), (2, 5), (2, 6)]), enum)
+    untracked = enumerate_fan(seed_from_triangulation(start))
+    with pytest.raises(ValueError, match="not started at this triangulation"):
+        relative_ar_meshes(start, untracked)
+
+
+def test_verify_mutation_theorem_rejects_a_half_integer_exchange_relation():
+    # Equator square and two poles; across the wall spanned by (1,1,0) and
+    # (1,-1,0) the poles satisfy r + r' = (1,0,0) = s1/2 + s2/2, a unit wall
+    # whose coefficients are not integers (its cones have determinant 2).
+    rays = [(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0), (1, 0, 1), (0, 0, -1)]
+    cones = [(i, (i + 1) % 4, pole) for pole in (4, 5) for i in range(4)]
+    fan = Fan(3, rays, cones)
+    fan.validate()
+    edges = tuple((w.cone_a, w.cone_b, w.exchanged) for w in walls(fan))
+    report = verify_mutation_theorem(fan, ExchangeGraph(fan.maximal_cones, edges))
+    assert report["regular"] and report["connected"] and report["unique_complement"]
+    assert report["walls_with_unit_coefficients"] > 0
+    assert not report["exchange_relations_integral"]
+    assert not report["holds"]
