@@ -167,22 +167,14 @@ def cmd_realize(args):
                 raise ValueError("the type cone and the fan differ in their number of rays")
         else:
             tc = typecone.type_cone(fan)
-        c = (
-            _parse_fraction_list(args.c)
-            if args.c
-            else [Fraction(1)] * (fan.n_rays - fan.dim)
-        )
+        c = _parse_fraction_list(args.c) if args.c else [Fraction(1)] * (fan.n_rays - fan.dim)
         poly, _cert = typecone.qc_polytope(fan, tc, c)
     # the heights or a type cone file may be wrong: prove the polytope
     # realizes the fan before writing it
     try:
-        vp = polyhedra.vertices(poly)
-        realizes = polyhedra.fan_eq(polyhedra.normal_fan(vp), fan)
-    except (FanforgeError, ValueError) as exc:
+        vp = polyhedra.realization(fan, poly.bounds)
+    except ValueError as exc:
         print(f"realization failed: {exc}")
-        return 1
-    if not realizes:
-        print("realization failed: the normal fan of the polytope differs from the fan")
         return 1
     _write_out(polyhedra.write_roff(vp), args.output)
     return 0
@@ -190,27 +182,23 @@ def cmd_realize(args):
 
 def cmd_verify(args):
     fan = polyhedra.fan_from_json(_read_in(args.fan))
+    fan.validate()
     verts, facet_lists = polyhedra.parse_roff(_read_in(args.polytope))
+    if len(verts[0]) != fan.dim:
+        raise ValueError(f"the polytope lives in R^{len(verts[0])}, the fan in R^{fan.dim}")
     try:
-        nf = polyhedra.roff_normal_fan(verts, facet_lists)
-    except (FanforgeError, ValueError) as exc:
+        polyhedra.roff_realization(fan, verts, facet_lists)
+    except ValueError as exc:
         print(f"verification failed: {exc}")
         return 1
-    if polyhedra.fan_eq(nf, fan):
-        print("verified: normal fan of the polytope equals the fan")
-        return 0
-    print("verification failed: normal fan differs from the fan")
-    return 1
+    print("verified: normal fan of the polytope equals the fan")
+    return 0
 
 
 def cmd_abhy(args):
     quiver = _quiver_from_args(args)
     ar = arquiver.knit_ar_quiver(quiver, enable_e=args.enable_e)
-    c = (
-        _parse_fraction_list(args.c)
-        if args.c
-        else [Fraction(1)] * len(ar.meshes)
-    )
+    c = _parse_fraction_list(args.c) if args.c else [Fraction(1)] * len(ar.meshes)
     lines = []
     lines.append("# coordinate dictionary (id, slice, tree vertex, label, kind)")
     for row in ar.coordinate_dictionary():

@@ -1,8 +1,8 @@
 """Exact polyhedral primitives: fans, H/V-polytopes, normal fans.
 
 Everything is computed over exact rationals; tolerance is identically zero.
-Every cone question (vertices, facets, type cones) goes through one
-routine, :func:`extreme_rays`, an incremental double description on integer
+Cone questions (vertices, facets, type cones) go through one routine,
+:func:`extreme_rays`, an incremental double description on integer
 vectors with the combinatorial adjacency test of Fukuda and Prodon, "Double
 description method revisited" (1996), which also returns the constraints
 tight on each ray. Incidence is kept as int bitmasks (bit i for constraint,
@@ -13,7 +13,8 @@ a vertex iff it is the only point on all of its facets. Vertex enumeration
 stays in integers up to its output: full-dimensionality is the integer rank
 of the homogeneous rays, and each vertex becomes a Fraction tuple once.
 Fan completeness is proved by a wall-and-degree certificate in
-:meth:`Fan.validate`.
+:meth:`Fan.validate`, and :func:`realization` proves that P_h realizes such
+a fan with one certificate per cone, with no double description.
 """
 
 import json
@@ -27,9 +28,7 @@ from .linalg import (
     _echelon,
     det_int,
     dot,
-    kernel_basis,
     primitive,
-    rank,
     scale_rows_int,
     transpose,
 )
@@ -287,10 +286,10 @@ class VPolytope:
     """Vertex list in canonical (lexicographic) order.
 
     Producers guarantee irredundancy; ``normal_fan`` re-checks it. A vertex
-    enumeration records the contact set of each row it started from, as a
-    dict (primitive integer normal, offset) -> bitmask of vertex indices
-    (bit j for vertices[j]), from which facet extraction then selects the
-    facets.
+    enumeration or :func:`realization` records the contact set of each row
+    it started from, as a dict (integer normal, offset) -> bitmask of vertex
+    indices (bit j for vertices[j]), from which facet extraction then
+    selects the facets.
     """
 
     vertices: tuple
@@ -336,7 +335,7 @@ def vertices(p):
     n = p.dim
     if n == 0 or not a_rows:
         raise Unbounded("no constraints: feasible set is all of R^n")
-    if rank(a_rows) < n:
+    if len(_echelon([row[:] for row in a_rows])) < n:
         raise Unbounded("constraint matrix is rank deficient")
     cone = [[-x for x in row] + [bi] for row, bi in zip(a_rows, b)]
     cone.append([0] * n + [1])
@@ -346,7 +345,7 @@ def vertices(p):
             raise Unbounded(f"recession direction {list(ray[:n])} exists")
     if not rays:
         raise Empty("no feasible point")
-    if rank(list(rays)) != n + 1:
+    if len(_echelon([list(ray) for ray in rays])) != n + 1:
         raise DimensionDeficient("polytope has no interior point")
     verts = [tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray in rays]
     order = _lex_order(verts)
@@ -375,7 +374,7 @@ def facet_description(vp):
     candidates = vp.contacts
     if candidates is None:
         valid = scale_rows_int([[-x for x in v] + [1] for v in pts])
-        if rank(valid) != n + 1:
+        if len(_echelon([row[:] for row in valid])) != n + 1:
             raise DimensionDeficient("polytope is not full-dimensional")
         candidates = {(ray[:n], ray[n]): tight for ray, tight in extreme_rays(valid, n + 1).items()}
     keys = list(candidates)
@@ -409,6 +408,28 @@ def p_h(fan, h):
     if len(h) != fan.n_rays:
         raise ValueError(f"height vector must have length {fan.n_rays}")
     return HPolytope(fan.rays, h)
+
+
+def realization(fan, h):
+    """P_h = {x : Gx <= h} as a VPolytope proved to have the validated fan as
+    its normal fan, or ValueError. By Chapoton, Fomin and Zelevinsky (Canad.
+    Math. Bull. 2002) it has iff for each maximal cone C the point
+    x_C = G_C^-1 h_C satisfies every other ray's inequality strictly; x_C is
+    then the vertex with normal cone C. With h scaled to integers and (adj,
+    det) the cone's cached adjugate, x = adj^T h_C is det x_C, and the check
+    is det h_r > r . x. Facet (r, h_r) holds the x_C with r in C."""
+    if len(h) != fan.n_rays:
+        raise ValueError(f"height vector must have length {fan.n_rays}")
+    *h_int, s = primitive([*h, 1])
+    points = []
+    for cone, (adj, det) in zip(fan.maximal_cones, fan._cone_data()):
+        x = [dot(col, [h_int[i] for i in cone]) for col in zip(*adj)]
+        if any(i not in cone and det * h_int[i] <= dot(r, x) for i, r in enumerate(fan.rays)):
+            raise ValueError("the normal fan of the polytope differs from the fan")
+        points.append(tuple(Fraction(xk, det * s) for xk in x))
+    order = _lex_order(points)
+    contacts = row_contacts([sum(1 << i for i in fan.maximal_cones[k]) for k in order], fan.n_rays)
+    return VPolytope([points[k] for k in order], dict(zip(zip(fan.rays, h), contacts)))
 
 
 def fan_eq(f1, f2):
@@ -503,28 +524,16 @@ def parse_roff(text):
     return verts, facets
 
 
-def roff_normal_fan(verts, facet_lists):
-    """Normal fan of the polytope that ROFF data describes. Each facet's
-    hyperplane comes from its vertex set, oriented away from a vertex off
-    it; these halfspaces must have exactly the file's vertices and facet
-    lists, up to vertex order, or ValueError or a FanforgeError is raised."""
-    rows, bounds = [], []
-    for fl in facet_lists:
-        base = verts[fl[0]]
-        kb = kernel_basis([[x - y for x, y in zip(verts[i], base)] for i in fl])
-        if len(kb) != 1:
-            raise ValueError("facet vertex set does not span a hyperplane")
-        normal = kb[0]
-        offset = dot(normal, base)
-        if next((dot(normal, v) > offset for i, v in enumerate(verts) if i not in fl), False):
-            normal, offset = tuple(-x for x in normal), -offset
-        rows.append(normal)
-        bounds.append(offset)
-    vp = vertices(HPolytope(rows, bounds))
-    if sorted(verts) != list(vp.vertices):
-        raise ValueError("the facet halfspaces have other vertices than the file")
+def roff_realization(fan, verts, facet_lists):
+    """The polytope of ROFF data in R^fan.dim, proved to realize the validated
+    fan, or ValueError: it is P_h for its heights h_r = max r.v over its
+    vertices v, with the file's vertices and facet lists up to vertex order."""
+    den = lcm(*(x.denominator for v in verts for x in v))
+    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in verts]
+    vp = realization(fan, [Fraction(max(dot(r, v) for v in scaled), den) for r in fan.rays])
     position = {v: j for j, v in enumerate(vp.vertices)}
-    given = sorted(sorted(position[verts[i]] for i in fl) for fl in facet_lists)
-    if given != sorted(facet_description(vp)[2]):
-        raise ValueError("the facet lists are not the facets of the polytope")
-    return normal_fan(vp)
+    index = [position.get(v, -1) for v in verts]
+    given = sorted(sorted(index[i] for i in fl) for fl in facet_lists)
+    if sorted(index) != list(range(len(position))) or given != sorted(facet_description(vp)[2]):
+        raise ValueError("the file's vertices and facets are not those of the polytope")
+    return vp

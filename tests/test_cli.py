@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fanforge import polyhedra
 from fanforge.cli import main
 
 
@@ -533,3 +534,61 @@ def test_verify_rejects_roff_that_disagrees_with_its_own_halfspaces(tmp_path, ca
     code, out, _ = run(capsys, ["verify", "--fan", str(fan_path), "--polytope", str(bad)])
     assert code == 1
     assert out.startswith("verification failed")
+
+
+def test_verify_of_an_incomplete_fan_is_input_error(tmp_path, capsys):
+    # the A2 fan without one of its five cones, against the A2 realization
+    fan_path, lines = a2_roff(tmp_path, capsys)
+    fan = json.loads(fan_path.read_text())
+    fan["cones"] = fan["cones"][1:]
+    holed, off_path = tmp_path / "holed.json", tmp_path / "a2.off"
+    holed.write_text(json.dumps(fan))
+    off_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, ["verify", "--fan", str(holed), "--polytope", str(off_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fanforge: error: wall condition violated") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fan_rank, polytope_rank", [(2, 3), (3, 2)])
+def test_verify_of_a_polytope_in_another_dimension_is_input_error(
+    tmp_path, capsys, fan_rank, polytope_rank
+):
+    paths = {}
+    for n in {fan_rank, polytope_rank}:
+        paths[n] = tmp_path / f"a{n}.json", tmp_path / f"a{n}.off"
+        run(capsys, ["fan", "--type", "A", "--rank", str(n), "-o", str(paths[n][0])])
+        run(capsys, ["realize", "--fan", str(paths[n][0]), "-o", str(paths[n][1])])
+    argv = ["verify", "--fan", str(paths[fan_rank][0]), "--polytope", str(paths[polytope_rank][1])]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"fanforge: error: the polytope lives in R^{polytope_rank}, the fan in R^{fan_rank}\n"
+    )
+
+
+HEPTAGON_SEED = {"triangulation": {"polygon": 7, "diagonals": [[1, 3], [3, 7], [3, 6], [4, 6]]}}
+
+
+@pytest.mark.parametrize("seed", [("A", 3), ("D", 4), HEPTAGON_SEED], ids=["A3", "D4", "heptagon"])
+def test_realize_and_verify_run_no_double_description(tmp_path, capsys, monkeypatch, seed):
+    fan, tc, off = (tmp_path / name for name in ("fan.json", "tc.json", "p.off"))
+    if isinstance(seed, dict):
+        seed_path = tmp_path / "seed.json"
+        seed_path.write_text(json.dumps(seed))
+        seed_args = ["--seed", str(seed_path)]
+    else:
+        seed_args = ["--type", seed[0], "--rank", str(seed[1])]
+    assert run(capsys, ["fan", *seed_args, "-o", str(fan)])[0] == 0
+    assert run(capsys, ["typecone", "--fan", str(fan), "-o", str(tc)])[0] == 0
+
+    def no_double_description(*_args):
+        raise AssertionError("extreme_rays was called")
+
+    monkeypatch.setattr(polyhedra, "extreme_rays", no_double_description)
+    argv = ["realize", "--fan", str(fan), "--typecone", str(tc), "-o", str(off)]
+    assert run(capsys, argv) == (0, "", "")
+    code, out, _ = run(capsys, ["verify", "--fan", str(fan), "--polytope", str(off)])
+    assert code == 0
+    assert out == "verified: normal fan of the polytope equals the fan\n"

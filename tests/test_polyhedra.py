@@ -6,8 +6,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fanforge.arquiver import dynkin_tree_edges
 from fanforge.clusterfan import enumerate_fan, initial_seed, mutate_seed
-from fanforge.errors import DimensionDeficient, Empty, InconsistentSystem, Unbounded
+from fanforge.errors import (
+    DimensionDeficient,
+    Empty,
+    FanforgeError,
+    InconsistentSystem,
+    Unbounded,
+)
 from fanforge.linalg import det_int, dot, kernel_basis, primitive, rank, scale_rows_int, solve
 from fanforge.polyhedra import (
     Fan,
@@ -21,10 +28,19 @@ from fanforge.polyhedra import (
     normal_fan,
     p_h,
     parse_roff,
+    realization,
+    roff_realization,
     vertices,
     write_roff,
 )
-from fanforge.typecone import _lineality_reducer, dependency_vector, type_cone, wall_dependency, walls
+from fanforge.typecone import (
+    _lineality_reducer,
+    dependency_vector,
+    qc_polytope,
+    type_cone,
+    wall_dependency,
+    walls,
+)
 from test_linalg import rref
 
 
@@ -171,12 +187,11 @@ def test_normal_fan_segment():
 
 
 def test_roff_roundtrip_segment():
-    vp = vertices(HPolytope([(1,), (-1,)], (1, 0)))
-    from fanforge.polyhedra import roff_normal_fan
-
+    fan = Fan(1, [(1,), (-1,)], [(0,), (1,)])
+    vp = realization(fan, (1, 0))
+    assert vp.vertices == ((0,), (1,))
     verts, facets = parse_roff(write_roff(vp))
-    fan = roff_normal_fan(verts, facets)
-    assert fan.n_rays == 2
+    assert roff_realization(fan, verts, facets) == vp
 
 
 def test_p_h_length_check():
@@ -628,3 +643,148 @@ def test_extreme_ray_masks_on_homogenized_hpolytope_cones(p):
     else:
         with pytest.raises(InconsistentSystem):
             extreme_rays(cone, p.dim + 1)
+
+
+# --- realization and roff_realization against the double-description route
+
+
+@st.composite
+def oriented_ad_fans(draw):
+    """Validated g-vector fans of A1-A5, D4 and D5 seeds with a random
+    orientation of the Dynkin tree, mutated along a random walk of up to
+    three steps."""
+    type_, n = draw(st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]))
+    b = [[0] * n for _ in range(n)]
+    for s, t in dynkin_tree_edges(type_, n):
+        if draw(st.booleans()):
+            s, t = t, s
+        b[t - 1][s - 1], b[s - 1][t - 1] = 1, -1
+    seed = initial_seed(b)
+    for k in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3)):
+        seed = mutate_seed(seed, k)
+    fan = enumerate_fan(initial_seed(seed.b_matrix)).fan
+    fan.validate()
+    return fan
+
+
+@st.composite
+def heights_for(draw, fan):
+    """Heights inside the type cone (Kh = c for a random positive c), the
+    violated heights h0 - (1 + t) w_f of criterion 4 (Kh0 = 1, Kw_f = e_f,
+    t >= 0, so t = 0 lies on facet f), or small random integers."""
+    kind = draw(st.sampled_from(["inside", "violated", "random"]))
+    if kind == "random":
+        coords = st.integers(min_value=-1, max_value=3)
+        return draw(st.lists(coords, min_size=fan.n_rays, max_size=fan.n_rays))
+    tc = type_cone(fan)
+    m = tc.n_facets
+    if kind == "inside":
+        ratio = st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=3)
+        return qc_polytope(fan, tc, draw(st.lists(ratio, min_size=m, max_size=m)))[1].h
+    h0 = qc_polytope(fan, tc, [1] * m)[1].h
+    f = draw(st.integers(min_value=0, max_value=m - 1))
+    w = solve([list(row) for row in tc.facets], [Fraction(int(i == f)) for i in range(m)])
+    t = draw(st.fractions(min_value=0, max_value=5, max_denominator=2))
+    return [x - (1 + t) * y for x, y in zip(h0, w)]
+
+
+def dd_realization(fan, h):
+    """The reference route: vertices of P_h by double description, accepted
+    iff their normal fan is the fan."""
+    try:
+        vp = vertices(p_h(fan, h))
+        return vp if fan_eq(normal_fan(vp), fan) else None
+    except (FanforgeError, ValueError):
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_realization_agrees_with_the_double_description_route(data):
+    fan = data.draw(oriented_ad_fans())
+    h = data.draw(heights_for(fan))
+    reference = dd_realization(fan, h)
+    try:
+        vp = realization(fan, h)
+    except ValueError:
+        assert reference is None
+    else:
+        assert reference is not None
+        assert write_roff(vp) == write_roff(reference)
+        assert fan_eq(normal_fan(vp), fan)
+
+
+def reference_roff_normal_fan(verts, facet_lists):
+    """The former verify route: each facet's hyperplane from its vertex set,
+    oriented away from a vertex off it; these halfspaces, enumerated by
+    double description, must have exactly the file's vertices and facet
+    lists, up to vertex order."""
+    rows, bounds = [], []
+    for fl in facet_lists:
+        base = verts[fl[0]]
+        kb = kernel_basis([[x - y for x, y in zip(verts[i], base)] for i in fl])
+        if len(kb) != 1:
+            raise ValueError("facet vertex set does not span a hyperplane")
+        normal = kb[0]
+        offset = dot(normal, base)
+        if next((dot(normal, v) > offset for i, v in enumerate(verts) if i not in fl), False):
+            normal, offset = tuple(-x for x in normal), -offset
+        rows.append(normal)
+        bounds.append(offset)
+    vp = vertices(HPolytope(rows, bounds))
+    if sorted(verts) != list(vp.vertices):
+        raise ValueError("the facet halfspaces have other vertices than the file")
+    position = {v: j for j, v in enumerate(vp.vertices)}
+    given = sorted(sorted(position[verts[i]] for i in fl) for fl in facet_lists)
+    if given != sorted(facet_description(vp)[2]):
+        raise ValueError("the facet lists are not the facets of the polytope")
+    return normal_fan(vp)
+
+
+@st.composite
+def roff_mutants(draw, verts, facets):
+    """ROFF data left alone or with one mutation: a vertex dropped (facet
+    lists reindexed, emptied ones dropped), a facet line repeated, a
+    coordinate shifted, the vertex lines permuted, or the centroid added."""
+    kind = draw(st.sampled_from(["none", "drop", "repeat", "shift", "permute", "interior"]))
+    verts, facets = list(verts), list(facets)
+    if kind == "drop":
+        j = draw(st.integers(min_value=0, max_value=len(verts) - 1))
+        del verts[j]
+        facets = [tuple(i - (i > j) for i in fl if i != j) for fl in facets]
+        facets = [fl for fl in facets if fl]
+    elif kind == "repeat":
+        facets.append(draw(st.sampled_from(facets)))
+    elif kind == "shift":
+        j = draw(st.integers(min_value=0, max_value=len(verts) - 1))
+        k = draw(st.integers(min_value=0, max_value=len(verts[j]) - 1))
+        delta = draw(st.sampled_from([Fraction(1), Fraction(-1, 2), Fraction(1, 3)]))
+        verts[j] = tuple(x + delta * (i == k) for i, x in enumerate(verts[j]))
+    elif kind == "permute":
+        order = draw(st.permutations(range(len(verts))))
+        new_index = {old: new for new, old in enumerate(order)}
+        verts = [verts[old] for old in order]
+        facets = [tuple(new_index[i] for i in fl) for fl in facets]
+    elif kind == "interior":
+        verts.append(tuple(sum(col) / len(verts) for col in zip(*verts)))
+    return verts, facets
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_roff_realization_agrees_with_the_double_description_route(data):
+    fan = data.draw(oriented_ad_fans())
+    tc = type_cone(fan)
+    _poly, cert = qc_polytope(fan, tc, [1] * tc.n_facets)
+    verts, facets = parse_roff(write_roff(realization(fan, cert.h)))
+    verts, facets = data.draw(roff_mutants(verts, facets))
+    try:
+        expected = fan_eq(reference_roff_normal_fan(verts, facets), fan)
+    except (FanforgeError, ValueError):
+        expected = False
+    try:
+        roff_realization(fan, verts, facets)
+    except ValueError:
+        assert not expected
+    else:
+        assert expected
