@@ -31,8 +31,8 @@ for diagonals in ([(1, 3), (1, 4), (1, 5)], [(2, 6), (2, 5), (3, 5)], [(1, 3), (
 tri = Triangulation(6, [(1, 3), (1, 4), (1, 5)])
 enum = enumerate_fan(seed_from_triangulation(tri), triangulation=tri)
 mesh = relative_ar_meshes(tri, enum)[0]
-mids = ", ".join(str(m.pair) for m in mesh.middles)
-print(f"\nsample mesh: {mesh.start.pair} -> [{mids}] -> {mesh.end.pair}")
+mids = ", ".join(str(m) for m in mesh.middles)
+print(f"\nsample mesh: {mesh.start} -> [{mids}] -> {mesh.end}")
 
 # Fan-level shadow of silting mutation: unique complements, a regular
 # connected exchange graph, and integer exchange relations on every wall.

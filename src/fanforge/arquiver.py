@@ -141,14 +141,9 @@ class ARQuiver:
         return f"q[{v.slice_index},{v.tree_vertex}]"
 
     def mesh_param_label(self, mesh):
-        """Parameter labels follow the mesh end: c_{i j} for linear type A,
-        positional c[slice,vertex] otherwise."""
-        end = self.vertices[mesh.end]
-        if self.quiver.is_linear_type_a():
-            row = end.tree_vertex
-            m = end.slice_index - (row - 1)
-            return f"c_{{{m + 1} {m + row + 2}}}"
-        return f"c[{end.slice_index},{end.tree_vertex}]"
+        """A parameter is labelled like the mesh's end vertex, with c in
+        place of q: c_{i j} for linear type A, c[slice,vertex] otherwise."""
+        return "c" + self.vertex_label(mesh.end)[1:]
 
     def coordinate_dictionary(self):
         """Table rows (vertex id, slice, tree vertex, label, kind)."""

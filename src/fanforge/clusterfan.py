@@ -17,6 +17,9 @@ not seen before. It raises InfiniteType as soon as a reached seed has
 |b_ij b_ji| > 3 (Fomin-Zelevinsky, "Cluster algebras II", Invent. Math.
 2003, Thm 1.8); for type A it can carry polygon triangulations alongside,
 which yields the diagonal-to-ray dictionary used by the mesh cross-checks.
+A diagonal is a sorted vertex pair (is_diagonal), a flip reads its
+quadrilateral off the triangulation's edges, and the BFS keeps the
+triangulation each flip returns, so every one is validated once.
 """
 
 import json
@@ -82,7 +85,6 @@ class Seed:
     b_matrix: tuple
     g_vectors: tuple
     c_vectors: tuple
-    cluster_ids: tuple
     # positive integer D with d_i b_ij = -d_j b_ji; derived when not given
     symmetrizer: tuple = field(default=None, compare=False, repr=False)
 
@@ -97,19 +99,17 @@ class Seed:
         for k, c in enumerate(self.c_vectors):
             if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
                 raise ValueError(f"c-vector {k} is not sign-coherent")
-        if len(self.cluster_ids) != self.rank:
-            raise ValueError("one cluster id per direction required")
 
     @property
     def rank(self):
         return len(self.b_matrix)
 
 
-def initial_seed(b_matrix, cluster_ids=None):
+def initial_seed(b_matrix):
     """Seed with g = c = identity over the given exchange matrix."""
     b = tuple(tuple(row) for row in b_matrix)
     ident = _identity(len(b))
-    return Seed(b, ident, ident, ident if cluster_ids is None else tuple(cluster_ids))
+    return Seed(b, ident, ident)
 
 
 def exchanged_g_vector(seed, k):
@@ -135,8 +135,7 @@ def mutate_seed(seed, k):
     standard rule; g- and c-vectors mutate by the sign-coherent tropical
     recurrence, and every vector it does not change is shared with the old
     seed. The symmetrizer is passed on unchanged and certifies the new
-    exchange matrix. An involution: mutate_seed(mutate_seed(s, k), k) == s
-    up to cluster ids, and exactly equal when ids are g-vector keyed."""
+    exchange matrix. An involution: mutate_seed(mutate_seed(s, k), k) == s."""
     g_k = exchanged_g_vector(seed, k)
     n = seed.rank
     b, g, c = seed.b_matrix, seed.g_vectors, seed.c_vectors
@@ -159,8 +158,13 @@ def mutate_seed(seed, k):
         )
         for i in range(n)
     )
-    g2, ids = g[:k] + (g_k,) + g[k + 1 :], seed.cluster_ids
-    return Seed(b2, g2, tuple(c2), ids[:k] + (g_k,) + ids[k + 1 :], seed.symmetrizer)
+    return Seed(b2, g[:k] + (g_k,) + g[k + 1 :], tuple(c2), seed.symmetrizer)
+
+
+def is_diagonal(d, polygon_size):
+    """Whether the sorted pair d = (a, b), 1 <= a < b <= polygon_size, joins
+    two vertices that are not adjacent on the polygon's boundary."""
+    return 2 <= d[1] - d[0] <= polygon_size - 2
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,7 @@ class Triangulation:
         for a, b in diags:
             if not (1 <= a < b <= polygon_size):
                 raise ValueError(f"diagonal {(a, b)} endpoints out of range")
-            if b - a < 2 or (a == 1 and b == polygon_size):
+            if not is_diagonal((a, b), polygon_size):
                 raise ValueError(f"{(a, b)} joins adjacent boundary vertices")
         if len(set(diags)) != len(diags):
             raise ValueError("repeated diagonal")
@@ -238,17 +242,20 @@ def seed_from_triangulation(tri):
 
 
 def flip(tri, diagonal):
-    """Replace one diagonal by the other diagonal of its quadrilateral."""
+    """Replace one diagonal by the other diagonal of its quadrilateral, whose
+    two further corners (the apexes) are the vertices joined to both ends
+    of the diagonal: one on each side of it in a triangulation."""
     d = tuple(sorted(diagonal))
     if d not in tri.diagonals:
         raise ValueError(f"{d} is not a diagonal of the triangulation")
-    incident = [t for t in tri.triangles() if d[0] in t and d[1] in t]
-    if len(incident) != 2:
+    m = tri.polygon_size
+    edges = set(tri.diagonals) | {(i, i % m + 1) for i in range(1, m + 1)}
+    joined = [{v for e in edges if x in e for v in e} for x in d]
+    other = tuple(sorted((joined[0] & joined[1]) - set(d)))
+    if len(other) != 2:
         raise InconsistentSystem("diagonal must bound two triangles")
-    quad = sorted(set(incident[0]) | set(incident[1]))
-    other = tuple(sorted(set(quad) - set(d)))
     new_diags = tuple(other if x == d else x for x in tri.diagonals)
-    return Triangulation(tri.polygon_size, new_diags), other
+    return Triangulation(m, new_diags), other
 
 
 @dataclass(frozen=True)
@@ -349,12 +356,13 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     # the start seed's diagonals are distinct, so its pairs cannot disagree
     diagonal_rays = dict(zip(diags, seed.g_vectors)) if triangulation else {}
     start_key = frozenset(seed.g_vectors)
-    states = {start_key: (seed, diags)}
+    # diags lists the diagonals in direction order, tri is the validated
+    # triangulation that flips read
+    states = {start_key: (seed, diags, triangulation)}
     order = [start_key]
     edges = set()
-    poly = triangulation.polygon_size if triangulation else None
     for key in order:
-        s, diags = states[key]
+        s, diags, tri = states[key]
         for k in range(n):
             g_k, g2 = s.g_vectors[k], exchanged_g_vector(s, k)
             key2 = key - {g_k} | {g2}
@@ -362,17 +370,17 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
                 # Seed.__post_init__ checks the mutated g-vectors' unimodularity
                 s2 = mutate_seed(s, k)
                 _check_finite_type(s2.b_matrix, len(states))
-                diags2 = None
+                diags2 = tri2 = None
                 if diags is not None:
-                    # flip() also re-validates the flipped triangulation
-                    _flipped, new_diag = flip(Triangulation(poly, diags), diags[k])
+                    # flip() validates the flipped triangulation, once
+                    tri2, new_diag = flip(tri, diags[k])
                     diags2 = diags[:k] + (new_diag,) + diags[k + 1 :]
                     # s2 shares every other (diagonal, g-vector) pair with s
                     if diagonal_rays.setdefault(new_diag, g2) != g2:
                         raise InconsistentSystem(
                             f"diagonal {new_diag} matched two distinct g-vectors"
                         )
-                states[key2] = (s2, diags2)
+                states[key2] = (s2, diags2, tri2)
                 order.append(key2)
                 if len(states) > budget:
                     raise BudgetExceeded(f"seed BFS exceeded {budget} nodes")
@@ -421,9 +429,9 @@ def all_triangulations(polygon_size):
                 for dr in right:
                     diags = set(dl) | set(dr)
                     for u, v in ((a, apex), (b, apex)):
-                        lo, hi = sorted((u, v))
-                        if hi - lo >= 2 and not (lo == 1 and hi == polygon_size):
-                            diags.add((lo, hi))
+                        d = tuple(sorted((u, v)))
+                        if is_diagonal(d, polygon_size):
+                            diags.add(d)
                     out.append(frozenset(diags))
         return out
 
@@ -460,7 +468,8 @@ def _is_label(value):
 
 def seed_from_json(text):
     """Accept {"b": [[..]], "labels": [..]} or
-    {"triangulation": {"polygon": m, "diagonals": [[a,b],...]}}."""
+    {"triangulation": {"polygon": m, "diagonals": [[a,b],...]}}. Labels are
+    checked but not kept: a cluster is named by its g-vectors."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("seed JSON must be an object")
@@ -477,6 +486,5 @@ def seed_from_json(text):
         int_rows(b, len(b))
         if labels and not (isinstance(labels, list) and all(map(_is_label, labels))):
             raise ValueError("seed 'labels' must list integers, strings or integer lists")
-        ids = tuple(tuple(l) if isinstance(l, list) else l for l in labels) if labels else None
-        return initial_seed(b, cluster_ids=ids), None
+        return initial_seed(b), None
     raise ValueError("seed JSON needs a 'b' matrix or a 'triangulation'")

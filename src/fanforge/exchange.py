@@ -8,79 +8,50 @@ category with the relative structure of an initial triangulation drops
 exactly the n almost-split triangles ending at initial diagonals; the
 remaining N - n mesh relations must reproduce the type cone facets, which is
 the package's independent cross-check of the realization pipeline.
+Diagonals are the sorted vertex pairs of clusterfan, and rotation maps
+pairs to pairs.
 """
 
 from dataclasses import dataclass
 
-from .clusterfan import enumerate_fan, seed_from_triangulation
+from .clusterfan import enumerate_fan, is_diagonal, seed_from_triangulation
 from .errors import InconsistentSystem
 from .typecone import unique_exchange_check, wall_dependency, walls
 
 
-@dataclass(frozen=True)
-class Diagonal:
-    """Chord of the convex m-gon between non-adjacent boundary vertices."""
-
-    a: int
-    b: int
-    polygon_size: int
-
-    def __init__(self, a, b, polygon_size):
-        a, b = sorted((a, b))
-        if not (1 <= a < b <= polygon_size):
-            raise ValueError(f"endpoints {(a, b)} out of range")
-        dist = min(b - a, polygon_size - (b - a))
-        if dist < 2:
-            raise ValueError(f"{(a, b)} joins adjacent boundary vertices")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "polygon_size", polygon_size)
-
-    @property
-    def pair(self):
-        return (self.a, self.b)
-
-    def rotated(self):
-        """Unit rotation of both endpoints (the inverse translation)."""
-        m = self.polygon_size
-        return Diagonal(self.a % m + 1, self.b % m + 1, m)
+def rotated(d, polygon_size):
+    """Unit rotation of both endpoints (the inverse translation)."""
+    return tuple(sorted(x % polygon_size + 1 for x in d))
 
 
 def all_diagonals(polygon_size):
     return [
-        Diagonal(a, b, polygon_size)
+        (a, b)
         for a in range(1, polygon_size + 1)
         for b in range(a + 2, polygon_size + 1)
-        if not (a == 1 and b == polygon_size)
+        if is_diagonal((a, b), polygon_size)
     ]
 
 
 @dataclass(frozen=True)
 class RelativeMesh:
     """Almost-split configuration start -> middles -> end in the cluster
-    category, with end the rotation of start. The mesh is excluded exactly
-    when it is dropped by the relative structure, i.e. when its end is an
-    initial diagonal; the normal is the inequality functional over the fan's
-    ray coordinates (None for excluded meshes)."""
+    category that the relative structure keeps, with end the rotation of
+    start and all diagonals sorted vertex pairs; the normal is the
+    inequality functional over the fan's ray coordinates."""
 
-    start: Diagonal
+    start: tuple
     middles: tuple
-    end: Diagonal
-    excluded: bool
-    normal: tuple = None
+    end: tuple
+    normal: tuple
 
 
 def _corner_cuts(start, polygon_size):
     """The one or two middle diagonals of the mesh from start to rotated."""
     m = polygon_size
-    a, b = start.pair
-    cuts = []
-    for pair in ((a % m + 1, b), (a, b % m + 1)):
-        lo, hi = sorted(pair)
-        dist = min(hi - lo, m - (hi - lo))
-        if dist >= 2:
-            cuts.append(Diagonal(lo, hi, m))
-    return tuple(sorted(cuts, key=lambda d: d.pair))
+    a, b = start
+    cuts = (tuple(sorted(pair)) for pair in ((a % m + 1, b), (a, b % m + 1)))
+    return tuple(sorted(d for d in cuts if is_diagonal(d, m)))
 
 
 def relative_ar_meshes(tri, enumeration=None):
@@ -104,27 +75,24 @@ def relative_ar_meshes(tri, enumeration=None):
             raise ValueError("the enumeration was not started at this triangulation")
     initial = set(tri.diagonals)
     meshes = []
-    excluded_count = 0
+    excluded = 0
     for start in all_diagonals(m):
-        end = start.rotated()
-        middles = _corner_cuts(start, m)
-        excluded = end.pair in initial
-        if excluded:
-            excluded_count += 1
-            meshes.append(RelativeMesh(start, middles, end, True))
+        end = rotated(start, m)
+        if end in initial:
+            excluded += 1
             continue
+        middles = _corner_cuts(start, m)
         normal = [0] * fan.n_rays
-        normal[ray_index[diag_ray[start.pair]]] += 1
-        normal[ray_index[diag_ray[end.pair]]] += 1
+        normal[ray_index[diag_ray[start]]] += 1
+        normal[ray_index[diag_ray[end]]] += 1
         for mid in middles:
-            normal[ray_index[diag_ray[mid.pair]]] -= 1
-        meshes.append(RelativeMesh(start, middles, end, False, tuple(normal)))
-    total = len(meshes)
-    if total != fan.n_rays:
+            normal[ray_index[diag_ray[mid]]] -= 1
+        meshes.append(RelativeMesh(start, middles, end, tuple(normal)))
+    if len(meshes) + excluded != fan.n_rays:
         raise InconsistentSystem("one mesh per diagonal expected")
-    if excluded_count != n:
+    if excluded != n:
         raise InconsistentSystem("the relative structure drops exactly n meshes")
-    return [mesh for mesh in meshes if not mesh.excluded]
+    return meshes
 
 
 def verify_mutation_theorem(fan, graph):

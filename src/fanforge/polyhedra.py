@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionDeficient, Empty, InconsistentSystem, Unbounded
 from .linalg import (
@@ -287,9 +287,9 @@ class VPolytope:
 
     Producers guarantee irredundancy; ``normal_fan`` re-checks it. A vertex
     enumeration or :func:`realization` records the contact set of each row
-    it started from, as a dict (integer normal, offset) -> bitmask of vertex
-    indices (bit j for vertices[j]), from which facet extraction then
-    selects the facets.
+    it started from, as a dict (primitive integer normal, offset) ->
+    bitmask of vertex indices (bit j for vertices[j]), from which facet
+    extraction then selects the facets.
     """
 
     vertices: tuple
@@ -329,7 +329,7 @@ def vertices(p):
     A recession direction reports Unbounded whether or not the region is
     empty. The rays stay integer vectors until the vertex tuples are built:
     the homogeneous rays have rank n + 1 iff the vertices have affine rank
-    n.
+    n. Each row's contact set is keyed by its primitive normal and offset.
     """
     a_rows, b = scale_rows_int(p.ineq_matrix, p.bounds)
     n = p.dim
@@ -350,9 +350,17 @@ def vertices(p):
     verts = [tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray in rays]
     order = _lex_order(verts)
     tight = list(rays.values())
-    keys = [(tuple(row), bi) for row, bi in zip(a_rows, b)]
+    keys = [_facet_key([*row, bi]) for row, bi in zip(a_rows, b)]
     contacts = row_contacts([tight[k] for k in order], len(keys))
     return VPolytope([verts[k] for k in order], dict(zip(keys, contacts)))
+
+
+def _facet_key(row):
+    """(primitive normal, offset) of the integer inequality row (a, beta),
+    which stands for a . x <= beta."""
+    *a, beta = row
+    g = gcd(*a) or 1
+    return tuple(x // g for x in a), Fraction(beta, g)
 
 
 def facet_description(vp):
@@ -376,7 +384,7 @@ def facet_description(vp):
         valid = scale_rows_int([[-x for x in v] + [1] for v in pts])
         if len(_echelon([row[:] for row in valid])) != n + 1:
             raise DimensionDeficient("polytope is not full-dimensional")
-        candidates = {(ray[:n], ray[n]): tight for ray, tight in extreme_rays(valid, n + 1).items()}
+        candidates = {_facet_key(ray): tight for ray, tight in extreme_rays(valid, n + 1).items()}
     keys = list(candidates)
     chosen = facet_rows([k[0] for k in keys], [candidates[k] for k in keys])
     ordered = sorted((keys[k] for k in chosen), key=lambda f: f[0], reverse=True)

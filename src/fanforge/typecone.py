@@ -28,7 +28,7 @@ from .errors import (
     NonPositiveParameter,
     NotSimplicial,
 )
-from .linalg import dot, kernel_basis, primitive, rank, solve, transpose
+from .linalg import _echelon, dot, kernel_basis, primitive, solve, transpose
 from .polyhedra import extreme_rays, facet_rows, p_h, row_contacts
 
 
@@ -314,15 +314,15 @@ def qc_polytope(fan, tc, c):
         raise NotSimplicial(
             f"type cone has {tc.n_facets} facets, expected N - n = {expected}"
         )
-    k_rows = [list(f) for f in tc.k_matrix]
-    if rank(k_rows) != expected:
+    # K's rows are integer facets: their echelon pivots give its rank
+    if len(_echelon([list(f) for f in tc.k_matrix])) != expected:
         raise InconsistentSystem("facet matrix K is rank deficient")
     c = [Fraction(x) for x in c]
     if len(c) != expected:
         raise ValueError(f"need one parameter per facet ({expected})")
     if any(x <= 0 for x in c):
         raise NonPositiveParameter("all parameters must be strictly positive")
-    h = solve(k_rows, c)
+    h = solve(tc.k_matrix, c)
     if h is None:
         raise InconsistentSystem("Kh = c is not solvable")
     cert = SlackCertificate(tuple(h), tuple(c), tc.k_matrix, fan.rays)

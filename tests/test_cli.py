@@ -592,3 +592,16 @@ def test_realize_and_verify_run_no_double_description(tmp_path, capsys, monkeypa
     code, out, _ = run(capsys, ["verify", "--fan", str(fan), "--polytope", str(off)])
     assert code == 0
     assert out == "verified: normal fan of the polytope equals the fan\n"
+
+
+def test_seed_labels_are_checked_but_do_not_change_the_output(tmp_path, capsys):
+    b = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
+    outputs = []
+    for spec in ({"b": b}, {"b": b, "labels": [[1, 0, 0], "x", 3]}):
+        seed_file = tmp_path / "seed.json"
+        seed_file.write_text(json.dumps(spec))
+        dot = tmp_path / "graph.dot"
+        code, out, err = run(capsys, ["fan", "--seed", str(seed_file), "--graph-out", str(dot)])
+        assert (code, err) == (0, "")
+        outputs.append((out, dot.read_text()))
+    assert outputs[0] == outputs[1]

@@ -18,6 +18,7 @@ from fanforge.clusterfan import (
     flip,
     flip_graph,
     initial_seed,
+    is_diagonal,
     mutate_seed,
     seed_from_json,
     seed_from_triangulation,
@@ -248,14 +249,14 @@ def test_seed_carries_its_symmetrizer():
 def test_seed_with_a_wrong_symmetrizer_raises_value_error():
     b = ((0, 1), (-2, 0))
     ident = ((1, 0), (0, 1))
-    assert Seed(b, ident, ident, ident, (2, 1)).symmetrizer == (2, 1)
-    assert Seed(b, ident, ident, ident, (4, 2)) == initial_seed(b)
+    assert Seed(b, ident, ident, (2, 1)).symmetrizer == (2, 1)
+    assert Seed(b, ident, ident, (4, 2)) == initial_seed(b)
     for d in [(1, 1), (1, 2), (0, 0), (-2, -1), (2,), (2, 1, 1)]:
         with pytest.raises(ValueError):
-            Seed(b, ident, ident, ident, d)
+            Seed(b, ident, ident, d)
     # a nonzero diagonal entry is not symmetrized by any D
     with pytest.raises(ValueError):
-        Seed(((1, 0), (0, 0)), ident, ident, ident, (1, 1))
+        Seed(((1, 0), (0, 0)), ident, ident, (1, 1))
 
 
 def test_mutation_rejects_a_seed_whose_symmetrizer_was_replaced():
@@ -280,7 +281,7 @@ def test_carried_symmetrizer_matches_a_fresh_derivation(name, walk):
         assert seed.symmetrizer == _symmetrizer(seed.b_matrix)
 
 
-def _row_major_mutation(b, g, c, ids, k):
+def _row_major_mutation(b, g, c, k):
     """Reference mutation on the g- and c-matrices, whose columns are the
     g- and c-vectors: the matrix form of the tropical recurrence,
     g' = g.Jg and c' = c.Jc, one entry at a time."""
@@ -308,9 +309,7 @@ def _row_major_mutation(b, g, c, ids, k):
             else:
                 s = (b[i][k] > 0) - (b[i][k] < 0)
                 b2[i][j] = b[i][j] + s * max(0, b[i][k] * b[k][j])
-    ids = list(ids)
-    ids[k] = tuple(g2[i][k] for i in range(n))
-    return tuple(map(tuple, b2)), tuple(map(tuple, g2)), tuple(map(tuple, c2)), tuple(ids)
+    return tuple(map(tuple, b2)), tuple(map(tuple, g2)), tuple(map(tuple, c2))
 
 
 def _transpose(vectors):
@@ -336,43 +335,35 @@ DIFFERENTIAL_SEEDS = {
 )
 def test_mutation_equals_the_row_major_reference(name, walk):
     seed = DIFFERENTIAL_SEEDS[name]
-    b, g, c, ids = seed.b_matrix, seed.g_vectors, seed.c_vectors, seed.cluster_ids
+    b, g, c = seed.b_matrix, seed.g_vectors, seed.c_vectors
     g, c = _transpose(g), _transpose(c)
     symmetrizer = seed.symmetrizer
     for step in walk:
         k = step % seed.rank
         seed = mutate_seed(seed, k)
-        b, g, c, ids = _row_major_mutation(b, g, c, ids, k)
+        b, g, c = _row_major_mutation(b, g, c, k)
         assert seed.b_matrix == b
         assert _transpose(seed.g_vectors) == g
         assert _transpose(seed.c_vectors) == c
-        assert seed.cluster_ids == ids
         assert seed.symmetrizer == symmetrizer
 
 
 def test_seed_rejects_g_vectors_that_are_not_unimodular():
     b, ident = ((0, 1), (-1, 0)), ((1, 0), (0, 1))
-    assert Seed(b, ((1, 1), (0, 1)), ident, ident).g_vectors == ((1, 1), (0, 1))
+    assert Seed(b, ((1, 1), (0, 1)), ident).g_vectors == ((1, 1), (0, 1))
     for g in [((1, 1), (1, -1)), ((1, 0), (2, 0)), ((2, 0), (0, 1))]:
         with pytest.raises(ValueError, match="unimodular"):
-            Seed(b, g, ident, ident)
+            Seed(b, g, ident)
 
 
 def test_seed_rejects_a_c_vector_that_is_not_sign_coherent():
     b, ident = ((0, 1), (-1, 0)), ((1, 0), (0, 1))
-    assert Seed(b, ident, ((-1, 0), (1, 1)), ident).c_vectors == ((-1, 0), (1, 1))
+    assert Seed(b, ident, ((-1, 0), (1, 1))).c_vectors == ((-1, 0), (1, 1))
     # read as a matrix by rows, both columns of ((1, -1), (1, 0)) would be
     # sign-coherent: the check reads the c-vectors themselves
     for c in [((1, -1), (0, 1)), ((1, -1), (1, 0)), ((1, 0), (2, -1))]:
         with pytest.raises(ValueError, match="sign-coherent"):
-            Seed(b, ident, c, ident)
-
-
-def test_seed_rejects_cluster_ids_of_the_wrong_length():
-    b, ident = ((0, 1), (-1, 0)), ((1, 0), (0, 1))
-    for ids in [(), ((1, 0),), ident + ((1, 1),)]:
-        with pytest.raises(ValueError, match="cluster id"):
-            Seed(b, ident, ident, ids)
+            Seed(b, ident, c)
 
 
 @st.composite
@@ -432,6 +423,48 @@ def test_flip_graph_hexagon():
         deg[a] += 1
         deg[b] += 1
     assert deg == [3] * 14
+
+
+@st.composite
+def random_triangulations(draw):
+    """A triangulation of a 4- to 11-gon, cut recursively at a drawn apex."""
+    m = draw(st.integers(min_value=4, max_value=11))
+    diags = set()
+
+    def split(cycle):
+        if len(cycle) <= 3:
+            return
+        i = draw(st.integers(min_value=2, max_value=len(cycle) - 1))
+        for u in (cycle[0], cycle[1]):
+            d = tuple(sorted((u, cycle[i])))
+            if is_diagonal(d, m):
+                diags.add(d)
+        split(cycle[1 : i + 1])
+        split((cycle[0],) + cycle[i:])
+
+    split(tuple(range(1, m + 1)))
+    return Triangulation(m, diags)
+
+
+def _triangle_scan_flip(tri, diagonal):
+    """Reference flip: the quadrilateral is the union of the two triangles
+    of tri.triangles() that contain the diagonal."""
+    d = tuple(sorted(diagonal))
+    incident = [t for t in tri.triangles() if d[0] in t and d[1] in t]
+    assert len(incident) == 2
+    other = tuple(sorted((set(incident[0]) | set(incident[1])) - set(d)))
+    new_diags = tuple(other if x == d else x for x in tri.diagonals)
+    return Triangulation(tri.polygon_size, new_diags), other
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_triangulations())
+def test_flip_equals_the_triangle_scan_reference(tri):
+    for d in tri.diagonals:
+        assert flip(tri, d) == _triangle_scan_flip(tri, d)
+        assert flip(tri, d[::-1]) == _triangle_scan_flip(tri, d)
+    with pytest.raises(ValueError, match="not a diagonal"):
+        flip(tri, (1, 2))
 
 
 def _starting_triangulations(polygon):
@@ -679,3 +712,26 @@ def test_bfs_builds_one_seed_per_new_cluster(monkeypatch, name):
     monkeypatch.setattr(clusterfan, "mutate_seed", counting_mutate_seed)
     enum = enumerate_fan(seed, triangulation=tri)
     assert len(calls) == len(enum.graph.nodes) - 1
+
+
+@pytest.mark.parametrize("name", ["heptagon-fan", "octagon-zigzag"])
+def test_tracked_bfs_validates_each_triangulation_once(monkeypatch, name):
+    tri = TRIANGULATION_SEEDS[name]
+    seed = seed_from_triangulation(tri)
+    calls = {"init": 0, "triangles": 0}
+    init, triangles = Triangulation.__init__, Triangulation.triangles
+
+    def counting_init(self, *args):
+        calls["init"] += 1
+        init(self, *args)
+
+    def counting_triangles(self):
+        calls["triangles"] += 1
+        return triangles(self)
+
+    monkeypatch.setattr(Triangulation, "__init__", counting_init)
+    monkeypatch.setattr(Triangulation, "triangles", counting_triangles)
+    enum = enumerate_fan(seed, triangulation=tri)
+    # one flipped triangulation per new cluster; triangles() only for the
+    # check that the seed matches the starting triangulation
+    assert calls == {"init": len(enum.graph.nodes) - 1, "triangles": 1}

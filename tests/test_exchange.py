@@ -6,12 +6,14 @@ from fanforge.clusterfan import (
     all_triangulations,
     enumerate_fan,
     initial_seed,
+    is_diagonal,
     seed_from_triangulation,
 )
 from fanforge.exchange import (
-    Diagonal,
+    _corner_cuts,
     all_diagonals,
     relative_ar_meshes,
+    rotated,
     verify_mutation_theorem,
 )
 from fanforge.linalg import primitive
@@ -24,11 +26,17 @@ def fan_triangulation(polygon):
 
 
 def test_diagonal_validation():
-    with pytest.raises(ValueError):
-        Diagonal(1, 2, 6)
-    with pytest.raises(ValueError):
-        Diagonal(1, 6, 6)
-    assert Diagonal(4, 1, 6).pair == (1, 4)
+    assert not is_diagonal((1, 2), 6)
+    assert not is_diagonal((1, 6), 6)
+    assert is_diagonal((1, 4), 6)
+    for m in (4, 5, 6, 7, 8):
+        for a in range(1, m + 1):
+            for b in range(a + 1, m + 1):
+                assert is_diagonal((a, b), m) == (min(b - a, m - (b - a)) >= 2)
+    for adjacent in [(1, 2), (1, 6), (6, 1)]:
+        with pytest.raises(ValueError, match="adjacent"):
+            Triangulation(6, [adjacent, (1, 3), (1, 4)])
+    assert Triangulation(6, [(4, 1), (1, 3), (5, 1)]).diagonals == ((1, 3), (1, 4), (1, 5))
 
 
 def test_diagonal_count():
@@ -42,19 +50,19 @@ def test_rotation_has_polygon_order():
         for d in all_diagonals(m):
             cur = d
             for _ in range(m):
-                cur = cur.rotated()
+                cur = rotated(cur, m)
+                assert is_diagonal(cur, m)
             assert cur == d
 
 
 def test_middles_never_contain_endpoints():
     for m in (5, 6, 7):
         for d in all_diagonals(m):
-            from fanforge.exchange import _corner_cuts
-
             mids = _corner_cuts(d, m)
             assert 1 <= len(mids) <= 2
+            assert all(is_diagonal(mid, m) for mid in mids)
             assert d not in mids
-            assert d.rotated() not in mids
+            assert rotated(d, m) not in mids
 
 
 def test_relative_meshes_a1():
@@ -91,7 +99,7 @@ def test_excluded_meshes_end_at_initial_diagonals():
     tri = fan_triangulation(6)
     enum = enumerate_fan(seed_from_triangulation(tri), triangulation=tri)
     kept = relative_ar_meshes(tri, enum)
-    kept_ends = {m.end.pair for m in kept}
+    kept_ends = {m.end for m in kept}
     assert kept_ends.isdisjoint(set(tri.diagonals))
 
 

@@ -564,13 +564,16 @@ def scan_vertices(p):
 def rank_filter_facets(p, vp):
     """Test oracle: the facet rule of the H-representation branch that
     facet_description once had. A distinct scaled row is a facet iff the
-    vertices on it have affine rank n - 1."""
+    vertices on it have affine rank n - 1. A facet is keyed by its
+    primitive normal and carries the row's offset scaled to that normal."""
     facets = {}
-    for row, bi in zip(*scale_rows_int(p.ineq_matrix, p.bounds)):
+    for row, bi in zip(p.ineq_matrix, p.bounds):
         contact = [i for i, v in enumerate(vp.vertices) if dot(row, v) == bi]
         pts = [vp.vertices[i] for i in contact]
         if len(contact) >= p.dim and rank([[x - y for x, y in zip(q, pts[0])] for q in pts]) == p.dim - 1:
-            facets[tuple(row)] = (bi, contact)
+            normal = primitive(row)
+            j = next(i for i, x in enumerate(row) if x)
+            facets[normal] = (Fraction(normal[j], row[j]) * bi, contact)
     ordered = sorted(facets, reverse=True)
     return ordered, [facets[f][0] for f in ordered], [facets[f][1] for f in ordered]
 
@@ -712,6 +715,34 @@ def test_realization_agrees_with_the_double_description_route(data):
         assert reference is not None
         assert write_roff(vp) == write_roff(reference)
         assert fan_eq(normal_fan(vp), fan)
+
+
+def assert_vertices_keep_primitive_facets(fan, h):
+    by_vertices = vertices(p_h(fan, h))
+    by_certificate = realization(fan, h)
+    normals, _offsets, _contacts = facet_description(by_vertices)
+    assert all(math.gcd(*normal) == 1 for normal in normals)
+    assert facet_description(by_vertices) == facet_description(by_certificate)
+    assert normal_fan(by_vertices) == normal_fan(by_certificate)
+
+
+def test_vertices_key_facets_by_primitive_normals_on_rational_heights():
+    fan = enumerate_fan(initial_seed([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])).fan
+    c = [Fraction(1, 3) + i for i in range(6)]
+    poly, cert = qc_polytope(fan, type_cone(fan), c)
+    assert poly == p_h(fan, cert.h)
+    assert ((0, 1, 0), Fraction(23, 3)) in zip(*facet_description(vertices(poly))[:2])
+    assert_vertices_keep_primitive_facets(fan, cert.h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_vertices_and_realization_give_the_same_facets(data):
+    fan = data.draw(oriented_ad_fans())
+    tc = type_cone(fan)
+    ratio = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5)
+    c = data.draw(st.lists(ratio, min_size=tc.n_facets, max_size=tc.n_facets))
+    assert_vertices_keep_primitive_facets(fan, qc_polytope(fan, tc, c)[1].h)
 
 
 def reference_roff_normal_fan(verts, facet_lists):
