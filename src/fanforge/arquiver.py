@@ -5,11 +5,15 @@ slice of injectives. Dimension vectors propagate by mesh additivity on
 signed classes (shifted injectives carry the negated injective dimension
 vector), which uniformly handles both the initial meshes ending at the
 projectives and the ordinary module meshes.
+
+A window vertex is its position and its signed class; a mesh's parameter
+is indexed by the mesh's position in `ARQuiver.meshes`.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import NonPositiveParameter, SingularSystem, UnsupportedType
 from .polyhedra import HPolytope
@@ -81,15 +85,6 @@ def _path_reachable(quiver, start):
     return seen
 
 
-def projective_dims(quiver):
-    """dim P_v over v: the module of paths starting at v."""
-    n = quiver.rank
-    return {
-        v: tuple(1 if u in _path_reachable(quiver, v) else 0 for u in range(1, n + 1))
-        for v in range(1, n + 1)
-    }
-
-
 def injective_dims(quiver):
     """dim I_v over v: the module of paths ending at v."""
     n = quiver.rank
@@ -102,22 +97,27 @@ def injective_dims(quiver):
 
 @dataclass(frozen=True)
 class ARVertex:
+    """A window vertex: its position and its signed class. The class is
+    negative exactly for a shifted injective, so its sign is the kind."""
+
     slice_index: int
     tree_vertex: int
     dim_vector: tuple
-    kind: str  # "module" | "shifted_injective"
-    injective_index: int = None  # set when this module is some I_j
+
+    @property
+    def kind(self):
+        return "shifted_injective" if min(self.dim_vector) < 0 else "module"
 
 
 @dataclass(frozen=True)
 class MeshRelation:
     """One almost-split relation q + t = r1 + ... + c. Vertex fields are ids
-    into ARQuiver.vertices; coeff_id indexes the mesh parameter vector."""
+    into ARQuiver.vertices; the parameter c is indexed by the mesh's position
+    in ARQuiver.meshes."""
 
     start: int
     middles: tuple
     end: int
-    coeff_id: int
 
 
 @dataclass(frozen=True)
@@ -186,9 +186,8 @@ def knit_ar_quiver(quiver, enable_e=False):
     idims = injective_dims(quiver)
     inj_lookup = {idims[j]: j for j in verts}
 
-    nodes = {}  # (slice, tree_vertex) -> [sdim, kind, inj_index]
-    for v in verts:
-        nodes[(p[v] - 1, v)] = [tuple(-x for x in idims[v]), "shifted_injective", None]
+    nodes = {(p[v] - 1, v): tuple(-x for x in idims[v]) for v in verts}  # position -> class
+    injective_at = {}  # j -> position of I_j
     meshes_raw = []
     by_p_desc = sorted(verts, key=lambda v: -p[v])
     max_slice = max(p.values()) + 1
@@ -201,10 +200,8 @@ def knit_ar_quiver(quiver, enable_e=False):
         alive = False
         for v in by_p_desc:
             prev = nodes.get((k - 1, v))
-            if prev is None or prev[1] == "module" and prev[2] is not None:
-                continue
-            if (k, v) in nodes:
-                continue
+            if prev is None or prev in inj_lookup or (k, v) in nodes:
+                continue  # a row ends at its injective
             middles = []
             for w in quiver.arrows_out(v):
                 middles.append((k - 1, w))
@@ -214,46 +211,37 @@ def knit_ar_quiver(quiver, enable_e=False):
                 if pos not in nodes:
                     raise SingularSystem(f"mesh middle {pos} missing while knitting {(k, v)}")
             sdim = tuple(
-                sum(nodes[pos][0][i] for pos in middles) - prev[0][i] for i in range(n)
+                sum(nodes[pos][i] for pos in middles) - prev[i] for i in range(n)
             )
             if any(x < 0 for x in sdim) or all(x == 0 for x in sdim):
                 raise SingularSystem(f"knitted non-module dimension {sdim} at {(k, v)}")
-            inj = inj_lookup.get(sdim)
-            nodes[(k, v)] = [sdim, "module", inj]
+            if sdim in inj_lookup:
+                injective_at[inj_lookup[sdim]] = (k, v)
+            nodes[(k, v)] = sdim
             meshes_raw.append(((k - 1, v), tuple(middles), (k, v)))
             alive = True
 
     order = sorted(nodes)
     vid = {pos: i for i, pos in enumerate(order)}
-    vertices = tuple(
-        ARVertex(pos[0], pos[1], nodes[pos][0], nodes[pos][1], nodes[pos][2])
-        for pos in order
+    vertices = tuple(ARVertex(*pos, nodes[pos]) for pos in order)
+    meshes = tuple(  # sorted by start, which is distinct per mesh
+        MeshRelation(vid[s], tuple(sorted(vid[m] for m in mids)), vid[e])
+        for s, mids, e in sorted(meshes_raw)
     )
-    meshes_sorted = sorted(meshes_raw, key=lambda m: (m[0][0], m[0][1]))
-    meshes = tuple(
-        MeshRelation(vid[s], tuple(sorted(vid[m] for m in mids)), vid[e], ci)
-        for ci, (s, mids, e) in enumerate(meshes_sorted)
-    )
-    projections = [None] * n
-    for i, v in enumerate(vertices):
-        if v.injective_index is not None:
-            projections[v.injective_index - 1] = i
-    if any(x is None for x in projections):
+    if len(injective_at) != n:
         raise SingularSystem("knitting did not reach every injective")
-    return ARQuiver(quiver, vertices, meshes, tuple(projections))
+    projections = tuple(vid[injective_at[j]] for j in verts)
+    return ARQuiver(quiver, vertices, meshes, projections)
 
 
 @dataclass(frozen=True)
 class AffineFunctional:
     """q_M expressed over the mesh parameters and the projection coordinates:
-    value = sum(mesh_coeffs . c) + sum(proj_coeffs . x)."""
+    value = sum(mesh_coeffs . c) + sum(proj_coeffs . x), with mesh_coeffs in
+    ARQuiver.meshes order and proj_coeffs in projection_vertices order."""
 
     mesh_coeffs: tuple
     proj_coeffs: tuple
-
-    def evaluate(self, c_values):
-        const = sum(a * c for a, c in zip(self.mesh_coeffs, c_values))
-        return const, self.proj_coeffs
 
 
 def abhy_functionals(ar):
@@ -285,7 +273,7 @@ def abhy_functionals(ar):
         except KeyError as missing:
             raise SingularSystem(f"functional for vertex {missing} not yet known") from None
         mesh_coeffs = [sum(part.mesh_coeffs[i] for part in parts) - end.mesh_coeffs[i] for i in range(n_mesh)]
-        mesh_coeffs[mesh.coeff_id] += 1
+        mesh_coeffs[mi] += 1
         proj = [
             sum(part.proj_coeffs[i] for part in parts) - end.proj_coeffs[i]
             for i in range(n)
@@ -323,7 +311,6 @@ def abhy_polytope(ar, c):
     funcs = abhy_functionals(ar)
     rows, bounds = [], []
     for vid in range(len(ar.vertices)):
-        const, lin = funcs[vid].evaluate(c)
-        rows.append([-x for x in lin])
-        bounds.append(const)
+        rows.append([-x for x in funcs[vid].proj_coeffs])
+        bounds.append(sum(map(mul, funcs[vid].mesh_coeffs, c)))
     return HPolytope(rows, bounds)

@@ -199,18 +199,14 @@ def cmd_abhy(args):
     quiver = _quiver_from_args(args)
     ar = arquiver.knit_ar_quiver(quiver, enable_e=args.enable_e)
     c = _parse_fraction_list(args.c) if args.c else [Fraction(1)] * len(ar.meshes)
-    lines = []
-    lines.append("# coordinate dictionary (id, slice, tree vertex, label, kind)")
+    lines = ["# coordinate dictionary (id, slice, tree vertex, label, kind)"]
     for row in ar.coordinate_dictionary():
         lines.append("  ".join(str(x) for x in row))
     lines.append("# mesh equations")
-    for mesh in sorted(ar.meshes, key=lambda m: ar.vertex_label(m.start)):
-        lines.append(_mesh_equation_text(ar, mesh))
+    lines.extend(_mesh_equation_lines(ar))
     lines.append("# polytope inequalities (one functional >= 0 per vertex)")
     poly = arquiver.abhy_polytope(ar, c)
-    for vid in range(len(ar.vertices)):
-        row = poly.ineq_matrix[vid]
-        bound = poly.bounds[vid]
+    for row, bound in zip(poly.ineq_matrix, poly.bounds):
         lhs = _named_linear(row, [f"x{i + 1}" for i in range(len(row))])
         lines.append(f"{lhs} <= {bound}")
     text = "\n".join(lines)
@@ -223,11 +219,14 @@ def cmd_abhy(args):
     return 0
 
 
-def _mesh_equation_text(ar, mesh):
-    left = f"{ar.vertex_label(mesh.start)} + {ar.vertex_label(mesh.end)}"
-    mids = " + ".join(ar.vertex_label(m) for m in mesh.middles)
-    right = f"{mids} + {ar.mesh_param_label(mesh)}" if mids else ar.mesh_param_label(mesh)
-    return f"{left} = {right}"
+def _mesh_equation_lines(ar):
+    """One `q + t = middles + c` line per mesh, sorted by start label."""
+    lines = []
+    for mesh in sorted(ar.meshes, key=lambda m: ar.vertex_label(m.start)):
+        left = f"{ar.vertex_label(mesh.start)} + {ar.vertex_label(mesh.end)}"
+        terms = [ar.vertex_label(m) for m in mesh.middles] + [ar.mesh_param_label(mesh)]
+        lines.append(f"{left} = {' + '.join(terms)}")
+    return lines
 
 
 PAPER_A2_EQUATIONS = [
@@ -271,18 +270,10 @@ def _functional_text(ar, funcs, vid):
     return f"{ar.vertex_label(vid)} = " + " ".join(parts)
 
 
-def _norm_ws(s):
-    return " ".join(s.split())
-
-
 def cmd_paper_a2(args):
     ar = arquiver.knit_ar_quiver(arquiver.linear_quiver(2))
-    lines = []
-    lines.append("# mesh equations of the A2 window")
-    eq_texts = [
-        _mesh_equation_text(ar, m)
-        for m in sorted(ar.meshes, key=lambda m: ar.vertex_label(m.start))
-    ]
+    lines = ["# mesh equations of the A2 window"]
+    eq_texts = _mesh_equation_lines(ar)
     lines.extend(eq_texts)
     funcs = arquiver.abhy_functionals(ar)
     proj = set(ar.projection_vertices)
@@ -310,12 +301,10 @@ def cmd_paper_a2(args):
     lines.append(" ".join(str(v).replace(" ", "") for v in sorted(verts)))
 
     failures = []
-    for got, want in zip(eq_texts, PAPER_A2_EQUATIONS):
-        if _norm_ws(got) != _norm_ws(want):
-            failures.append(f"equation mismatch: {got!r} != {want!r}")
-    for got, want in zip(fn_texts, PAPER_A2_FUNCTIONALS):
-        if _norm_ws(got) != _norm_ws(want):
-            failures.append(f"functional mismatch: {got!r} != {want!r}")
+    if eq_texts != PAPER_A2_EQUATIONS:
+        failures.append(f"equation mismatch: {eq_texts!r} != {PAPER_A2_EQUATIONS!r}")
+    if fn_texts != PAPER_A2_FUNCTIONALS:
+        failures.append(f"functional mismatch: {fn_texts!r} != {PAPER_A2_FUNCTIONALS!r}")
     if ineqs != PAPER_A2_INEQUALITIES:
         failures.append(f"inequality mismatch: {sorted(ineqs)}")
     if verts != PAPER_A2_VERTICES:

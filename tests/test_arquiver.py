@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,10 @@ from fanforge.arquiver import (
     DynkinQuiver,
     abhy_functionals,
     abhy_polytope,
+    dynkin_tree_edges,
     injective_dims,
     knit_ar_quiver,
     linear_quiver,
-    projective_dims,
 )
 from fanforge.errors import NonPositiveParameter, UnsupportedType
 from fanforge.polyhedra import normal_fan, fan_eq, vertices
@@ -17,7 +18,6 @@ from fanforge.polyhedra import normal_fan, fan_eq, vertices
 
 def test_projective_injective_dims_a2():
     q = linear_quiver(2)  # 1 <- 2
-    assert projective_dims(q) == {1: (1, 0), 2: (1, 1)}
     assert injective_dims(q) == {1: (1, 1), 2: (0, 1)}
 
 
@@ -158,7 +158,7 @@ def test_abhy_functionals_a2_golden():
     ar = knit_ar_quiver(linear_quiver(2))
     funcs = abhy_functionals(ar)
     label_of = {ar.vertex_label(i): i for i in range(5)}
-    c_label = {ar.mesh_param_label(m): m.coeff_id for m in ar.meshes}
+    c_label = {ar.mesh_param_label(m): ci for ci, m in enumerate(ar.meshes)}
 
     def func(name):
         f = funcs[label_of[name]]
@@ -184,7 +184,7 @@ def test_functionals_satisfy_mesh_equations_symbolically():
         ar = knit_ar_quiver(quiver)
         funcs = abhy_functionals(ar)
         n_mesh = len(ar.meshes)
-        for mesh in ar.meshes:
+        for ci, mesh in enumerate(ar.meshes):
             lhs_mesh = [
                 funcs[mesh.start].mesh_coeffs[i] + funcs[mesh.end].mesh_coeffs[i]
                 for i in range(n_mesh)
@@ -192,7 +192,7 @@ def test_functionals_satisfy_mesh_equations_symbolically():
             rhs_mesh = [
                 sum(funcs[m].mesh_coeffs[i] for m in mesh.middles) for i in range(n_mesh)
             ]
-            rhs_mesh[mesh.coeff_id] += 1
+            rhs_mesh[ci] += 1
             assert lhs_mesh == rhs_mesh
             lhs_proj = [
                 funcs[mesh.start].proj_coeffs[i] + funcs[mesh.end].proj_coeffs[i]
@@ -279,6 +279,35 @@ def test_abhy_normal_fan_matches_mutation_fan_d4(orientation):
     enum = enumerate_fan(initial_seed(b))
     assert len(enum.fan.maximal_cones) == 50
     assert fan_eq(normal_fan(vp), enum.fan)
+
+
+def _orientations(type_, rank):
+    """Every orientation of the Dynkin tree (only the linear one for E)."""
+    if type_ == "E":
+        return [None]
+    edges = dynkin_tree_edges(type_, rank)
+    return [
+        tuple((b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips))
+        for flips in itertools.product((False, True), repeat=len(edges))
+    ]
+
+
+@pytest.mark.parametrize(
+    "type_, rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("E", 6)]
+)
+def test_projection_vertices_and_kinds_every_orientation(type_, rank):
+    # abhy_functionals' coordinates are the classes of I_1, ..., I_n in order
+    for orientation in _orientations(type_, rank):
+        q = DynkinQuiver(type_, rank, orientation)
+        ar = knit_ar_quiver(q, enable_e=True)
+        idims = injective_dims(q)
+        for j in range(1, rank + 1):
+            assert ar.vertices[ar.projection_vertices[j - 1]].dim_vector == idims[j]
+        shifted = [v for v in ar.vertices if v.kind == "shifted_injective"]
+        assert shifted == [v for v in ar.vertices if min(v.dim_vector) < 0]
+        assert sorted(v.dim_vector for v in shifted) == sorted(
+            tuple(-x for x in idims[j]) for j in range(1, rank + 1)
+        )
 
 
 def test_ar_json_shape():

@@ -8,6 +8,7 @@ every demo are pinned below."""
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from fanforge.arquiver import dynkin_tree_edges
 from fanforge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,3 +148,74 @@ def test_demo_stdout_matches_the_recorded_digest(demo):
     )
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout).hexdigest() == DEMO_DIGESTS[demo]
+
+
+# The mesh-equation route beyond the perfbench rungs, recorded before a
+# window vertex became its signed class and a mesh parameter its position:
+# one sha256 over the exit code and the `abhy -o`, `--polytope-out` and
+# `--ar-out` bytes. Every orientation of A1-A4 and D4 runs with all-ones c;
+# linear A5, D5 and E6 with one rational c per mesh.
+def _every_orientation(type_, rank):
+    edges = dynkin_tree_edges(type_, rank)
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        yield ",".join(f"{b}>{a}" if flip else f"{a}>{b}" for (a, b), flip in zip(edges, flips))
+
+
+def _rational_c(n_meshes):
+    return ",".join(f"{j % 3 + 1}/{j % 2 + 2}" for j in range(n_meshes))
+
+
+ABHY_INSTANCES = {
+    f"{t}{n}:{o}": ["--type", t, "--rank", str(n)] + (["--orientation", o] if o else [])
+    for t, n in (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4))
+    for o in _every_orientation(t, n)
+}
+ABHY_INSTANCES.update(
+    {
+        "A5:c": ["--type", "A", "--rank", "5", "--c", _rational_c(15)],
+        "D5:c": ["--type", "D", "--rank", "5", "--c", _rational_c(20)],
+        "E6:c": ["--type", "E", "--rank", "6", "--enable-e", "--c", _rational_c(36)],
+    }
+)
+ABHY_DIGESTS = {
+    "A1:": "b3745f023d67ac920e8ea768c944ab87a2db3e409cea71c4bb95666e3e348007",
+    "A2:1>2": "8f8f485d58e8378f20eccc7cc7f683d41d0eb13ea4c12c78ab61563ca8419f88",
+    "A2:2>1": "caec9cb5b26424132409a136b47399ea03f5c2f7b86ebc20eda683668f4e1eef",
+    "A3:1>2,2>3": "881de9cf039c6f5593383f8c9638961e7430f8ada67c627a1554083eb0137cf4",
+    "A3:1>2,3>2": "3caf276a7f616005c1abee994c7e578e553b9abcb606f61ce53ee4c28d05e486",
+    "A3:2>1,2>3": "1a3a88d1df619acf0c5a62fba29e86474e5879f1feb5793a3f9ec606781d52bf",
+    "A3:2>1,3>2": "220fcf78a108eeeff95419ae280456fda0c5569ba4c4196d219fe74c51975cc7",
+    "A4:1>2,2>3,3>4": "4279763eae81c55cbf39e47350c54266a28a4e8fab01cda575575dff1a7ae7cb",
+    "A4:1>2,2>3,4>3": "687f5374e39f0755ba8184c3ab6f845314fcb450e0caf9252fd847fef0610e22",
+    "A4:1>2,3>2,3>4": "a588b92831c455af61d330f353e6f2ed744f11e912d9a7394550ae8023521881",
+    "A4:1>2,3>2,4>3": "75f19b9bc30006f015bcb56a1e9b9eb00e747da6a989b37aadfbd50ffaba00e1",
+    "A4:2>1,2>3,3>4": "3e218fd780bba46916b00dd6d911c8037b8736139b0a865f4a04febff885374c",
+    "A4:2>1,2>3,4>3": "19ceb16b1928d081b671589c1d6989afcc176272bde3042da62824c7e911a1d7",
+    "A4:2>1,3>2,3>4": "ca9ae9c405c00052fbb97bfbc45ebae001ec998ebd63832072ccda3115ebb35a",
+    "A4:2>1,3>2,4>3": "931bc92b8eea36475045fa6cad79cda0b63a591b77e32fb5fc30ed628295f81e",
+    "A5:c": "77fff9e814f6dae5fdb3b7a1497d3818da05c2d1283fc9c341b86adb8a997380",
+    "D4:1>2,2>3,2>4": "3912444fce9574d4f5fba149cc927c1b5cc8ccd93fb897cd15f913c5b54dd9c7",
+    "D4:1>2,2>3,4>2": "2d44df7ad535e684b047eb707d03637dd3ffdfdf4ddeafb5fe0961a1151e2f80",
+    "D4:1>2,3>2,2>4": "79887ea344f8d11fd35222ee44bff48a21db3dd20599df7cf056f2c3784ba3b2",
+    "D4:1>2,3>2,4>2": "edac3bc75f1b7ade6842c5aac9d8ad0fd92a805120c3aa4323801c6bd344648c",
+    "D4:2>1,2>3,2>4": "7c60f52cabefe7bcf6dbecb7918a1fd096af515bd35f7a5d2e18b6cb50ad575c",
+    "D4:2>1,2>3,4>2": "1d3d0a2a9809576b70fb9d5a3ed02bbe6f0615076dc7a50e3310d85efe1a73d0",
+    "D4:2>1,3>2,2>4": "32c3259e96e06fc886acc095bed3c0606a5e8ad4fbc19f76bf86ff9c8b4553d5",
+    "D4:2>1,3>2,4>2": "5a6f869f92c7dc3e43637ae79c315e1a4fa2eadf03a5a1326ce0d99735b0273e",
+    "D5:c": "2da7e64150a6cd93384e939e27d1a755bfb99a5fd7f40d71392018cb6fd4d2fe",
+    "E6:c": "cb83aa1c7cd0df530f31fbf8b51f3eb30958ccecdcf8698744ebc18a730e43fa",
+}
+
+
+def _abhy_digest(tmp_path, args):
+    paths = [tmp_path / name for name in ("abhy.txt", "abhy.off", "ar.json")]
+    argv = ["abhy", *args, "-o", paths[0], "--polytope-out", paths[1], "--ar-out", paths[2]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in argv])
+    blob = f"{code}\n".encode() + b"".join(path.read_bytes() for path in paths)
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ABHY_INSTANCES))
+def test_abhy_outputs_match_the_recorded_digest(tmp_path, name):
+    assert _abhy_digest(tmp_path, ABHY_INSTANCES[name]) == ABHY_DIGESTS[name]

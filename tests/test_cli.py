@@ -28,6 +28,17 @@ def test_paper_a2_ok(capsys):
     assert "(0,0) (0,1) (1,2) (2,0) (2,2)" in out
 
 
+def test_paper_a2_fails_on_a_missing_equation(capsys, monkeypatch):
+    from fanforge import cli
+
+    extra = cli.PAPER_A2_EQUATIONS + ["q_{3 5} + q_{1 3} = c_{1 3}"]
+    monkeypatch.setattr(cli, "PAPER_A2_EQUATIONS", extra)
+    code, out, _ = run(capsys, ["paper-a2"])
+    assert code == 1
+    assert "MISMATCH equation mismatch" in out
+    assert "OK" not in out.splitlines()
+
+
 def test_fan_rank1_json(capsys):
     code, out, _ = run(capsys, ["fan", "--type", "A", "--rank", "1"])
     assert code == 0

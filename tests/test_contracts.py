@@ -42,6 +42,8 @@ INTEGER_KERNELS = [
     ("typecone.py", "type_cone"),
     ("typecone.py", "wall_dependency"),
     ("exchange.py", "verify_mutation_theorem"),
+    ("arquiver.py", "knit_ar_quiver"),
+    ("arquiver.py", "abhy_functionals"),
 ]
 
 
