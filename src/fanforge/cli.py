@@ -8,6 +8,7 @@ verification failure, 2 on input error (with a single machine-parsable
 import argparse
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -82,8 +83,14 @@ def _write_out(text, path):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        # rewrite in place, then cut a regular file to length (FIFOs and
+        # devices refuse ftruncate): truncating on open makes ext4 flush
+        # the file on close, and the next rewrite waits for that flush
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
 
 
 def _read_in(path):
@@ -159,6 +166,8 @@ def cmd_realize(args):
     if args.h:
         if args.c:
             raise ValueError("give either --c or --h, not both")
+        if args.typecone:
+            raise ValueError("give either --typecone or --h, not both")
         poly = polyhedra.p_h(fan, _parse_fraction_list(args.h))
     else:
         if args.typecone:
@@ -415,8 +424,13 @@ def main(argv=None):
     try:
         if hasattr(args, "budget"):
             args.budget = _budget(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the exit
+        # flush has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (FanforgeError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"fanforge: error: {exc}", file=sys.stderr)

@@ -271,7 +271,7 @@ def _artifact_bundle(threads, tmp_path, tag):
     """Deterministic artifacts covering the criterion 1..7 surface."""
     outputs = {}
     basedir = tmp_path / tag
-    basedir.mkdir()
+    basedir.mkdir(exist_ok=True)
 
     def run_to_file(name, argv):
         path = basedir / name
@@ -307,4 +307,28 @@ def test_criterion_8_determinism(tmp_path, capsys):
     print(
         f"CRITERION 8 PASS ({elapsed:.2f}s): byte-identical artifacts across reruns "
         "and across --threads 1 vs 4"
+    )
+
+
+def test_criterion_8_rerun_in_place(tmp_path, capsys):
+    """A rerun into the same directory overwrites every file, and a shorter
+    output written over a longer one leaves exactly the fresh bytes."""
+    start = time.monotonic()
+    fresh = _artifact_bundle(1, tmp_path, "fresh")
+    first = _artifact_bundle(1, tmp_path, "again")
+    basedir = tmp_path / "again"
+    long_c = ",".join(f"{10**12 + k}/{10**12 - k}" for k in range(6))
+    argv = ["realize", "--fan", str(basedir / "fan_a3.json"), "--c", long_c]
+    assert cli.main(argv + ["-o", str(basedir / "poly_a3.off")]) == 0
+    assert len((basedir / "poly_a3.off").read_bytes()) > len(fresh["poly_a3.off"])
+    second = _artifact_bundle(1, tmp_path, "again")
+    capsys.readouterr()
+    for name in fresh:
+        assert first[name] == fresh[name], f"overwrite changed {name}"
+        assert second[name] == fresh[name], f"shrinking overwrite changed {name}"
+    assert first.keys() == second.keys() == fresh.keys()
+    elapsed = time.monotonic() - start
+    print(
+        f"CRITERION 8 PASS ({elapsed:.2f}s): reruns in place, a shorter output over a "
+        "longer one included, give the fresh-directory bytes"
     )

@@ -105,6 +105,19 @@ def test_realize_with_height_vector(tmp_path, capsys):
     assert code == 0
 
 
+def test_realize_with_height_vector_rejects_a_type_cone_file(tmp_path, capsys):
+    fan_path = tmp_path / "fan.json"
+    tc_path = tmp_path / "tc.json"
+    off_path = tmp_path / "poly.off"
+    run(capsys, ["fan", "--type", "A", "--rank", "1", "-o", str(fan_path)])
+    run(capsys, ["typecone", "--fan", str(fan_path), "-o", str(tc_path)])
+    argv = ["realize", "--fan", str(fan_path), "--h", "1,1", "--typecone", str(tc_path)]
+    code, out, err = run(capsys, argv + ["-o", str(off_path)])
+    assert (code, out) == (2, "")
+    assert err == "fanforge: error: give either --typecone or --h, not both\n"
+    assert not off_path.exists()
+
+
 @pytest.mark.parametrize("h", ["1,1,1,1,3", "1,2,1,1,1"])
 def test_realize_rejects_heights_whose_polytope_is_not_a_realization(tmp_path, capsys, h):
     # 1,1,1,1,3 cuts out a quadrilateral; 1,2,1,1,1 has a vertex on three facets
@@ -616,3 +629,83 @@ def test_seed_labels_are_checked_but_do_not_change_the_output(tmp_path, capsys):
         assert (code, err) == (0, "")
         outputs.append((out, dot.read_text()))
     assert outputs[0] == outputs[1]
+
+
+def test_shorter_output_over_a_longer_file_leaves_only_the_new_bytes(tmp_path, capsys):
+    out_path, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run(capsys, ["graph", "--type", "D", "--rank", "5", "-o", str(out_path)])[0] == 0
+    longer = out_path.stat().st_size
+    for path in (out_path, fresh):
+        assert run(capsys, ["fan", "--type", "A", "--rank", "2", "-o", str(path)])[0] == 0
+    assert out_path.stat().st_size < longer
+    assert out_path.read_bytes() == fresh.read_bytes()
+
+
+def test_output_through_a_symlink_rewrites_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("x" * 5000)
+    target.chmod(0o600)
+    link.symlink_to(target.name)
+    assert run(capsys, ["fan", "--type", "A", "--rank", "1", "-o", str(link)]) == (0, "", "")
+    assert link.is_symlink() and link.resolve() == target
+    assert json.loads(target.read_text())["dim"] == 1
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_output_to_dev_null_exits_0(capsys):
+    assert run(capsys, ["fan", "--type", "A", "--rank", "2", "-o", "/dev/null"]) == (0, "", "")
+
+
+def test_output_to_a_directory_is_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, ["fan", "--type", "A", "--rank", "1", "-o", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("fanforge: error:") and err.count("\n") == 1
+
+
+def test_file_output_is_opened_without_truncation(tmp_path, capsys, monkeypatch):
+    import os
+
+    from fanforge import cli
+
+    real_open, calls = os.open, []
+
+    def spy(path, flags, *rest, **kw):
+        calls.append((str(path), flags))
+        return real_open(path, flags, *rest, **kw)
+
+    monkeypatch.setattr(cli.os, "open", spy)
+    out_path = tmp_path / "fan.json"
+    for _ in range(2):
+        assert run(capsys, ["fan", "--type", "A", "--rank", "1", "-o", str(out_path)])[0] == 0
+    assert [path for path, _ in calls] == [str(out_path)] * 2
+    assert not any(flags & os.O_TRUNC for _, flags in calls)
+
+
+@pytest.mark.parametrize("command", ["fan", "verify", "typecone"])
+def test_a_closed_stdout_exits_0_without_a_message(tmp_path, capsys, command):
+    import os
+    import subprocess
+    import sys
+
+    fan_path, off_path = tmp_path / "fan.json", tmp_path / "poly.off"
+    run(capsys, ["fan", "--type", "A", "--rank", "3", "-o", str(fan_path)])
+    run(capsys, ["realize", "--fan", str(fan_path), "-o", str(off_path)])
+    argv = {
+        "fan": ["fan", "--type", "A", "--rank", "3"],
+        "verify": ["verify", "--fan", str(fan_path), "--polytope", str(off_path)],
+        "typecone": ["typecone", "--report", "--fan", str(fan_path)],
+    }[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanforge.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")

@@ -1,6 +1,7 @@
 """Contract checks must survive `python -O`, which strips `assert`: the
 package raises FanforgeError subclasses instead. The integer kernels stay
-in integers: they construct no Fraction."""
+in integers: they construct no Fraction. Files are written by one writer,
+`cli._write_out`, which never truncates on open."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,49 @@ def test_integer_kernels_construct_no_fraction(module, name):
     ]
     offenders = [node.lineno for node in ast.walk(function) if _constructs_fraction(node)]
     assert not offenders, f"{module}:{name} constructs a Fraction at lines {offenders}"
+
+
+def _callee(node):
+    return ast.unparse(node.func) if isinstance(node, ast.Call) else None
+
+
+def _opens_for_writing(call):
+    """An `os.open` call, or an `open` call with a mode other than read;
+    opening `os.devnull` writes no file."""
+    if call.args and ast.unparse(call.args[0]) == "os.devnull":
+        return False
+    if _callee(call) == "os.open":
+        return True
+    modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return _callee(call) == "open" and any(
+        not (isinstance(m, ast.Constant) and set(m.value) <= set("rbt")) for m in modes
+    )
+
+
+def test_write_out_is_the_only_writer_and_never_truncates_on_open():
+    writers, offenders = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [
+            (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "O_TRUNC"
+        ]
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            # a write mode on `open` may only wrap a descriptor from os.open
+            descriptors = {
+                target.id
+                for node in ast.walk(function)
+                if isinstance(node, ast.Assign) and _callee(node.value) == "os.open"
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for call in ast.walk(function):
+                if isinstance(call, ast.Call) and _opens_for_writing(call):
+                    writers.add((path.name, function.name))
+                    if _callee(call) == "open" and ast.unparse(call.args[0]) not in descriptors:
+                        offenders.append((path.name, call.lineno))
+    assert writers == {("cli.py", "_write_out")}
+    assert not offenders, f"files opened with truncation at {offenders}"
