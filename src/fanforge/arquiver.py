@@ -60,6 +60,15 @@ class DynkinQuiver:
             (i + 1, i) for i in range(1, self.rank)
         }
 
+    def exchange_matrix(self):
+        """The exchange matrix of the quiver: each arrow s -> t gives
+        b_ts = 1 and b_st = -1, every other entry is 0."""
+        b = [[0] * self.rank for _ in range(self.rank)]
+        for s, t in self.orientation:
+            b[t - 1][s - 1] = 1
+            b[s - 1][t - 1] = -1
+        return b
+
     def arrows_out(self, v):
         return [t for s, t in self.orientation if s == v]
 

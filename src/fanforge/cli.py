@@ -6,7 +6,6 @@ verification failure, 2 on input error (with a single machine-parsable
 """
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -41,6 +40,11 @@ def _parse_fraction_list(text):
         raise ValueError(f"a rational in {text!r} has a zero denominator") from None
 
 
+def _parameters(text, count):
+    """The --c values: the listed rationals, or count ones when absent."""
+    return _parse_fraction_list(text) if text is not None else [Fraction(1)] * count
+
+
 def _orientation_from_text(text):
     arrows = []
     for tok in text.split(","):
@@ -59,22 +63,12 @@ def _quiver_from_args(args):
     return arquiver.DynkinQuiver(args.type, args.rank, orientation)
 
 
-def _b_matrix_from_quiver(quiver):
-    n = quiver.rank
-    b = [[0] * n for _ in range(n)]
-    for s, t in quiver.orientation:
-        b[t - 1][s - 1] += 1
-        b[s - 1][t - 1] -= 1
-    return b
-
-
 def _seed_from_args(args):
     """Seed plus optional tracked triangulation."""
-    if getattr(args, "seed", None):
+    if args.seed is not None:
         with open(args.seed, encoding="utf-8") as fh:
             return clusterfan.seed_from_json(fh.read())
-    quiver = _quiver_from_args(args)
-    return clusterfan.initial_seed(_b_matrix_from_quiver(quiver)), None
+    return clusterfan.initial_seed(_quiver_from_args(args).exchange_matrix()), None
 
 
 def _write_out(text, path):
@@ -100,10 +94,14 @@ def _read_in(path):
         return fh.read()
 
 
-def _add_seed_options(sub):
+def _add_quiver_options(sub):
     sub.add_argument("--type", default="A", choices=["A", "D", "E"])
     sub.add_argument("--rank", type=int, default=2)
     sub.add_argument("--orientation", help="arrows like '2>1,3>2' (default linear)")
+
+
+def _add_seed_options(sub):
+    _add_quiver_options(sub)
     sub.add_argument("--seed", help="seed JSON file ('b' matrix or 'triangulation')")
 
 
@@ -152,31 +150,23 @@ def cmd_typecone(args):
     return 0
 
 
-def _typecone_from_json(text):
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("type cone JSON must be an object")
-    facets = tuple(tuple(row) for row in polyhedra.int_rows(data["facets"], data["N"]))
-    return typecone.TypeCone(data["N"], (), (), facets, ())
-
-
 def cmd_realize(args):
     fan = polyhedra.fan_from_json(_read_in(args.fan))
     fan.validate()
-    if args.h:
-        if args.c:
+    if args.h is not None:
+        if args.c is not None:
             raise ValueError("give either --c or --h, not both")
-        if args.typecone:
+        if args.typecone is not None:
             raise ValueError("give either --typecone or --h, not both")
         poly = polyhedra.p_h(fan, _parse_fraction_list(args.h))
     else:
-        if args.typecone:
-            tc = _typecone_from_json(_read_in(args.typecone))
+        if args.typecone is not None:
+            tc = typecone.type_cone_from_json(_read_in(args.typecone))
             if tc.n_rays != fan.n_rays:
                 raise ValueError("the type cone and the fan differ in their number of rays")
         else:
             tc = typecone.type_cone(fan)
-        c = _parse_fraction_list(args.c) if args.c else [Fraction(1)] * (fan.n_rays - fan.dim)
+        c = _parameters(args.c, fan.n_rays - fan.dim)
         poly, _cert = typecone.qc_polytope(fan, tc, c)
     # the heights or a type cone file may be wrong: prove the polytope
     # realizes the fan before writing it
@@ -207,7 +197,7 @@ def cmd_verify(args):
 def cmd_abhy(args):
     quiver = _quiver_from_args(args)
     ar = arquiver.knit_ar_quiver(quiver, enable_e=args.enable_e)
-    c = _parse_fraction_list(args.c) if args.c else [Fraction(1)] * len(ar.meshes)
+    c = _parameters(args.c, len(ar.meshes))
     lines = ["# coordinate dictionary (id, slice, tree vertex, label, kind)"]
     for row in ar.coordinate_dictionary():
         lines.append("  ".join(str(x) for x in row))
@@ -259,24 +249,13 @@ PAPER_A2_VERTICES = {(0, 0), (2, 0), (2, 2), (1, 2), (0, 1)}
 
 
 def _functional_text(ar, funcs, vid):
+    """`q = ...` with the positive terms first, each sign's terms by label."""
     f = funcs[vid]
-    pos, neg = [], []
-    for ci, coeff in enumerate(f.mesh_coeffs):
-        if coeff:
-            label = ar.mesh_param_label(ar.meshes[ci])
-            (pos if coeff > 0 else neg).append((abs(coeff), label))
-    for j, coeff in enumerate(f.proj_coeffs):
-        if coeff:
-            label = ar.vertex_label(ar.projection_vertices[j])
-            (pos if coeff > 0 else neg).append((abs(coeff), label))
-    parts = []
-    for coeff, label in sorted(pos, key=lambda t: t[1]):
-        term = label if coeff == 1 else f"{coeff} {label}"
-        parts.append(f"+ {term}" if parts else term)
-    for coeff, label in sorted(neg, key=lambda t: t[1]):
-        term = label if coeff == 1 else f"{coeff} {label}"
-        parts.append(f"- {term}")
-    return f"{ar.vertex_label(vid)} = " + " ".join(parts)
+    terms = [(x, ar.mesh_param_label(m)) for x, m in zip(f.mesh_coeffs, ar.meshes)]
+    terms += [(x, ar.vertex_label(v)) for x, v in zip(f.proj_coeffs, ar.projection_vertices)]
+    terms.sort(key=lambda t: (t[0] < 0, t[1]))
+    coeffs, labels = zip(*terms)
+    return f"{ar.vertex_label(vid)} = {_named_linear(coeffs, labels)}"
 
 
 def cmd_paper_a2(args):
@@ -344,6 +323,12 @@ def _named_linear(row, names):
 
 
 class _SingleLineParser(argparse.ArgumentParser):
+    def exit(self, status=0, message=None):
+        # flush --help text here, inside main's try, so that a closed
+        # stdout is caught there rather than at interpreter exit
+        sys.stdout.flush()
+        super().exit(status, message)
+
     def error(self, message):
         print(f"fanforge: error: {message}", file=sys.stderr)
         sys.exit(2)
@@ -401,9 +386,7 @@ def build_parser():
     p_ve.set_defaults(func=cmd_verify)
 
     p_ab = sub.add_parser("abhy", help="mesh-equation route: knit, eliminate, realize")
-    p_ab.add_argument("--type", default="A", choices=["A", "D", "E"])
-    p_ab.add_argument("--rank", type=int, default=2)
-    p_ab.add_argument("--orientation")
+    _add_quiver_options(p_ab)
     p_ab.add_argument("--c", help="comma-separated positive rationals, one per mesh")
     p_ab.add_argument("--enable-e", action="store_true")
     p_ab.add_argument("-o", "--output")
@@ -420,8 +403,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if hasattr(args, "budget"):
             args.budget = _budget(args)
         code = args.func(args)
@@ -432,7 +415,7 @@ def main(argv=None):
         # flush has nowhere to fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (FanforgeError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (FanforgeError, ValueError, OSError, KeyError) as exc:
         print(f"fanforge: error: {exc}", file=sys.stderr)
         return 2
 

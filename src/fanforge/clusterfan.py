@@ -6,10 +6,12 @@ tropical recurrence (Nakanishi-Zelevinsky, "On tropical dualities in cluster
 algebras", 2012), which replaces g-vector k and the c-vectors it touches, so
 cluster variables are tracked purely through their integer g-vectors (which
 separate variables in finite type). A seed also carries the positive integer
-symmetrizer D of its exchange matrix: it is derived once for a seed built
-from input, and mutation, which preserves D-symmetrizability, passes it on,
-so each mutated matrix is certified by the integer identity
-d_i b_ij = -d_j b_ji instead of a fresh derivation. The fan enumerator is a
+symmetrizer D of its exchange matrix. The integer identity
+d_i b_ij = -d_j b_ji on every pair is the one test of skew-symmetrizability:
+for a seed built from input, D is only proposed (along a spanning forest of
+the nonzero pairs) and then put to that test, and mutation, which preserves
+D-symmetrizability, passes D on, so each mutated matrix is certified by the
+same identity instead of a fresh derivation. The fan enumerator is a
 BFS over clusters: mutation in direction k changes only g-vector k, so a
 neighbour is named by the frozenset of g-vectors with g_k exchanged
 (exchanged_g_vector), and a full seed is built, once, only for a cluster
@@ -39,7 +41,10 @@ def _identity(n):
 
 
 def _symmetrizer(b):
-    """Positive integer symmetrizer of a skew-symmetrizable matrix, or None."""
+    """The one candidate for a positive integer symmetrizer of b: d = 1 at
+    the first vertex of each component of the pairs whose two entries are
+    nonzero, d_j = d_i |b_ij| / |b_ji| along a spanning forest, then made
+    primitive. Whether it symmetrizes b is for _symmetrizes to decide."""
     n = len(b)
     d = [None] * n
     for start in range(n):
@@ -50,28 +55,19 @@ def _symmetrizer(b):
         while stack:
             i = stack.pop()
             for j in range(n):
-                if b[i][j] == 0 and b[j][i] == 0:
-                    continue
-                if (b[i][j] == 0) != (b[j][i] == 0) or b[i][j] * b[j][i] > 0:
-                    return None
-                if b[i][j] == 0:
-                    continue
-                req = d[i] * Fraction(abs(b[i][j]), abs(b[j][i]))
-                if d[j] is None:
-                    d[j] = req
+                if d[j] is None and b[i][j] and b[j][i]:
+                    d[j] = d[i] * Fraction(abs(b[i][j]), abs(b[j][i]))
                     stack.append(j)
-                elif d[j] != req:
-                    return None
     return primitive(d)
 
 
 def _symmetrizes(d, b):
     """Whether d is a positive integer vector with d_i b_ij = -d_j b_ji for
-    all i <= j (which also forces a zero diagonal)."""
+    all i <= j (which also forces a zero diagonal): the one test of
+    skew-symmetrizability."""
     n = len(b)
     return (
-        d is not None
-        and len(d) == n
+        len(d) == n
         and all(type(x) is int and x > 0 for x in d)
         and all(d[i] * b[i][j] == -d[j] * b[j][i] for i in range(n) for j in range(i, n))
     )
@@ -266,15 +262,12 @@ class ExchangeGraph:
     nodes: tuple
     edges: tuple
 
-    def degree_sequence(self):
+    def is_regular(self, degree):
         deg = [0] * len(self.nodes)
         for a, b, _pair in self.edges:
             deg[a] += 1
             deg[b] += 1
-        return deg
-
-    def is_regular(self, degree):
-        return all(d == degree for d in self.degree_sequence())
+        return all(d == degree for d in deg)
 
     def is_connected(self):
         if not self.nodes:

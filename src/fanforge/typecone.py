@@ -14,7 +14,9 @@ coordinates are reduced through a basis of the left kernel of G, the extreme
 rays of the reduced cone are computed exactly by incremental double
 description, facets are the rows tight on inclusion-maximal sets of rays,
 and each is certified by an explicit point satisfying all other
-inequalities strictly and its own with equality.
+inequalities strictly and its own with equality; the point is checked, not
+kept. TypeCone JSON is written (TypeCone.to_json) and read back
+(type_cone_from_json) here, as Fan JSON is in polyhedra.
 """
 
 import json
@@ -29,7 +31,7 @@ from .errors import (
     NotSimplicial,
 )
 from .linalg import _echelon, dot, kernel_basis, primitive, solve, transpose
-from .polyhedra import extreme_rays, facet_rows, p_h, row_contacts
+from .polyhedra import extreme_rays, facet_rows, int_rows, p_h, row_contacts
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,6 @@ class TypeCone:
     wall_list: tuple
     raw_inequalities: tuple  # one primitive integer N-vector per wall
     facets: tuple  # primitive integer N-vectors, irredundant, sorted
-    facet_certificates: tuple  # reduced-space point certifying each facet
 
     @property
     def k_matrix(self):
@@ -218,6 +219,16 @@ class TypeCone:
         return json.dumps(payload, separators=(",", ":"))
 
 
+def type_cone_from_json(text):
+    """The TypeCone that to_json wrote, as `realize --typecone` reads it:
+    N and the facets; the walls are not read back."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("type cone JSON must be an object")
+    facets = tuple(tuple(row) for row in int_rows(data["facets"], data["N"]))
+    return TypeCone(data["N"], (), (), facets)
+
+
 def type_cone(fan):
     """Type cone of a complete simplicial fan.
 
@@ -240,7 +251,6 @@ def type_cone(fan):
     rays = list(extreme)
     contacts = row_contacts(list(extreme.values()), len(reduced))
     facets = []
-    certificates = []
     for idx in facet_rows(reduced, contacts):
         on_facet = [ray for k, ray in enumerate(rays) if contacts[idx] >> k & 1]
         cert = tuple(sum(ray[i] for ray in on_facet) for i in range(d))
@@ -254,17 +264,7 @@ def type_cone(fan):
                     "facet certificate not strictly interior to the other inequalities"
                 )
         facets.append(dedup[idx])
-        certificates.append(cert)
-    order = sorted(range(len(facets)), key=lambda i: facets[i])
-    facets = tuple(facets[i] for i in order)
-    certificates = tuple(certificates[i] for i in order)
-    return TypeCone(
-        fan.n_rays,
-        tuple(wall_list),
-        tuple(raw),
-        facets,
-        certificates,
-    )
+    return TypeCone(fan.n_rays, tuple(wall_list), tuple(raw), tuple(sorted(facets)))
 
 
 def _lineality_reducer(fan):

@@ -310,6 +310,20 @@ def test_projection_vertices_and_kinds_every_orientation(type_, rank):
         )
 
 
+
+@pytest.mark.parametrize("type_, rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_exchange_matrix_has_one_signed_pair_per_arrow(type_, rank):
+    # arrow s -> t gives b_ts = 1 and b_st = -1; every other entry is 0
+    edges = set(dynkin_tree_edges(type_, rank))
+    for orientation in _orientations(type_, rank):
+        q = DynkinQuiver(type_, rank, orientation)
+        b = q.exchange_matrix()
+        assert all(b[i][j] == -b[j][i] for i in range(rank) for j in range(rank))
+        pairs = {(i + 1, j + 1) for i in range(rank) for j in range(i + 1, rank) if b[i][j]}
+        assert pairs == edges
+        assert all((b[t - 1][s - 1], b[s - 1][t - 1]) == (1, -1) for s, t in q.orientation)
+
+
 def test_ar_json_shape():
     import json
 

@@ -221,6 +221,26 @@ def test_typecone_report_uerp_false_on_custom_fan(tmp_path, capsys):
     assert out.strip() == "facets=3 expected=3 uerp=false"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realize", "--h", ""],
+        ["realize", "--c", ""],
+        ["realize", "--typecone", ""],
+        ["abhy", "--type", "A", "--rank", "3", "--c", ""],
+        ["fan", "--seed", ""],
+    ],
+)
+def test_an_empty_flag_value_is_an_input_error_not_an_absent_flag(tmp_path, capsys, argv):
+    fan_path, out_path = tmp_path / "fan.json", tmp_path / "out"
+    run(capsys, ["fan", "--type", "A", "--rank", "5", "-o", str(fan_path)])
+    if argv[0] == "realize":
+        argv = argv + ["--fan", str(fan_path)]
+    code, out, err = run(capsys, argv + ["-o", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("fanforge: error:") and err.count("\n") == 1
+    assert not out_path.exists()
+
 @pytest.mark.parametrize("argv", [["typecone"], ["realize", "--h", "1,1,1"]])
 def test_incomplete_fan_is_input_error(tmp_path, capsys, argv):
     path = tmp_path / "one.json"
@@ -681,7 +701,7 @@ def test_file_output_is_opened_without_truncation(tmp_path, capsys, monkeypatch)
     assert not any(flags & os.O_TRUNC for _, flags in calls)
 
 
-@pytest.mark.parametrize("command", ["fan", "verify", "typecone"])
+@pytest.mark.parametrize("command", ["fan", "verify", "typecone", "help", "fan-help"])
 def test_a_closed_stdout_exits_0_without_a_message(tmp_path, capsys, command):
     import os
     import subprocess
@@ -694,6 +714,8 @@ def test_a_closed_stdout_exits_0_without_a_message(tmp_path, capsys, command):
         "fan": ["fan", "--type", "A", "--rank", "3"],
         "verify": ["verify", "--fan", str(fan_path), "--polytope", str(off_path)],
         "typecone": ["typecone", "--report", "--fan", str(fan_path)],
+        "help": ["--help"],
+        "fan-help": ["fan", "--help"],
     }[command]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()

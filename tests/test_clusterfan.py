@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from fanforge.clusterfan import (
     seed_from_triangulation,
 )
 from fanforge.errors import BudgetExceeded, InconsistentSystem, InfiniteType
+from fanforge.linalg import primitive
 from fanforge.polyhedra import Fan
 
 A2_B = [[0, 1], [-1, 0]]
@@ -279,6 +282,63 @@ def test_carried_symmetrizer_matches_a_fresh_derivation(name, walk):
     for k in walk:
         seed = mutate_seed(seed, k % seed.rank)
         assert seed.symmetrizer == _symmetrizer(seed.b_matrix)
+
+
+
+def _reference_symmetrizer(b):
+    """Positive integer symmetrizer of a skew-symmetrizable matrix, or None:
+    the derivation that checks the sign pattern and the consistency of
+    every pair itself."""
+    n = len(b)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if b[i][j] == 0 and b[j][i] == 0:
+                    continue
+                if (b[i][j] == 0) != (b[j][i] == 0) or b[i][j] * b[j][i] > 0:
+                    return None
+                if b[i][j] == 0:
+                    continue
+                req = d[i] * Fraction(abs(b[i][j]), abs(b[j][i]))
+                if d[j] is None:
+                    d[j] = req
+                    stack.append(j)
+                elif d[j] != req:
+                    return None
+    return primitive(d)
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer matrices with n <= 4: entries in -3..3, or skew-symmetrizable
+    ones b_ij = d_j t_ij with d positive and t skew-symmetric."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=-3, max_value=3)
+    if draw(st.booleans()):
+        return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    d = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n))
+    t = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        t[i][j] = draw(entry)
+        t[j][i] = -t[i][j]
+    return [[d[j] * t[i][j] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices())
+def test_initial_seed_accepts_exactly_what_the_reference_symmetrizer_derives(b):
+    expected = _reference_symmetrizer(b)
+    if expected is None:
+        with pytest.raises(ValueError, match="^exchange matrix is not skew-symmetrizable$"):
+            initial_seed(b)
+    else:
+        assert initial_seed(b).symmetrizer == expected
 
 
 def _row_major_mutation(b, g, c, k):

@@ -38,6 +38,7 @@ INTEGER_KERNELS = [
     ("polyhedra.py", "extreme_rays"),
     ("clusterfan.py", "mutate_seed"),
     ("clusterfan.py", "exchanged_g_vector"),
+    ("clusterfan.py", "_symmetrizes"),
     ("typecone.py", "dependency_vector"),
     ("typecone.py", "_lineality_reducer"),
     ("typecone.py", "type_cone"),

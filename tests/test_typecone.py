@@ -24,6 +24,7 @@ from fanforge.typecone import (
     dependency_vector,
     qc_polytope,
     type_cone,
+    type_cone_from_json,
     unique_exchange_check,
     wall_dependency,
     walls,
@@ -509,3 +510,18 @@ def test_typecone_json_deterministic():
     assert len(data["facets"]) == 3
     assert len(data["K"]) == 3
     assert len(data["walls"]) == 5
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
+        [[0, 1, 0, 0], [-1, 0, -1, -1], [0, 1, 0, 0], [0, 1, 0, 0]],
+        [[0, 1, 0], [-2, 0, 1], [0, -1, 0]],
+    ],
+    ids=["A3", "D4", "B3"],
+)
+def test_type_cone_json_reads_back_n_and_facets(b):
+    tc = type_cone(enumerate_fan(initial_seed(b)).fan)
+    back = type_cone_from_json(tc.to_json())
+    assert (back.n_rays, back.facets) == (tc.n_rays, tc.facets)
