@@ -59,7 +59,8 @@ def _orientation_from_text(text):
 
 
 def _quiver_from_args(args):
-    orientation = _orientation_from_text(args.orientation) if args.orientation else None
+    text = args.orientation
+    orientation = _orientation_from_text(text) if text is not None else None
     return arquiver.DynkinQuiver(args.type, args.rank, orientation)
 
 

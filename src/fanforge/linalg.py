@@ -2,12 +2,11 @@
 
 Matrices are lists of row lists; entries are ints or Fractions. Nothing in
 here ever touches a float. All elimination is one fraction-free
-Gauss-Jordan on integer rows (:func:`_echelon`): `rank` and the pivot-only
-callers read its pivots and integer rows directly, `kernel_basis` scales
-each kernel vector to a primitive integer vector, and only `solve` divides
-to Fractions, at the end and only in the entries it returns. All outputs
-are canonical: kernel bases come from the reduced row echelon form, so
-identical inputs give identical results.
+Gauss-Jordan on integer rows (:func:`_echelon`): the rank tests, the double
+description's initial basis and the cone adjugates read its pivots and
+integer rows directly, and only `solve` divides to Fractions, at the end
+and only in the entries it returns. Determinants are Bareiss
+(:func:`det_int`). Identical inputs give identical results.
 """
 
 from fractions import Fraction
@@ -52,31 +51,6 @@ def _echelon(m):
         pivots.append(c)
         r += 1
     return pivots
-
-
-def rank(rows):
-    """Rank of a rational matrix: the pivot count of its integer echelon."""
-    return len(_echelon(scale_rows_int(rows)))
-
-
-def kernel_basis(rows):
-    """Canonical basis of {x : rows . x = 0}, one vector per free column:
-    the reduced-echelon kernel vector of that column, scaled positively to
-    a primitive integer tuple."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m = scale_rows_int(rows)
-    pivots = _echelon(m)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        scale = lcm(*(row[p] for row, p in zip(m, pivots) if row[f]))
-        v = [0] * ncols
-        v[f] = scale
-        for row, p in zip(m, pivots):
-            v[p] = -row[f] * scale // row[p]
-        basis.append(primitive(v))
-    return basis
 
 
 def solve(a, b):

@@ -9,14 +9,15 @@ identity; Fractions appear only when its coefficients are read normalized
 to alpha + alpha' = 2, and in the report of a failed check.
 
 The type cone lives in R^N and has an n-dimensional lineality space (the
-span of the ray-matrix columns), so facet extraction works in the quotient:
-coordinates are reduced through a basis of the left kernel of G, the extreme
-rays of the reduced cone are computed exactly by incremental double
-description, facets are the rows tight on inclusion-maximal sets of rays,
-and each is certified by an explicit point satisfying all other
-inequalities strictly and its own with equality; the point is checked, not
-kept. TypeCone JSON is written (TypeCone.to_json) and read back
-(type_cone_from_json) here, as Fan JSON is in polyhedra.
+span of the ray-matrix columns), so facet extraction works on the left
+kernel of G, in the coordinates of the N - n rays outside maximal cone 0:
+that cone is nonsingular, so a kernel row's entries on it are fixed by the
+others. The extreme rays of the projected cone are computed exactly by
+incremental double description, facets are the rows tight on
+inclusion-maximal sets of rays, and each is certified by an explicit point
+satisfying all other inequalities strictly and its own with equality; the
+point is checked, not kept. TypeCone JSON is written (TypeCone.to_json) and
+read back (type_cone_from_json) here, as Fan JSON is in polyhedra.
 """
 
 import json
@@ -30,7 +31,7 @@ from .errors import (
     NonPositiveParameter,
     NotSimplicial,
 )
-from .linalg import _echelon, dot, kernel_basis, primitive, solve, transpose
+from .linalg import _echelon, dot, primitive, solve, transpose
 from .polyhedra import extreme_rays, facet_rows, int_rows, p_h, row_contacts
 
 
@@ -194,9 +195,6 @@ class TypeCone:
     def n_facets(self):
         return len(self.facets)
 
-    def is_simplicial(self, dim):
-        return self.n_facets == self.n_rays - dim
-
     def contains(self, h):
         """Membership of a height vector in the open cone: every facet
         normal pairs strictly positively with h."""
@@ -234,9 +232,11 @@ def type_cone(fan):
 
     Raw inequalities are the primitive integer normals of all wall
     dependencies, deduplicated in wall order (positive scaling only, so
-    sign is meaningful); irredundancy is certified facet by facet in the
-    quotient by the lineality space.
+    sign is meaningful); irredundancy is certified facet by facet on the
+    rows' entries at the rays outside maximal cone 0.
     """
+    if not fan.maximal_cones:
+        raise InconsistentSystem("fan has no maximal cone")
     wall_list = walls(fan)
     raw = [dependency_vector(fan, wall_dependency(fan, w)) for w in wall_list]
     dedup = list(dict.fromkeys(raw))
@@ -244,9 +244,13 @@ def type_cone(fan):
     for p in dedup:
         if any(dot(p, col) for col in columns):
             raise InconsistentSystem("dependency normal does not annihilate the ray matrix")
-    reducer = _lineality_reducer(fan)
-    reduced = [tuple(dot(row, vec) for row in reducer) for vec in dedup]
-    d = len(reducer)
+    # every row annihilates G and cone 0's rays are independent, so
+    # dropping a row's entries on cone 0 maps the left kernel of G one to
+    # one onto R^(N-n): tight sets and facet certificates are unchanged
+    cone0 = fan.maximal_cones[0]
+    free = [i for i in range(fan.n_rays) if i not in cone0]
+    reduced = [tuple(p[i] for i in free) for p in dedup]
+    d = len(free)
     extreme = extreme_rays(reduced, d)
     rays = list(extreme)
     contacts = row_contacts(list(extreme.values()), len(reduced))
@@ -265,15 +269,6 @@ def type_cone(fan):
                 )
         facets.append(dedup[idx])
     return TypeCone(fan.n_rays, tuple(wall_list), tuple(raw), tuple(sorted(facets)))
-
-
-def _lineality_reducer(fan):
-    """Integer basis of the left kernel of the ray matrix G, as rows. The
-    type cone inequalities live in this (N-n)-dimensional quotient."""
-    basis = kernel_basis(transpose(fan.rays))
-    if len(basis) != fan.n_rays - fan.dim:
-        raise InconsistentSystem("ray matrix does not have full column rank")
-    return basis
 
 
 @dataclass(frozen=True)

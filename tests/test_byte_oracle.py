@@ -1,8 +1,9 @@
 """The benchmark's byte oracle, run in process: `fan`, `typecone` and, on
 the rungs that list them, `abhy` reproduce every sha256 digest in
 perfbench/digests.json. The digest file is only read. The exchange graph's
-DOT bytes (`fan --graph-out`, `graph --annotate`), the `typecone --report`
-lines of three non-simply-laced or triangulation seeds and the stdout of
+DOT bytes (`fan --graph-out`, `graph --annotate`), the `typecone -o` bytes
+of two rungs above the ladder and of three non-simply-laced or
+triangulation seeds, their `typecone --report` lines and the stdout of
 every demo are pinned below."""
 
 import contextlib
@@ -57,6 +58,8 @@ SEEDS = {
     "D4": ["--type", "D", "--rank", "4"],
     "D5": ["--type", "D", "--rank", "5"],
     "E6": ["--type", "E", "--rank", "6"],
+    "A6": ["--type", "A", "--rank", "6"],
+    "D6": ["--type", "D", "--rank", "6"],
     "G2": {"b": [[0, 1], [-3, 0]]},
     "B3": {"b": [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]},
     "heptagon": {"triangulation": {"polygon": 7, "diagonals": [[1, 3], [3, 7], [3, 6], [4, 6]]}},
@@ -106,6 +109,25 @@ def test_annotated_graph_matches_the_recorded_digest(tmp_path, name):
     dot = tmp_path / "graph.dot"
     argv = ["graph", *_seed_args(tmp_path, name), "--annotate", "-o", dot]
     assert _digest(argv, dot) == ANNOTATED[name]
+
+
+# sha256 of `typecone -o`, recorded before the type cone was computed in
+# the coordinates of the rays outside maximal cone 0.
+TYPECONE_DIGESTS = {
+    "A6": "7ad2c35eced8483864df66115afba19ac75e90999852b7465cc4f08ffea34d6b",
+    "D6": "2b717a39a0541d59a9c0a6de0a0b71f64216763ace00154caac96957fde5362b",
+    "G2": "87255d58662f5946eda124236f9ae998fa923482b560e5806c6427009c984ea0",
+    "B3": "c134654cb17da3b15f6defaeb1787b365ea7854a0093a8a774555beb1ec27d2c",
+    "heptagon": "bab51adac9a87e90da0a37873b7fddb71fc5582f10bed320e4577ae5ae5319a4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPECONE_DIGESTS))
+def test_typecone_output_matches_the_recorded_digest(tmp_path, name):
+    fan, tc = tmp_path / "fan.json", tmp_path / "typecone.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fan", *_seed_args(tmp_path, name), "-o", str(fan)]) == 0
+    assert _digest(["typecone", "--fan", fan, "-o", tc], tc) == TYPECONE_DIGESTS[name]
 
 
 # `typecone --report` stdout and exit code, recorded before the wall layer

@@ -229,6 +229,9 @@ def test_typecone_report_uerp_false_on_custom_fan(tmp_path, capsys):
         ["realize", "--typecone", ""],
         ["abhy", "--type", "A", "--rank", "3", "--c", ""],
         ["fan", "--seed", ""],
+        ["fan", "--type", "A", "--rank", "3", "--orientation", ""],
+        ["graph", "--type", "A", "--rank", "3", "--orientation", ""],
+        ["abhy", "--type", "A", "--rank", "3", "--orientation", ""],
     ],
 )
 def test_an_empty_flag_value_is_an_input_error_not_an_absent_flag(tmp_path, capsys, argv):

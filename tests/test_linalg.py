@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,9 +8,7 @@ from fanforge.linalg import (
     _echelon,
     det_int,
     dot,
-    kernel_basis,
     primitive,
-    rank,
     scale_rows_int,
     solve,
     transpose,
@@ -119,6 +118,31 @@ def rref(rows):
     red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
     red += [[Fraction(0)] * len(m[0]) for _ in range(len(m) - len(pivots))]
     return red, pivots
+
+
+def rank(rows):
+    """Rank of a rational matrix: the pivot count of its integer echelon."""
+    return len(_echelon(scale_rows_int(rows)))
+
+
+def kernel_basis(rows):
+    """Canonical basis of {x : rows . x = 0}, one vector per free column:
+    the reduced-echelon kernel vector of that column, scaled positively to
+    a primitive integer tuple."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m = scale_rows_int(rows)
+    pivots = _echelon(m)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        scale = lcm(*(row[p] for row, p in zip(m, pivots) if row[f]))
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in zip(m, pivots):
+            v[p] = -row[f] * scale // row[p]
+        basis.append(primitive(v))
+    return basis
 
 
 def test_rref_pivots():

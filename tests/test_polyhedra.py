@@ -15,7 +15,7 @@ from fanforge.errors import (
     InconsistentSystem,
     Unbounded,
 )
-from fanforge.linalg import det_int, dot, kernel_basis, primitive, rank, scale_rows_int, solve
+from fanforge.linalg import det_int, dot, primitive, scale_rows_int, solve, transpose
 from fanforge.polyhedra import (
     Fan,
     HPolytope,
@@ -34,14 +34,13 @@ from fanforge.polyhedra import (
     write_roff,
 )
 from fanforge.typecone import (
-    _lineality_reducer,
     dependency_vector,
     qc_polytope,
     type_cone,
     wall_dependency,
     walls,
 )
-from test_linalg import rref
+from test_linalg import kernel_basis, rank, rref
 
 
 def contains(poly, point):
@@ -457,9 +456,10 @@ def corrupted_fans(draw):
 
 def type_cone_reduction(fan):
     """The deduplicated wall inequalities of the fan's type cone, the same
-    rows reduced through the lineality quotient, and its dimension d."""
+    rows reduced through an integer basis of the left kernel of the ray
+    matrix (the quotient by the lineality space), and its dimension d."""
     dedup = sorted({primitive(dependency_vector(fan, wall_dependency(fan, w))) for w in walls(fan)})
-    reducer = _lineality_reducer(fan)
+    reducer = kernel_basis(transpose(fan.rays))
     return dedup, [[dot(row, vec) for row in reducer] for vec in dedup], len(reducer)
 
 

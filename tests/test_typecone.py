@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fanforge.arquiver import DynkinQuiver, dynkin_tree_edges
 from fanforge.clusterfan import (
+    Triangulation,
     all_triangulations,
     enumerate_fan,
     initial_seed,
@@ -18,7 +20,7 @@ from fanforge.errors import (
     NonPositiveParameter,
     NotSimplicial,
 )
-from fanforge.linalg import dot, kernel_basis, primitive, solve
+from fanforge.linalg import dot, primitive, solve
 from fanforge.polyhedra import Fan, HPolytope, fan_eq, normal_fan, p_h, vertices
 from fanforge.typecone import (
     dependency_vector,
@@ -29,6 +31,7 @@ from fanforge.typecone import (
     wall_dependency,
     walls,
 )
+from test_linalg import kernel_basis, rank
 
 
 def a2_fan():
@@ -334,7 +337,7 @@ def test_uerp_fails_perturbed_orthant():
 def test_type_cone_a1():
     tc = type_cone(a1_fan())
     assert tc.facets == ((1, 1),)
-    assert tc.is_simplicial(1)
+    assert tc.n_facets == tc.n_rays - 1
 
 
 def test_type_cone_a2_golden():
@@ -363,7 +366,7 @@ def test_type_cone_a2_golden():
 def test_type_cone_quadrant():
     tc = type_cone(quadrant_fan())
     assert set(tc.facets) == {(1, 0, 1, 0), (0, 1, 0, 1)}
-    assert tc.is_simplicial(2)
+    assert tc.n_facets == tc.n_rays - 2
 
 
 def test_type_cone_counts_match_simpliciality():
@@ -373,9 +376,54 @@ def test_type_cone_counts_match_simpliciality():
             tc = type_cone(fan)
             n = fan.dim
             assert tc.n_facets == fan.n_rays - n
-            from fanforge.linalg import rank
-
             assert rank([list(f) for f in tc.k_matrix]) == fan.n_rays - n
+
+
+SMALL_DYNKIN = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]
+OTHER_SEEDS = {
+    "G2": initial_seed([[0, 1], [-3, 0]]),
+    "B3": initial_seed([[0, 1, 0], [-1, 0, 1], [0, -2, 0]]),
+    "heptagon": seed_from_triangulation(Triangulation(7, [(1, 3), (3, 7), (3, 6), (4, 6)])),
+}
+
+
+@st.composite
+def relabeled_bfs_fans(draw):
+    """A BFS fan with a random permutation of its ray indices: a random
+    orientation of A1-A5, D4 or D5, or the G2, B3 or heptagon seed."""
+    kind = draw(st.sampled_from(SMALL_DYNKIN + sorted(OTHER_SEEDS)))
+    if kind in OTHER_SEEDS:
+        seed = OTHER_SEEDS[kind]
+    else:
+        edges = dynkin_tree_edges(*kind)
+        flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        arrows = [(b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips)]
+        seed = initial_seed(DynkinQuiver(*kind, arrows).exchange_matrix())
+    fan = enumerate_fan(seed).fan
+    return fan, draw(st.permutations(range(fan.n_rays)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabeled_bfs_fans())
+def test_type_cone_does_not_depend_on_which_cone_is_dropped(case):
+    """Relabeling the rays moves maximal cone 0 away from the start
+    cluster; the type cone's facets are the relabeled facets."""
+    fan, perm = case
+
+    def relabel(vec):
+        out = [None] * len(vec)
+        for i, x in enumerate(vec):
+            out[perm[i]] = x
+        return tuple(out)
+
+    cones = [tuple(perm[i] for i in cone) for cone in fan.maximal_cones]
+    relabeled = Fan(fan.dim, relabel(fan.rays), cones)
+    assert type_cone(relabeled).facets == tuple(sorted(map(relabel, type_cone(fan).facets)))
+
+
+def test_type_cone_of_a_fan_without_cones_is_inconsistent():
+    with pytest.raises(InconsistentSystem):
+        type_cone(Fan(2, [(1, 0), (0, 1), (-1, -1)], []))
 
 
 def test_middle_coefficients_nonnegative_on_gvector_fans():
