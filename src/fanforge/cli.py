@@ -47,14 +47,12 @@ def _parameters(text, count):
 
 def _orientation_from_text(text):
     arrows = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if ">" not in tok:
-            raise ValueError(f"orientation token {tok!r} must look like '2>1'")
-        s, t = tok.split(">")
-        arrows.append((int(s), int(t)))
+    for tok in filter(None, map(str.strip, text.split(","))):
+        try:
+            s, t = map(int, tok.split(">"))
+        except ValueError:
+            raise ValueError(f"orientation token {tok!r} must look like '2>1'") from None
+        arrows.append((s, t))
     return tuple(arrows)
 
 
@@ -95,6 +93,13 @@ def _read_in(path):
         return fh.read()
 
 
+def _read_fan(path):
+    """The fan JSON at path (stdin when absent), proved complete before use."""
+    fan = polyhedra.fan_from_json(_read_in(path))
+    fan.validate()
+    return fan
+
+
 def _add_quiver_options(sub):
     sub.add_argument("--type", default="A", choices=["A", "D", "E"])
     sub.add_argument("--rank", type=int, default=2)
@@ -133,8 +138,7 @@ def cmd_graph(args):
 
 
 def cmd_typecone(args):
-    fan = polyhedra.fan_from_json(_read_in(args.fan))
-    fan.validate()
+    fan = _read_fan(args.fan)
     tc = typecone.type_cone(fan)
     expected = fan.n_rays - fan.dim
     if args.report:
@@ -152,8 +156,7 @@ def cmd_typecone(args):
 
 
 def cmd_realize(args):
-    fan = polyhedra.fan_from_json(_read_in(args.fan))
-    fan.validate()
+    fan = _read_fan(args.fan)
     if args.h is not None:
         if args.c is not None:
             raise ValueError("give either --c or --h, not both")
@@ -181,8 +184,7 @@ def cmd_realize(args):
 
 
 def cmd_verify(args):
-    fan = polyhedra.fan_from_json(_read_in(args.fan))
-    fan.validate()
+    fan = _read_fan(args.fan)
     verts, facet_lists = polyhedra.parse_roff(_read_in(args.polytope))
     if len(verts[0]) != fan.dim:
         raise ValueError(f"the polytope lives in R^{len(verts[0])}, the fan in R^{fan.dim}")
@@ -416,7 +418,7 @@ def main(argv=None):
         # flush has nowhere to fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (FanforgeError, ValueError, OSError, KeyError) as exc:
+    except (FanforgeError, ValueError, OSError, KeyError, RecursionError) as exc:
         print(f"fanforge: error: {exc}", file=sys.stderr)
         return 2
 

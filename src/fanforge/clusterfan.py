@@ -332,13 +332,14 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     Returns a FanEnumeration whose fan has all distinct g-vectors as rays
     (lexicographically decreasing, so the initial cluster is the positive
     orthant and its basis vectors come first) and one maximal cone per
-    cluster, in first-discovery order. With a triangulation supplied, flips
+    cluster, sorted as Fan sorts them: cone 0 is the initial cluster, the
+    start cluster of an initial seed. With a triangulation supplied, flips
     are tracked alongside mutations and every diagonal is matched to its
     g-vector ray; agreement across all clusters containing the diagonal is
     checked, for each new seed on the one pair it does not share with its
-    parent. Raises
-    InfiniteType, a BudgetExceeded, as soon as a reached seed is not
-    2-finite, and BudgetExceeded when more than budget seeds are reached.
+    parent. Raises InfiniteType, a BudgetExceeded, as soon as a reached
+    seed is not 2-finite, and BudgetExceeded when more than budget seeds
+    are reached.
     """
     n = seed.rank
     if triangulation is not None:

@@ -38,8 +38,9 @@ class Fan:
     """Complete simplicial fan: primitive integer rays plus maximal cones
     given as sorted ray-index tuples of size n.
 
-    Construction performs the cheap structural checks (primitive distinct
-    rays, simplicial cones). :meth:`validate` proves completeness and
+    Construction checks structure (primitive distinct rays, n rays per
+    cone); a cone is proved nonsingular where it is inverted, in
+    :meth:`_cone_data`. :meth:`validate` proves completeness and
     face-to-face intersection exactly, by the wall-and-degree certificate
     (every wall in two cones on opposite sides, one interior point covered
     once), using the per-cone adjugates that :meth:`_cone_data` caches.
@@ -63,16 +64,11 @@ class Fan:
         cones = sorted(tuple(sorted(c)) for c in maximal_cones)
         if len(set(cones)) != len(cones):
             raise ValueError("a maximal cone is listed twice")
-        # one determinant per cone, rays as rows; _cone_data reuses it
-        self._cone_dets = []
         for cone in cones:
             if len(cone) != dim:
                 raise ValueError("maximal cone must have exactly dim rays")
             if cone[0] < 0 or cone[-1] >= len(self.rays):
                 raise ValueError("cone ray index out of range")
-            self._cone_dets.append(det_int([self.rays[i] for i in cone]))
-            if self._cone_dets[-1] == 0:
-                raise ValueError("maximal cone is not simplicial (rank deficient)")
         self.maximal_cones = tuple(cones)
         if labels is None:
             labels = ["(" + ",".join(str(x) for x in r) + ")" for r in self.rays]
@@ -99,13 +95,14 @@ class Fan:
         return f"Fan(dim={self.dim}, rays={self.n_rays}, cones={len(self.maximal_cones)})"
 
     def _cone_data(self):
+        """(adj, det > 0) per maximal cone; ValueError on a singular one."""
         if self._cone_inverses is None:
             data = []
-            for cone, d in zip(self.maximal_cones, self._cone_dets):
-                # rays as columns: lambda = adj.x / det solves sum(lambda_i r_i) = x;
-                # d, taken with rays as rows, is det(m): det is transpose-invariant
-                m = [[self.rays[i][k] for i in cone] for k in range(self.dim)]
-                adj = _adjugate_int(m, d)
+            for cone in self.maximal_cones:
+                # rays as columns: lambda = adj.x / det solves sum(lambda_i r_i) = x
+                adj, d = _adjugate_int([[self.rays[i][k] for i in cone] for k in range(self.dim)])
+                if d == 0:
+                    raise ValueError("maximal cone is not simplicial (rank deficient)")
                 if d < 0:
                     d = -d
                     adj = [[-x for x in row] for row in adj]
@@ -172,15 +169,18 @@ class Fan:
         return True
 
 
-def _adjugate_int(m, det):
-    """Adjugate of an invertible square integer matrix with determinant det:
-    det times the inverse. The integer echelon of [m | I] has row i's pivot
-    p_i in column i, so row i of the inverse is the row's right half over
-    p_i."""
+def _adjugate_int(m):
+    """(adjugate, det) of a square integer matrix, the adjugate being det
+    times the inverse, or (None, 0) when m is singular. The integer echelon
+    of [m | I] has row i's pivot p_i in column i, so row i of the inverse
+    is the row's right half over p_i."""
+    det = det_int(m)
+    if det == 0:
+        return None, 0
     n = len(m)
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     _echelon(rows)
-    return [[det * x // row[i] for x in row[n:]] for i, row in enumerate(rows)]
+    return [[det * x // row[i] for x in row[n:]] for i, row in enumerate(rows)], det
 
 
 def extreme_rays(constraints, d):
@@ -194,9 +194,7 @@ def extreme_rays(constraints, d):
         raise InconsistentSystem(f"constraints do not span R^{d}")
     # the initial simplicial cone's rays are the columns of the inverse,
     # i.e. of the adjugate oriented by the sign of the determinant
-    a0 = [list(constraints[i]) for i in init]
-    det = det_int(a0)
-    adj = _adjugate_int(a0, det)
+    adj, det = _adjugate_int([list(constraints[i]) for i in init])
     sign = 1 if det > 0 else -1
     basis = sum(1 << i for i in init)
     rays = [
@@ -283,26 +281,31 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class VPolytope:
-    """Vertex list in canonical (lexicographic) order.
+    """Vertex list in lexicographic order, from points given in any order.
 
     Producers guarantee irredundancy; ``normal_fan`` re-checks it. A vertex
-    enumeration or :func:`realization` records the contact set of each row
-    it started from, as a dict (primitive integer normal, offset) ->
-    bitmask of vertex indices (bit j for vertices[j]), from which facet
-    extraction then selects the facets.
+    enumeration or :func:`realization` passes incidence = (rows, tight):
+    its rows keyed (primitive integer normal, offset), and per input point
+    the bitmask of the rows tight on it. They are kept as contacts, a dict
+    row -> bitmask of vertex indices (bit j for vertices[j]), from which
+    facet extraction then selects the facets.
     """
 
     vertices: tuple
     contacts: dict = field(default=None, compare=False)
 
-    def __init__(self, vertices, contacts=None):
+    def __init__(self, vertices, incidence=None):
         pts = [tuple(_fraction(x) for x in v) for v in vertices]
-        pts = [pts[i] for i in _lex_order(pts)]
         if not pts:
             raise ValueError("empty vertex list")
         if len({len(p) for p in pts}) != 1:
             raise ValueError("inconsistent point dimensions")
-        object.__setattr__(self, "vertices", tuple(pts))
+        order = _lex_order(pts)
+        object.__setattr__(self, "vertices", tuple(pts[i] for i in order))
+        contacts = None
+        if incidence is not None:
+            rows, tight = incidence
+            contacts = dict(zip(rows, row_contacts([tight[i] for i in order], len(rows))))
         object.__setattr__(self, "contacts", contacts)
 
     @property
@@ -347,12 +350,9 @@ def vertices(p):
         raise Empty("no feasible point")
     if len(_echelon([list(ray) for ray in rays])) != n + 1:
         raise DimensionDeficient("polytope has no interior point")
-    verts = [tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray in rays]
-    order = _lex_order(verts)
-    tight = list(rays.values())
     keys = [_facet_key([*row, bi]) for row, bi in zip(a_rows, b)]
-    contacts = row_contacts([tight[k] for k in order], len(keys))
-    return VPolytope([verts[k] for k in order], dict(zip(keys, contacts)))
+    verts = [[Fraction(x, ray[n]) for x in ray[:n]] for ray in rays]
+    return VPolytope(verts, (keys, list(rays.values())))
 
 
 def _facet_key(row):
@@ -429,15 +429,14 @@ def realization(fan, h):
     if len(h) != fan.n_rays:
         raise ValueError(f"height vector must have length {fan.n_rays}")
     *h_int, s = primitive([*h, 1])
-    points = []
+    points, tight = [], []
     for cone, (adj, det) in zip(fan.maximal_cones, fan._cone_data()):
         x = [dot(col, [h_int[i] for i in cone]) for col in zip(*adj)]
         if any(i not in cone and det * h_int[i] <= dot(r, x) for i, r in enumerate(fan.rays)):
             raise ValueError("the normal fan of the polytope differs from the fan")
-        points.append(tuple(Fraction(xk, det * s) for xk in x))
-    order = _lex_order(points)
-    contacts = row_contacts([sum(1 << i for i in fan.maximal_cones[k]) for k in order], fan.n_rays)
-    return VPolytope([points[k] for k in order], dict(zip(zip(fan.rays, h), contacts)))
+        points.append([Fraction(xk, det * s) for xk in x])
+        tight.append(sum(1 << i for i in cone))
+    return VPolytope(points, (list(zip(fan.rays, h)), tight))
 
 
 def fan_eq(f1, f2):
@@ -499,12 +498,11 @@ def write_roff(vp):
     """ROFF text: header, `V F` counts, vertex rows as `p/q` rationals,
     then facet lines `k i1 ... ik` with sorted vertex indices."""
     _normals, _offsets, contacts = facet_description(vp)
-    facet_lists = sorted(tuple(sorted(c)) for c in contacts)
-    lines = ["ROFF", f"{len(vp.vertices)} {len(facet_lists)}"]
+    lines = ["ROFF", f"{len(vp.vertices)} {len(contacts)}"]
     for v in vp.vertices:
         lines.append(" ".join(_frac_str(x) for x in v))
-    for fl in facet_lists:
-        lines.append(" ".join(str(i) for i in (len(fl),) + fl))
+    for fl in sorted(contacts):
+        lines.append(" ".join(str(i) for i in [len(fl), *fl]))
     return "\n".join(lines) + "\n"
 
 

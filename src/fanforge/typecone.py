@@ -90,8 +90,8 @@ def walls(fan):
 def wall_dependency(fan, wall):
     """The unique linear dependency across a wall, as its integer identity.
 
-    Cone A = {r} + shared is nonsingular (Fan.__init__ checks every maximal
-    cone), so the rays r, r' and shared have a one-dimensional kernel and
+    Cone A = {r} + shared is nonsingular (Fan._cone_data proves it), so
+    the rays r, r' and shared have a one-dimensional kernel and
     r' = sum(lambda_k a_k) / det over cone A's rays a_k, with lambda_k =
     adj_A[k] . r' from cone A's cached adjugate. With a = lambda_r the
     normalized dependency is alpha = -2a/(det-a), alpha' = 2det/(det-a) and

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,68 @@ def _orientations(type_, rank):
         tuple((b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips))
         for flips in itertools.product((False, True), repeat=len(edges))
     ]
+
+
+def _g_vector(quiver, d, sign=1, arrows=DynkinQuiver.arrows_out):
+    """sign * (sum of d_b over the arrows i -> b, less d_i) for each i."""
+    return tuple(
+        sign * (sum(d[b - 1] for b in arrows(quiver, i)) - d[i - 1])
+        for i in range(1, quiver.rank + 1)
+    )
+
+
+# every D4 orientation; of the 16 D5 ones, the linear one and two others
+D5_ORIENTATIONS = [None, ((1, 2), (3, 2), (3, 4), (5, 3)), ((2, 1), (2, 3), (4, 3), (3, 5))]
+
+
+@pytest.mark.parametrize(
+    "rank, orientation",
+    [pytest.param(4, o, id=f"D4-{k}") for k, o in enumerate(_orientations("D", 4))]
+    + [pytest.param(5, o, id=f"D5-{k}") for k, o in enumerate(D5_ORIENTATIONS)],
+)
+def test_abhy_polytope_is_q_c_beyond_type_a(rank, orientation):
+    # criterion 6 off type A: the classes map onto the g-vector rays, the
+    # knitted mesh rows are the type cone facets, and the ABHY polytope for
+    # c is Q_c for c carried from the meshes to the facets
+    from fanforge.clusterfan import enumerate_fan, initial_seed
+    from fanforge.linalg import primitive
+    from fanforge.polyhedra import realization
+    from fanforge.typecone import qc_polytope, type_cone
+
+    q = DynkinQuiver("D", rank, orientation)
+    ar = knit_ar_quiver(q)
+    fan = enumerate_fan(initial_seed(q.exchange_matrix())).fan
+    exact = [
+        (sign, arrows)
+        for sign in (1, -1)
+        for arrows in (DynkinQuiver.arrows_out, DynkinQuiver.arrows_in)
+        if sorted(_g_vector(q, v.dim_vector, sign, arrows) for v in ar.vertices) == sorted(fan.rays)
+    ]
+    assert exact == [(1, DynkinQuiver.arrows_out)]
+    position = {ray: i for i, ray in enumerate(fan.rays)}
+    ray_of = [position[_g_vector(q, v.dim_vector)] for v in ar.vertices]
+
+    tc = type_cone(fan)
+    mesh_rows = []
+    for mesh in ar.meshes:
+        row = [0] * fan.n_rays
+        row[ray_of[mesh.start]] += 1
+        row[ray_of[mesh.end]] += 1
+        for m in mesh.middles:
+            row[ray_of[m]] -= 1
+        mesh_rows.append(primitive(row))
+    assert sorted(mesh_rows) == sorted(tc.facets) and len(set(mesh_rows)) == len(mesh_rows)
+
+    rng = random.Random(7)
+    seeded = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in ar.meshes]
+    proj = [ray_of[v] for v in ar.projection_vertices]
+    for c in ([1] * len(ar.meshes), seeded):
+        by_facet = dict(zip(mesh_rows, c))
+        poly, cert = qc_polytope(fan, tc, [by_facet[f] for f in tc.facets])
+        slack = [cert.slack(x) for x in realization(fan, poly.bounds).vertices]
+        assert all(min(s) >= 0 for s in slack)
+        mapped = {tuple(s[r] for r in proj) for s in slack}
+        assert mapped == set(vertices(abhy_polytope(ar, c)).vertices)
 
 
 @pytest.mark.parametrize(

@@ -244,6 +244,15 @@ def test_an_empty_flag_value_is_an_input_error_not_an_absent_flag(tmp_path, caps
     assert err.startswith("fanforge: error:") and err.count("\n") == 1
     assert not out_path.exists()
 
+
+@pytest.mark.parametrize("command", ["fan", "graph", "abhy"])
+@pytest.mark.parametrize("token", ["2>1>3", ">", "2", "2>x"])
+def test_an_orientation_token_that_is_not_one_arrow_is_input_error(capsys, command, token):
+    code, out, err = run(capsys, [command, "--type", "A", "--rank", "3", "--orientation", token])
+    assert (code, out) == (2, "")
+    assert err == f"fanforge: error: orientation token {token!r} must look like '2>1'\n"
+
+
 @pytest.mark.parametrize("argv", [["typecone"], ["realize", "--h", "1,1,1"]])
 def test_incomplete_fan_is_input_error(tmp_path, capsys, argv):
     path = tmp_path / "one.json"
@@ -370,7 +379,10 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["dim"] == 1
 
 
-@pytest.mark.parametrize("text", ["[1,2]", '"b"'])
+# the last text is nested deeper than the recursion limit
+@pytest.mark.parametrize(
+    "text", ["[1,2]", '"b"', pytest.param("[" * 100_000 + "]" * 100_000, id="deep")]
+)
 @pytest.mark.parametrize(
     "argv",
     [["typecone", "--fan"], ["realize", "--typecone"], ["fan", "--seed"]],
@@ -385,6 +397,18 @@ def test_json_that_is_not_an_object_is_input_error(tmp_path, capsys, argv, text)
     assert code == 2
     assert out == ""
     assert err.startswith("fanforge: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["typecone", "realize", "verify"])
+def test_fan_with_a_singular_cone_is_input_error(tmp_path, capsys, command):
+    # cone (0, 1) spans only a line: the fan is refused before any other use
+    path, off = tmp_path / "singular.json", tmp_path / "any.off"
+    path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [-1, 0], [0, 1]], "cones": [[0, 1], [1, 2]]}))
+    off.write_text("ROFF\n1 0\n0/1 0/1\n")
+    extra = ["--polytope", str(off)] if command == "verify" else []
+    code, out, err = run(capsys, [command, "--fan", str(path)] + extra)
+    assert (code, out) == (2, "")
+    assert err == "fanforge: error: maximal cone is not simplicial (rank deficient)\n"
 
 
 def test_fan_listing_a_cone_twice_is_input_error(tmp_path, capsys):

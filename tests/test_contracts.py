@@ -3,7 +3,7 @@ package raises FanforgeError subclasses instead. The integer kernels stay
 in integers: they construct no Fraction. Every public linalg function has
 a caller elsewhere in the package, so test-only helpers live in the tests.
 Files are written by one writer, `cli._write_out`, which never truncates
-on open."""
+on open. Determinants and vertex orders each have one owner."""
 
 import ast
 from pathlib import Path
@@ -89,6 +89,31 @@ def test_every_public_linalg_function_is_used_elsewhere_in_the_package():
 
 def _callee(node):
     return ast.unparse(node.func) if isinstance(node, ast.Call) else None
+
+
+def test_determinants_and_vertex_order_have_one_owner_each():
+    """A determinant is taken where a seed proves its g-vectors unimodular
+    and where a matrix is inverted; vertices are ordered where a VPolytope
+    is built."""
+    callers = {"det_int": set(), "_lex_order": set()}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scopes = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        scopes += [
+            (f"{cls.name}.{node.name}", node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        for name, function in scopes:
+            for call in ast.walk(function):
+                if _callee(call) in callers:
+                    callers[_callee(call)].add(name)
+    assert callers == {
+        "det_int": {"Seed.__post_init__", "_adjugate_int"},
+        "_lex_order": {"VPolytope.__init__"},
+    }
 
 
 def _opens_for_writing(call):

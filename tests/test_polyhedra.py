@@ -100,6 +100,31 @@ def test_vertices_canonical_order_is_lexicographic():
     assert list(vp.vertices) == sorted(vp.vertices)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_vpolytope_is_unchanged_when_its_points_are_permuted(data):
+    # the constructor alone orders the points and bit-indexes each row's
+    # contacts: vertex j is on a row iff its input point's mask has the row
+    dim = data.draw(st.integers(1, 3))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    points = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=8, unique=True))
+    normal = st.tuples(*[st.integers(-2, 2)] * dim)
+    rows = data.draw(st.lists(st.tuples(normal, coord), max_size=6, unique=True))
+    tight = data.draw(
+        st.lists(st.integers(0, 2 ** len(rows) - 1), min_size=len(points), max_size=len(points))
+    )
+    perm = data.draw(st.permutations(range(len(points))))
+    vp = VPolytope(points, (rows, tight))
+    shuffled = VPolytope([points[i] for i in perm], (rows, [tight[i] for i in perm]))
+    assert (shuffled.vertices, shuffled.contacts) == (vp.vertices, vp.contacts)
+    assert list(vp.vertices) == sorted(points)
+    mask_of = dict(zip(points, tight))
+    assert vp.contacts == {
+        row: sum(1 << j for j, v in enumerate(vp.vertices) if mask_of[v] >> k & 1)
+        for k, row in enumerate(rows)
+    }
+
+
 def test_vertices_unbounded():
     with pytest.raises(Unbounded):
         vertices(HPolytope([(-1, 0), (0, -1)], (0, 0)))
@@ -266,8 +291,12 @@ def test_fan_rejects_duplicate_rays():
 
 
 def test_fan_rejects_rank_deficient_cone():
-    with pytest.raises(ValueError):
-        Fan(2, [(1, 0), (-1, 0), (0, 1)], [(0, 1), (1, 2)])
+    # construction checks structure only; a cone is proved nonsingular
+    # where it is inverted, before any use of its inverse
+    fan = Fan(2, [(1, 0), (-1, 0), (0, 1)], [(0, 1), (1, 2)])
+    for use in (Fan.validate, type_cone, lambda f: realization(f, [1, 1, 1])):
+        with pytest.raises(ValueError, match=r"^maximal cone is not simplicial \(rank deficient\)$"):
+            use(fan)
 
 
 def test_fan_validate_detects_overlap():
