@@ -19,9 +19,11 @@ not seen before. It raises InfiniteType as soon as a reached seed has
 |b_ij b_ji| > 3 (Fomin-Zelevinsky, "Cluster algebras II", Invent. Math.
 2003, Thm 1.8); for type A it can carry polygon triangulations alongside,
 which yields the diagonal-to-ray dictionary used by the mesh cross-checks.
-A diagonal is a sorted vertex pair (is_diagonal), a flip reads its
-quadrilateral off the triangulation's edges, and the BFS keeps the
-triangulation each flip returns, so every one is validated once.
+A diagonal is a sorted vertex pair (is_diagonal), and a flip reads its
+quadrilateral off the triangulation's edges (_flipped). The tracked BFS
+flips each cluster's diagonals with that rule and validates only the start
+triangulation, since a flip of a triangulation is one; the flip graph is
+the flip closure of the fan triangulation at vertex 1.
 """
 
 import json
@@ -237,21 +239,27 @@ def seed_from_triangulation(tri):
     return initial_seed(b)
 
 
-def flip(tri, diagonal):
-    """Replace one diagonal by the other diagonal of its quadrilateral, whose
-    two further corners (the apexes) are the vertices joined to both ends
-    of the diagonal: one on each side of it in a triangulation."""
-    d = tuple(sorted(diagonal))
-    if d not in tri.diagonals:
-        raise ValueError(f"{d} is not a diagonal of the triangulation")
-    m = tri.polygon_size
-    edges = set(tri.diagonals) | {(i, i % m + 1) for i in range(1, m + 1)}
+def _flipped(polygon_size, diagonals, d):
+    """The other diagonal of the quadrilateral that diagonal d bounds in the
+    triangulation with these diagonals: its two corners off d (the apexes)
+    are the vertices joined to both ends of d, one on each side of it."""
+    m = polygon_size
+    edges = set(diagonals) | {(i, i % m + 1) for i in range(1, m + 1)}
     joined = [{v for e in edges if x in e for v in e} for x in d]
     other = tuple(sorted((joined[0] & joined[1]) - set(d)))
     if len(other) != 2:
         raise InconsistentSystem("diagonal must bound two triangles")
+    return other
+
+
+def flip(tri, diagonal):
+    """Replace one diagonal by the other diagonal of its quadrilateral."""
+    d = tuple(sorted(diagonal))
+    if d not in tri.diagonals:
+        raise ValueError(f"{d} is not a diagonal of the triangulation")
+    other = _flipped(tri.polygon_size, tri.diagonals, d)
     new_diags = tuple(other if x == d else x for x in tri.diagonals)
-    return Triangulation(m, new_diags), other
+    return Triangulation(tri.polygon_size, new_diags), other
 
 
 @dataclass(frozen=True)
@@ -350,13 +358,13 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     # the start seed's diagonals are distinct, so its pairs cannot disagree
     diagonal_rays = dict(zip(diags, seed.g_vectors)) if triangulation else {}
     start_key = frozenset(seed.g_vectors)
-    # diags lists the diagonals in direction order, tri is the validated
-    # triangulation that flips read
-    states = {start_key: (seed, diags, triangulation)}
+    # diags lists the diagonals in direction order: a flip of a
+    # triangulation is one, so only the start needs validating
+    states = {start_key: (seed, diags)}
     order = [start_key]
     edges = set()
     for key in order:
-        s, diags, tri = states[key]
+        s, diags = states[key]
         for k in range(n):
             g_k, g2 = s.g_vectors[k], exchanged_g_vector(s, k)
             key2 = key - {g_k} | {g2}
@@ -364,17 +372,16 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
                 # Seed.__post_init__ checks the mutated g-vectors' unimodularity
                 s2 = mutate_seed(s, k)
                 _check_finite_type(s2.b_matrix, len(states))
-                diags2 = tri2 = None
+                diags2 = None
                 if diags is not None:
-                    # flip() validates the flipped triangulation, once
-                    tri2, new_diag = flip(tri, diags[k])
+                    new_diag = _flipped(triangulation.polygon_size, diags, diags[k])
                     diags2 = diags[:k] + (new_diag,) + diags[k + 1 :]
                     # s2 shares every other (diagonal, g-vector) pair with s
                     if diagonal_rays.setdefault(new_diag, g2) != g2:
                         raise InconsistentSystem(
                             f"diagonal {new_diag} matched two distinct g-vectors"
                         )
-                states[key2] = (s2, diags2, tri2)
+                states[key2] = (s2, diags2)
                 order.append(key2)
                 if len(states) > budget:
                     raise BudgetExceeded(f"seed BFS exceeded {budget} nodes")
@@ -406,31 +413,7 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
 
 def all_triangulations(polygon_size):
     """Every triangulation of the convex polygon, canonically ordered."""
-
-    def rec(cycle):
-        # cycle: tuple of polygon vertex labels in convex position
-        if len(cycle) < 3:
-            return [frozenset()]
-        if len(cycle) == 3:
-            return [frozenset()]
-        out = []
-        a, b = cycle[0], cycle[1]
-        for i in range(2, len(cycle)):
-            apex = cycle[i]
-            left = rec(cycle[1 : i + 1])
-            right = rec((cycle[0],) + cycle[i:])
-            for dl in left:
-                for dr in right:
-                    diags = set(dl) | set(dr)
-                    for u, v in ((a, apex), (b, apex)):
-                        d = tuple(sorted((u, v)))
-                        if is_diagonal(d, polygon_size):
-                            diags.add(d)
-                    out.append(frozenset(diags))
-        return out
-
-    seen = sorted({tuple(sorted(d)) for d in rec(tuple(range(1, polygon_size + 1)))})
-    return [Triangulation(polygon_size, d) for d in seen]
+    return list(flip_graph(polygon_size).nodes)
 
 
 @dataclass(frozen=True)
@@ -440,18 +423,27 @@ class FlipGraph:
 
 
 def flip_graph(polygon_size):
-    """Graph of all triangulations with diagonal flips as edges."""
+    """Graph of all triangulations with diagonal flips as edges, sorted by
+    their diagonals. It is the flip closure of the fan triangulation at
+    vertex 1: the flip graph is connected, so that reaches every one."""
     if polygon_size < 4:
         raise ValueError("need a polygon with at least 4 vertices")
-    tris = all_triangulations(polygon_size)
-    index = {t.diagonals: i for i, t in enumerate(tris)}
-    edges = set()
-    for i, t in enumerate(tris):
-        for d in t.diagonals:
-            t2, _new = flip(t, d)
-            j = index[t2.diagonals]
-            edges.add((min(i, j), max(i, j)))
-    return FlipGraph(tuple(tris), tuple(sorted(edges)))
+    start = tuple((1, j) for j in range(3, polygon_size))
+    seen = {start}
+    order = [start]
+    flips = []
+    for diags in order:
+        for d in diags:
+            other = _flipped(polygon_size, diags, d)
+            diags2 = tuple(sorted(other if x == d else x for x in diags))
+            if diags2 not in seen:
+                seen.add(diags2)
+                order.append(diags2)
+            flips.append((diags, diags2))
+    order.sort()
+    index = {diags: i for i, diags in enumerate(order)}
+    edges = {tuple(sorted((index[a], index[b]))) for a, b in flips}
+    return FlipGraph(tuple(Triangulation(polygon_size, d) for d in order), tuple(sorted(edges)))
 
 
 def _is_label(value):

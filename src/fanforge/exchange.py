@@ -102,8 +102,8 @@ def verify_mutation_theorem(fan, graph):
     complement), (ii) the exchange graph is n-regular and connected, and
     (iii) each wall dependency with alpha = alpha' = 1 is an exchange
     relation r + r' = sum(c_s s) over the shared rays with integer
-    coefficients c_s: its integer identity det*(r + r') = sum(lambda_s s)
-    holds and det divides every lambda_s.
+    coefficients c_s: its normal v has v[r] = v[r'], the identity
+    v[r]*(r + r') = sum(-v[s] s) holds and v[r] divides every v[s].
     """
     unique_complement = all(
         len(cones) == 2 for cones in fan.wall_subsets().values()
@@ -114,16 +114,13 @@ def verify_mutation_theorem(fan, graph):
     unit_walls = 0
     integral = True
     for dep in deps:
-        det, (a, *lam) = dep.integer_form
-        if a == -det:  # alpha = alpha' = 1: det*(r + r') = sum(lambda_s s)
+        v, w = dep.normal, dep.wall
+        r, r2 = w.exchanged
+        if v[r] == v[r2]:  # alpha = alpha' = 1: v[r]*(r + r') = sum(-v[s] s)
             unit_walls += 1
-            w = dep.wall
-            r, r2 = fan.rays[w.exchanged[0]], fan.rays[w.exchanged[1]]
-            combo = [
-                sum(x * fan.rays[s][i] for x, s in zip(lam, w.shared))
-                for i in range(fan.dim)
-            ]
-            if any(x % det for x in lam) or [det * (x + y) for x, y in zip(r, r2)] != combo:
+            lhs = [v[r] * (x + y) for x, y in zip(fan.rays[r], fan.rays[r2])]
+            combo = [sum(-v[s] * fan.rays[s][i] for s in w.shared) for i in range(fan.dim)]
+            if any(v[s] % v[r] for s in w.shared) or lhs != combo:
                 integral = False
     report = {
         "unique_complement": unique_complement,

@@ -103,9 +103,6 @@ class Fan:
                 adj, d = _adjugate_int([[self.rays[i][k] for i in cone] for k in range(self.dim)])
                 if d == 0:
                     raise ValueError("maximal cone is not simplicial (rank deficient)")
-                if d < 0:
-                    d = -d
-                    adj = [[-x for x in row] for row in adj]
                 data.append((adj, d))
             self._cone_inverses = data
         return self._cone_inverses
@@ -170,11 +167,11 @@ class Fan:
 
 
 def _adjugate_int(m):
-    """(adjugate, det) of a square integer matrix, the adjugate being det
-    times the inverse, or (None, 0) when m is singular. The integer echelon
-    of [m | I] has row i's pivot p_i in column i, so row i of the inverse
-    is the row's right half over p_i."""
-    det = det_int(m)
+    """(d m^-1, d) with d = |det m| for a square integer matrix m, the
+    adjugate up to the sign of det, or (None, 0) when m is singular. The
+    integer echelon of [m | I] has row i's pivot p_i in column i, so row i
+    of the inverse is the row's right half over p_i."""
+    det = abs(det_int(m))
     if det == 0:
         return None, 0
     n = len(m)
@@ -192,13 +189,11 @@ def extreme_rays(constraints, d):
     init = _echelon(transpose(constraints))
     if len(init) != d:
         raise InconsistentSystem(f"constraints do not span R^{d}")
-    # the initial simplicial cone's rays are the columns of the inverse,
-    # i.e. of the adjugate oriented by the sign of the determinant
-    adj, det = _adjugate_int([list(constraints[i]) for i in init])
-    sign = 1 if det > 0 else -1
+    # the initial simplicial cone's rays are the columns of the inverse
+    adj, _det = _adjugate_int([list(constraints[i]) for i in init])
     basis = sum(1 << i for i in init)
     rays = [
-        (primitive([sign * adj[i][j] for i in range(d)]), basis ^ 1 << init[j])
+        (primitive([adj[i][j] for i in range(d)]), basis ^ 1 << init[j])
         for j in range(d)
     ]
     for ci, a in enumerate(constraints):

@@ -2,11 +2,11 @@
 
 A wall is an (n-1)-subset of the fan's cone table and the two cones listed
 under it. Its dependency is read off the integer adjugate of one of those
-cones, the per-cone data that :meth:`Fan.validate` builds and caches:
-det.r' = sum lambda_k a_k over the cone's rays a_k, kept in integers. The
-type cone, the unique exchange check and the mutation theorem read that
-identity; Fractions appear only when its coefficients are read normalized
-to alpha + alpha' = 2, and in the report of a failed check.
+cones, the per-cone data that :meth:`Fan.validate` builds and caches, and
+kept as one primitive integer normal on all N rays. The type cone, the
+unique exchange check and the mutation theorem read that normal;
+Fractions appear only when its entries are read normalized to
+alpha + alpha' = 2, and in the report of a failed check.
 
 The type cone lives in R^N and has an n-dimensional lineality space (the
 span of the ray-matrix columns), so facet extraction works on the left
@@ -47,31 +47,31 @@ class Wall:
 
 @dataclass(frozen=True)
 class LinearDependency:
-    """The dependency across a wall as one integer identity, integer_form =
-    (det, lambdas): det > 0 and det*r' = lambdas[0]*r + sum(lambdas[1 + i] *
-    shared[i]). alpha, alpha_prime and middle_coeffs (shared ray -> alpha_i,
-    in shared-ray order) are computed on each read, as Fractions normalized
-    to alpha*r + alpha_prime*r' = sum alpha_i s_i, alpha + alpha_prime = 2."""
+    """The dependency across a wall as its primitive integer normal on all
+    N rays: normal[r]*r + normal[r']*r' + sum(normal[s]*s over shared s) = 0
+    with normal[r], normal[r'] > 0 and zeros off the wall. alpha,
+    alpha_prime and middle_coeffs (shared ray -> alpha_i, in shared-ray
+    order) are computed on each read, as Fractions normalized to
+    alpha*r + alpha_prime*r' = sum alpha_i s_i, alpha + alpha_prime = 2."""
 
     wall: Wall
-    integer_form: tuple
+    normal: tuple
 
     def _normalized(self, x):
-        det, (a, *_) = self.integer_form
-        return Fraction(2 * x, det - a)
+        r, r2 = self.wall.exchanged
+        return Fraction(2 * x, self.normal[r] + self.normal[r2])
 
     @property
     def alpha(self):
-        return self._normalized(-self.integer_form[1][0])
+        return self._normalized(self.normal[self.wall.exchanged[0]])
 
     @property
     def alpha_prime(self):
-        return self._normalized(self.integer_form[0])
+        return self._normalized(self.normal[self.wall.exchanged[1]])
 
     @property
     def middle_coeffs(self):
-        lam = self.integer_form[1][1:]
-        return {s: self._normalized(x) for s, x in zip(self.wall.shared, lam)}
+        return {s: self._normalized(-self.normal[s]) for s in self.wall.shared}
 
 
 def walls(fan):
@@ -88,14 +88,14 @@ def walls(fan):
 
 
 def wall_dependency(fan, wall):
-    """The unique linear dependency across a wall, as its integer identity.
+    """The unique linear dependency across a wall, as its primitive normal.
 
     Cone A = {r} + shared is nonsingular (Fan._cone_data proves it), so
     the rays r, r' and shared have a one-dimensional kernel and
-    r' = sum(lambda_k a_k) / det over cone A's rays a_k, with lambda_k =
+    det*r' = sum(lambda_k a_k) over cone A's rays a_k, with lambda_k =
     adj_A[k] . r' from cone A's cached adjugate. With a = lambda_r the
-    normalized dependency is alpha = -2a/(det-a), alpha' = 2det/(det-a) and
-    alpha_s = 2 lambda_s/(det-a); it has alpha, alpha' > 0 iff a < 0.
+    normal is -a at r, det at r' and -lambda_s at each shared s, made
+    primitive; it has both exchanged entries positive iff a < 0.
     """
     r, r2 = wall.exchanged
     cone = fan.maximal_cones[wall.cone_a]
@@ -103,27 +103,15 @@ def wall_dependency(fan, wall):
         raise DegenerateWall(f"wall {wall.exchanged} is not a facet of cone {wall.cone_a}")
     adj, det = fan._cone_data()[wall.cone_a]
     ray = fan.rays[r2]
-    lam = dict(zip(cone, (dot(row, ray) for row in adj)))
-    a = lam[r]
-    if a >= 0:
+    vec = [0] * fan.n_rays
+    for k, row in zip(cone, adj):
+        vec[k] = -dot(row, ray)
+    if vec[r] <= 0:
         raise DegenerateWall(
             f"exchanged rays of wall {wall.exchanged} are not on opposite sides"
         )
-    return LinearDependency(wall, (det, (a, *(lam[s] for s in wall.shared))))
-
-
-def dependency_vector(fan, dep):
-    """Dependency as a primitive integer functional on all N rays, read
-    from its integer form: -a at r, det at r', -lambda_s at each shared s,
-    zero elsewhere. It is a positive multiple of (alpha, alpha', -alpha_s),
-    and it is the raw type cone inequality normal of the wall."""
-    det, (a, *lam) = dep.integer_form
-    vec = [0] * fan.n_rays
-    vec[dep.wall.exchanged[0]] = -a
-    vec[dep.wall.exchanged[1]] = det
-    for s, x in zip(dep.wall.shared, lam):
-        vec[s] = -x
-    return primitive(vec)
+    vec[r2] = det
+    return LinearDependency(wall, primitive(vec))
 
 
 def unique_exchange_check(fan, dependencies=None):
@@ -143,11 +131,9 @@ def unique_exchange_check(fan, dependencies=None):
     weak_disagrees = False
     for key in sorted(groups):
         deps = groups[key]
-        normals = [dependency_vector(fan, d) for d in deps]
-        if len(set(normals)) == 1:
+        if len({d.normal for d in deps}) == 1:
             continue
-        r, r2 = key
-        vectors = [tuple(Fraction(2 * x, v[r] + v[r2]) for x in v) for v in normals]
+        vectors = [tuple(d._normalized(x) for x in d.normal) for d in deps]
         weak_ok = True
         for i in range(len(deps)):
             for j in range(i + 1, len(deps)):
@@ -238,7 +224,7 @@ def type_cone(fan):
     if not fan.maximal_cones:
         raise InconsistentSystem("fan has no maximal cone")
     wall_list = walls(fan)
-    raw = [dependency_vector(fan, wall_dependency(fan, w)) for w in wall_list]
+    raw = [wall_dependency(fan, w).normal for w in wall_list]
     dedup = list(dict.fromkeys(raw))
     columns = transpose(fan.rays)
     for p in dedup:

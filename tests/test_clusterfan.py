@@ -485,6 +485,27 @@ def test_flip_graph_hexagon():
     assert deg == [3] * 14
 
 
+def test_flip_graph_matches_the_brute_force_oracle():
+    """The triangulations are the pairwise non-crossing (m-3)-sets of
+    diagonals, in sorted order, and a flip joins two that share m-4."""
+    for m in range(4, 9):
+        diagonals = [d for d in combinations(range(1, m + 1), 2) if is_diagonal(d, m)]
+        nodes = [
+            c
+            for c in combinations(diagonals, m - 3)
+            if not any(diagonals_cross(d1, d2) for d1, d2 in combinations(c, 2))
+        ]
+        edges = [
+            (i, j)
+            for i, j in combinations(range(len(nodes)), 2)
+            if len(set(nodes[i]) & set(nodes[j])) == m - 4
+        ]
+        assert [t.diagonals for t in all_triangulations(m)] == nodes
+        g = flip_graph(m)
+        assert [t.diagonals for t in g.nodes] == nodes
+        assert list(g.edges) == edges
+
+
 @st.composite
 def random_triangulations(draw):
     """A triangulation of a 4- to 11-gon, cut recursively at a drawn apex."""
@@ -792,6 +813,6 @@ def test_tracked_bfs_validates_each_triangulation_once(monkeypatch, name):
     monkeypatch.setattr(Triangulation, "__init__", counting_init)
     monkeypatch.setattr(Triangulation, "triangles", counting_triangles)
     enum = enumerate_fan(seed, triangulation=tri)
-    # one flipped triangulation per new cluster; triangles() only for the
-    # check that the seed matches the starting triangulation
-    assert calls == {"init": len(enum.graph.nodes) - 1, "triangles": 1}
+    # flips reuse the validated start, so no Triangulation is built;
+    # triangles() runs only for the check that the seed matches the start
+    assert calls == {"init": 0, "triangles": 1}

@@ -39,7 +39,6 @@ INTEGER_KERNELS = [
     ("clusterfan.py", "mutate_seed"),
     ("clusterfan.py", "exchanged_g_vector"),
     ("clusterfan.py", "_symmetrizes"),
-    ("typecone.py", "dependency_vector"),
     ("typecone.py", "type_cone"),
     ("typecone.py", "wall_dependency"),
     ("exchange.py", "verify_mutation_theorem"),

@@ -34,7 +34,6 @@ from fanforge.polyhedra import (
     write_roff,
 )
 from fanforge.typecone import (
-    dependency_vector,
     qc_polytope,
     type_cone,
     wall_dependency,
@@ -487,7 +486,7 @@ def type_cone_reduction(fan):
     """The deduplicated wall inequalities of the fan's type cone, the same
     rows reduced through an integer basis of the left kernel of the ray
     matrix (the quotient by the lineality space), and its dimension d."""
-    dedup = sorted({primitive(dependency_vector(fan, wall_dependency(fan, w))) for w in walls(fan)})
+    dedup = sorted({primitive(wall_dependency(fan, w).normal) for w in walls(fan)})
     reducer = kernel_basis(transpose(fan.rays))
     return dedup, [[dot(row, vec) for row in reducer] for vec in dedup], len(reducer)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +24,6 @@ from fanforge.errors import (
 from fanforge.linalg import dot, primitive, solve
 from fanforge.polyhedra import Fan, HPolytope, fan_eq, normal_fan, p_h, vertices
 from fanforge.typecone import (
-    dependency_vector,
     qc_polytope,
     type_cone,
     type_cone_from_json,
@@ -183,13 +183,11 @@ def test_wall_dependency_matches_the_kernel_route(fan):
         assert list(dep.middle_coeffs) == list(w.shared)
         values = (dep.alpha, dep.alpha_prime, *dep.middle_coeffs.values())
         assert all(type(x) is Fraction for x in values)
-        det, (a, *lam) = dep.integer_form
-        r, r2 = fan.rays[w.exchanged[0]], fan.rays[w.exchanged[1]]
-        combo = [
-            a * r[i] + sum(x * fan.rays[s][i] for x, s in zip(lam, w.shared))
-            for i in range(fan.dim)
-        ]
-        assert det > 0 and [det * y for y in r2] == combo
+        v, (r, r2) = dep.normal, w.exchanged
+        assert gcd(*v) == 1
+        assert all(dot(v, col) == 0 for col in zip(*fan.rays))
+        assert v[r] > 0 and v[r2] > 0
+        assert all(x == 0 for i, x in enumerate(v) if i not in (r, r2, *w.shared))
 
 
 def fraction_dependency_vector(fan, dep):
@@ -218,7 +216,7 @@ def mutated_fans(draw):
 def test_dependency_vector_is_the_primitive_normalized_dependency(fan):
     for w in walls(fan):
         dep = wall_dependency(fan, w)
-        assert dependency_vector(fan, dep) == primitive(fraction_dependency_vector(fan, dep))
+        assert dep.normal == primitive(fraction_dependency_vector(fan, dep))
 
 
 def fraction_unique_exchange_check(fan):
