@@ -3,6 +3,8 @@
 Every run is deterministic given its inputs: exit code 0 on success, 1 on
 verification failure, 2 on input error (with a single machine-parsable
 `fanforge: error: ...` line on stderr).
+
+Each command imports, inside its function, only the modules it runs.
 """
 
 import argparse
@@ -11,21 +13,19 @@ import stat
 import sys
 from fractions import Fraction
 
-from . import arquiver, clusterfan, polyhedra, typecone
 from .errors import FanforgeError
-
-DEFAULT_BUDGET = clusterfan.DEFAULT_BFS_BUDGET
 
 
 def _budget(args):
     """The BFS node budget: --budget, else FANFORGE_BUDGET, else the
     default; it must be at least 1."""
+    from . import clusterfan
     if args.budget is not None:
         budget, source = args.budget, "--budget"
     else:
         raw, source = os.environ.get("FANFORGE_BUDGET"), "FANFORGE_BUDGET"
         try:
-            budget = int(raw) if raw else DEFAULT_BUDGET
+            budget = int(raw) if raw else clusterfan.DEFAULT_BFS_BUDGET
         except ValueError:
             raise ValueError(f"FANFORGE_BUDGET must be an integer, not {raw!r}") from None
     if budget < 1:
@@ -57,6 +57,7 @@ def _orientation_from_text(text):
 
 
 def _quiver_from_args(args):
+    from . import arquiver
     text = args.orientation
     orientation = _orientation_from_text(text) if text is not None else None
     return arquiver.DynkinQuiver(args.type, args.rank, orientation)
@@ -64,6 +65,7 @@ def _quiver_from_args(args):
 
 def _seed_from_args(args):
     """Seed plus optional tracked triangulation."""
+    from . import clusterfan
     if args.seed is not None:
         with open(args.seed, encoding="utf-8") as fh:
             return clusterfan.seed_from_json(fh.read())
@@ -95,6 +97,7 @@ def _read_in(path):
 
 def _read_fan(path):
     """The fan JSON at path (stdin when absent), proved complete before use."""
+    from . import polyhedra
     fan = polyhedra.fan_from_json(_read_in(path))
     fan.validate()
     return fan
@@ -112,6 +115,7 @@ def _add_seed_options(sub):
 
 
 def cmd_fan(args):
+    from . import clusterfan, polyhedra
     seed, tri = _seed_from_args(args)
     enum = clusterfan.enumerate_fan(seed, triangulation=tri, budget=args.budget)
     if args.validate:
@@ -123,6 +127,7 @@ def cmd_fan(args):
 
 
 def cmd_graph(args):
+    from . import clusterfan, typecone
     seed, tri = _seed_from_args(args)
     enum = clusterfan.enumerate_fan(seed, triangulation=tri, budget=args.budget)
     labels = None
@@ -138,6 +143,7 @@ def cmd_graph(args):
 
 
 def cmd_typecone(args):
+    from . import typecone
     fan = _read_fan(args.fan)
     tc = typecone.type_cone(fan)
     expected = fan.n_rays - fan.dim
@@ -156,6 +162,7 @@ def cmd_typecone(args):
 
 
 def cmd_realize(args):
+    from . import polyhedra, typecone
     fan = _read_fan(args.fan)
     if args.h is not None:
         if args.c is not None:
@@ -184,6 +191,7 @@ def cmd_realize(args):
 
 
 def cmd_verify(args):
+    from . import polyhedra
     fan = _read_fan(args.fan)
     verts, facet_lists = polyhedra.parse_roff(_read_in(args.polytope))
     if len(verts[0]) != fan.dim:
@@ -198,6 +206,7 @@ def cmd_verify(args):
 
 
 def cmd_abhy(args):
+    from . import arquiver, polyhedra
     quiver = _quiver_from_args(args)
     ar = arquiver.knit_ar_quiver(quiver, enable_e=args.enable_e)
     c = _parameters(args.c, len(ar.meshes))
@@ -262,6 +271,7 @@ def _functional_text(ar, funcs, vid):
 
 
 def cmd_paper_a2(args):
+    from . import arquiver, polyhedra
     ar = arquiver.knit_ar_quiver(arquiver.linear_quiver(2))
     lines = ["# mesh equations of the A2 window"]
     eq_texts = _mesh_equation_lines(ar)

@@ -33,7 +33,7 @@ from itertools import combinations
 
 from .errors import BudgetExceeded, InconsistentSystem, InfiniteType
 from .linalg import det_int, primitive
-from .polyhedra import Fan, int_rows
+from .polyhedra import Fan, _json_field, int_rows
 
 DEFAULT_BFS_BUDGET = 100_000
 
@@ -432,18 +432,22 @@ def flip_graph(polygon_size):
     seen = {start}
     order = [start]
     flips = []
+    done = set()  # (triangulation, diagonal): the flip back along an edge already found
     for diags in order:
         for d in diags:
+            if (diags, d) in done:
+                continue
             other = _flipped(polygon_size, diags, d)
             diags2 = tuple(sorted(other if x == d else x for x in diags))
+            done.add((diags2, other))
             if diags2 not in seen:
                 seen.add(diags2)
                 order.append(diags2)
             flips.append((diags, diags2))
     order.sort()
     index = {diags: i for i, diags in enumerate(order)}
-    edges = {tuple(sorted((index[a], index[b]))) for a, b in flips}
-    return FlipGraph(tuple(Triangulation(polygon_size, d) for d in order), tuple(sorted(edges)))
+    edges = sorted(tuple(sorted((index[a], index[b]))) for a, b in flips)
+    return FlipGraph(tuple(Triangulation(polygon_size, d) for d in order), tuple(edges))
 
 
 def _is_label(value):
@@ -461,9 +465,11 @@ def seed_from_json(text):
         raise ValueError("seed JSON must be an object")
     if "triangulation" in data:
         td = data["triangulation"]
-        if not isinstance(td, dict) or type(td.get("polygon")) is not int:
-            raise ValueError("'triangulation' needs an integer 'polygon' and 'diagonals'")
-        tri = Triangulation(td["polygon"], [tuple(d) for d in int_rows(td["diagonals"], 2)])
+        polygon = _json_field(td, "polygon", "seed 'triangulation'")
+        if type(polygon) is not int:
+            raise ValueError("seed 'triangulation' needs an integer 'polygon'")
+        diagonals = int_rows(_json_field(td, "diagonals", "seed 'triangulation'"), 2)
+        tri = Triangulation(polygon, [tuple(d) for d in diagonals])
         return seed_from_triangulation(tri), tri
     if "b" in data:
         b, labels = data["b"], data.get("labels")

@@ -466,12 +466,21 @@ def fan_to_json(fan):
 
 def fan_from_json(text):
     data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("fan JSON must be an object")
-    dim, labels = data["dim"], data.get("labels")
+    dim, labels = _json_field(data, "dim", "fan JSON"), data.get("labels")
     if type(dim) is not int or not isinstance(labels, (list, type(None))):
         raise ValueError("fan JSON needs an integer 'dim' and 'labels' as a list")
-    return Fan(dim, int_rows(data["rays"], dim), int_rows(data["cones"], dim), labels)
+    rays, cones = (int_rows(_json_field(data, k, "fan JSON"), dim) for k in ("rays", "cones"))
+    return Fan(dim, rays, cones, labels)
+
+
+def _json_field(data, key, what):
+    """data[key] of the JSON object that `what` names; a value that is not
+    an object, or a missing key, is a ValueError that says so."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object")
+    if key not in data:
+        raise ValueError(f"{what} has no {key!r}")
+    return data[key]
 
 
 def int_rows(value, width):

@@ -32,7 +32,7 @@ from .errors import (
     NotSimplicial,
 )
 from .linalg import _echelon, dot, primitive, solve, transpose
-from .polyhedra import extreme_rays, facet_rows, int_rows, p_h, row_contacts
+from .polyhedra import _json_field, extreme_rays, facet_rows, int_rows, p_h, row_contacts
 
 
 @dataclass(frozen=True)
@@ -207,10 +207,11 @@ def type_cone_from_json(text):
     """The TypeCone that to_json wrote, as `realize --typecone` reads it:
     N and the facets; the walls are not read back."""
     data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("type cone JSON must be an object")
-    facets = tuple(tuple(row) for row in int_rows(data["facets"], data["N"]))
-    return TypeCone(data["N"], (), (), facets)
+    n_rays = _json_field(data, "N", "type cone JSON")
+    if type(n_rays) is not int:
+        raise ValueError("type cone JSON needs an integer 'N'")
+    facets = int_rows(_json_field(data, "facets", "type cone JSON"), n_rays)
+    return TypeCone(n_rays, (), (), tuple(map(tuple, facets)))
 
 
 def type_cone(fan):

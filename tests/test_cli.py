@@ -575,6 +575,42 @@ def test_malformed_input_never_escapes_the_exit_code_contract(a2_files, tmp_path
         assert err == ""
 
 
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("typecone", "dim", None, "fan JSON has no 'dim'"),
+        ("typecone", "rays", None, "fan JSON has no 'rays'"),
+        ("typecone", "cones", None, "fan JSON has no 'cones'"),
+        ("realize", "N", None, "type cone JSON has no 'N'"),
+        ("realize", "N", "x", "type cone JSON needs an integer 'N'"),
+        ("realize", "facets", None, "type cone JSON has no 'facets'"),
+        ("fan", "polygon", None, "seed 'triangulation' has no 'polygon'"),
+        ("fan", "diagonals", None, "seed 'triangulation' has no 'diagonals'"),
+    ],
+)
+def test_json_input_names_its_missing_or_mistyped_key(
+    a2_files, tmp_path, capsys, command, key, value, message
+):
+    """A value of None deletes the key; any other value replaces it."""
+    if command == "fan":
+        data = copy.deepcopy(VALID_SEEDS[1])
+        obj = data["triangulation"]
+    else:
+        data = obj = json.loads(a2_files["fan" if command == "typecone" else "tc"].read_text())
+    if value is None:
+        del obj[key]
+    else:
+        obj[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    argv = {
+        "typecone": ["typecone", "--fan", str(bad)],
+        "realize": ["realize", "--fan", str(a2_files["fan"]), "--typecone", str(bad)],
+        "fan": ["fan", "--seed", str(bad)],
+    }[command]
+    assert run(capsys, argv) == (2, "", f"fanforge: error: {message}\n")
+
+
 def _with_interior_vertex(lines):
     nv, nf = map(int, lines[1].split())
     verts = [[Fraction(tok) for tok in line.split()] for line in lines[2 : 2 + nv]]
@@ -758,3 +794,41 @@ def test_a_closed_stdout_exits_0_without_a_message(tmp_path, capsys, command):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_a3_chain_in_optimized_processes_matches_the_chain_in_process(tmp_path, capsys):
+    """The A3 chain as a user and the benchmark run it, one
+    `python -O -m fanforge.cli` process per command (asserts stripped):
+    every exit code, stdout, stderr and output file equals the run through
+    `main` in this process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    def chain(workdir, cli):
+        workdir.mkdir()
+        fan, tc, off = (workdir / f"a3.{ext}" for ext in ("fan.json", "tc.json", "off"))
+        results = [
+            cli(["fan", "--type", "A", "--rank", "3", "-o", str(fan)]),
+            cli(["typecone", "--fan", str(fan), "-o", str(tc)]),
+            cli(["realize", "--fan", str(fan), "--typecone", str(tc), "-o", str(off)]),
+            cli(["verify", "--fan", str(fan), "--polytope", str(off)]),
+        ]
+        return results, [path.read_bytes() for path in (fan, tc, off)]
+
+    env = dict(os.environ, PYTHONPATH=str(Path(polyhedra.__file__).parents[1]))
+
+    def in_a_process(argv):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "fanforge.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    expected = chain(tmp_path / "in_process", lambda argv: run(capsys, argv))
+    assert expected[0][-1] == (0, "verified: normal fan of the polytope equals the fan\n", "")
+    assert chain(tmp_path / "processes", in_a_process) == expected

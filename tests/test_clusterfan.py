@@ -506,6 +506,20 @@ def test_flip_graph_matches_the_brute_force_oracle():
         assert list(g.edges) == edges
 
 
+@pytest.mark.parametrize("m", range(4, 9))
+def test_flip_graph_flips_each_edge_once(monkeypatch, m):
+    calls = []
+    real = clusterfan._flipped
+
+    def counting_flipped(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(clusterfan, "_flipped", counting_flipped)
+    edges = flip_graph(m).edges
+    assert len(calls) == len(edges)
+
+
 @st.composite
 def random_triangulations(draw):
     """A triangulation of a 4- to 11-gon, cut recursively at a drawn apex."""
