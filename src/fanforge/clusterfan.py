@@ -11,7 +11,10 @@ d_i b_ij = -d_j b_ji on every pair is the one test of skew-symmetrizability:
 for a seed built from input, D is only proposed (along a spanning forest of
 the nonzero pairs) and then put to that test, and mutation, which preserves
 D-symmetrizability, passes D on, so each mutated matrix is certified by the
-same identity instead of a fresh derivation. The fan enumerator is a
+same identity instead of a fresh derivation. The same D makes the g- and
+c-vectors dual, G D C^T = D: one integer identity proves a seed's
+g-vectors unimodular and gives its cone's inverse D^-1 C D, which the
+enumerator hands to the fan it builds. The fan enumerator is a
 BFS over clusters: mutation in direction k changes only g-vector k, so a
 neighbour is named by the frozenset of g-vectors with g_k exchanged
 (exchanged_g_vector), and a full seed is built, once, only for a cluster
@@ -29,10 +32,10 @@ the flip closure of the fan triangulation at vertex 1.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import BudgetExceeded, InconsistentSystem, InfiniteType
-from .linalg import det_int, primitive
+from .linalg import det_int, dot, primitive
 from .polyhedra import Fan, _json_field, int_rows
 
 DEFAULT_BFS_BUDGET = 100_000
@@ -75,10 +78,45 @@ def _symmetrizes(d, b):
     )
 
 
+def _dual(g, c, d):
+    """Whether the g-vectors g and c-vectors c are integer and dual under
+    the symmetrizer d: sum_k g_j[k] d_k c_i[k] = d_j [i == j] for all i, j,
+    that is G D C^T = D (Nakanishi-Zelevinsky 2012). Then det G det C = 1,
+    so G is unimodular and M = G^T, the g-vectors as columns, has the
+    integer inverse D^-1 C D."""
+    n = len(d)
+    if not (len(g) == len(c) == n and all(len(v) == n for v in (*g, *c))):
+        return False
+    if set(map(type, chain(*g, *c))) != {int}:
+        return False
+    if d.count(1) != n:
+        c = [tuple(dk * x for dk, x in zip(d, ci)) for ci in c]
+    target = [0] * (n * n)
+    target[:: n + 1] = d
+    return [dot(gj, ci) for gj in g for ci in c] == target
+
+
+def _inverse_rows(seed):
+    """The rows of M^-1 = D^-1 C D for M the seed's g-vectors as columns,
+    one per direction, when the seed's identity held (_dual): row j is c_j
+    with entry k scaled by d_k / d_j, an exact division, and is c_j itself
+    when D = I."""
+    c, d = seed.c_vectors, seed.symmetrizer
+    if d.count(1) == len(d):
+        return c
+    return tuple(tuple(dk * x // dj for dk, x in zip(d, cj)) for cj, dj in zip(c, d))
+
+
 @dataclass(frozen=True)
 class Seed:
     """Mutation state: the exchange matrix plus the g-vectors and c-vectors
-    of the current cluster, one tuple per direction."""
+    of the current cluster, one tuple per direction.
+
+    Construction proves the g-vectors unimodular by the duality identity
+    G D C^T = D (_dual), which every seed reached by mutation from an
+    initial seed satisfies; only a hand-made seed that fails it pays a
+    Bareiss determinant instead. Whether the identity held is kept, so
+    that enumerate_fan can hand each cone its inverse (_inverse_rows)."""
 
     b_matrix: tuple
     g_vectors: tuple
@@ -91,8 +129,12 @@ class Seed:
             object.__setattr__(self, "symmetrizer", _symmetrizer(self.b_matrix))
         if not _symmetrizes(self.symmetrizer, self.b_matrix):
             raise ValueError("exchange matrix is not skew-symmetrizable")
-        # a determinant is transpose-invariant: the g-vectors may be its rows
-        if abs(det_int(self.g_vectors)) != 1:
+        dual = _dual(self.g_vectors, self.c_vectors, self.symmetrizer)
+        object.__setattr__(self, "_is_dual", dual)
+        # a hand-made seed may pair unimodular g-vectors with other
+        # c-vectors; a determinant is transpose-invariant, so the g-vectors
+        # may be its rows
+        if not dual and abs(det_int(self.g_vectors)) != 1:
             raise ValueError("g-vectors are not unimodular")
         for k, c in enumerate(self.c_vectors):
             if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
@@ -347,7 +389,9 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     checked, for each new seed on the one pair it does not share with its
     parent. Raises InfiniteType, a BudgetExceeded, as soon as a reached
     seed is not 2-finite, and BudgetExceeded when more than budget seeds
-    are reached.
+    are reached. When every seed passed its duality identity, the fan's
+    cone inverses are its seeds' (_inverse_rows), so validating it inverts
+    no matrix.
     """
     n = seed.rank
     if triangulation is not None:
@@ -408,6 +452,17 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     if triangulation is not None:
         by_node = sorted((node_of_key[key], states[key][1]) for key in order)
         node_triangulations = tuple(t for _i, t in by_node)
+    if all(states[key][0]._is_dual for key in order):
+        # each seed's own identity proved its cone unimodular, so the rays
+        # are its g-vectors and its inverse is (D^-1 C D, det 1), rows in
+        # the cone's sorted-ray order: the cache Fan._cone_data fills. Each
+        # seed is dropped once read, so the rows take the seeds' memory.
+        inverses = [None] * len(order)
+        for key in order:
+            s, _diags = states.pop(key)
+            rows = sorted(zip([ray_index[g] for g in s.g_vectors], _inverse_rows(s)))
+            inverses[node_of_key[key]] = ([row for _i, row in rows], 1)
+        fan._cone_inverses = inverses
     return FanEnumeration(fan, graph, node_triangulations, diagonal_rays)
 
 

@@ -44,6 +44,10 @@ class Fan:
     face-to-face intersection exactly, by the wall-and-degree certificate
     (every wall in two cones on opposite sides, one interior point covered
     once), using the per-cone adjugates that :meth:`_cone_data` caches.
+    A fan built by the seed BFS (clusterfan.enumerate_fan) arrives with
+    that cache filled: each cone's inverse is read off its seed's
+    c-vectors, which the seed's own duality identity proved. Any other fan
+    computes it on first use, one :func:`_adjugate_int` per cone.
     """
 
     def __init__(self, dim, rays, maximal_cones, labels=None):
@@ -76,7 +80,8 @@ class Fan:
             raise ValueError("one label per ray required")
         self.labels = tuple(labels)
         # per-cone adjugate data for the validate certificate and the wall
-        # dependencies (typecone.wall_dependency), built lazily
+        # dependencies (typecone.wall_dependency): filled by the seed BFS
+        # from its proved seeds, else built lazily
         self._cone_inverses = None
 
     @property

@@ -39,6 +39,8 @@ INTEGER_KERNELS = [
     ("clusterfan.py", "mutate_seed"),
     ("clusterfan.py", "exchanged_g_vector"),
     ("clusterfan.py", "_symmetrizes"),
+    ("clusterfan.py", "_dual"),
+    ("clusterfan.py", "_inverse_rows"),
     ("typecone.py", "type_cone"),
     ("typecone.py", "wall_dependency"),
     ("exchange.py", "verify_mutation_theorem"),
