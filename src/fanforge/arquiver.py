@@ -11,7 +11,7 @@ is indexed by the mesh's position in `ARQuiver.meshes`.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -35,25 +35,20 @@ def dynkin_tree_edges(type_, rank):
     return [tuple(sorted(e)) for e in TREE_BUILDERS[type_](rank)]
 
 
-@dataclass(frozen=True)
-class DynkinQuiver:
+class DynkinQuiver(namedtuple("DynkinQuiver", "type rank orientation")):
     """Dynkin tree with an orientation: arrows are (source, target) pairs
     covering each tree edge exactly once. Vertices are labeled 1..rank."""
 
-    type: str
-    rank: int
-    orientation: tuple
+    __slots__ = ()
 
-    def __init__(self, type, rank, orientation=None):
+    def __new__(cls, type, rank, orientation=None):
         edges = dynkin_tree_edges(type, rank)
         if orientation is None:
             orientation = tuple((max(e), min(e)) for e in edges)
         arrows = tuple(tuple(a) for a in orientation)
         if sorted(tuple(sorted(a)) for a in arrows) != sorted(edges):
             raise ValueError("orientation must direct each tree edge exactly once")
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "orientation", arrows)
+        return super().__new__(cls, type, rank, arrows)
 
     def is_linear_type_a(self):
         return self.type == "A" and set(self.orientation) == {
@@ -104,37 +99,27 @@ def injective_dims(quiver):
     }
 
 
-@dataclass(frozen=True)
-class ARVertex:
+class ARVertex(namedtuple("ARVertex", "slice_index tree_vertex dim_vector")):
     """A window vertex: its position and its signed class. The class is
     negative exactly for a shifted injective, so its sign is the kind."""
 
-    slice_index: int
-    tree_vertex: int
-    dim_vector: tuple
+    __slots__ = ()
 
     @property
     def kind(self):
         return "shifted_injective" if min(self.dim_vector) < 0 else "module"
 
 
-@dataclass(frozen=True)
-class MeshRelation:
+class MeshRelation(namedtuple("MeshRelation", "start middles end")):
     """One almost-split relation q + t = r1 + ... + c. Vertex fields are ids
     into ARQuiver.vertices; the parameter c is indexed by the mesh's position
     in ARQuiver.meshes."""
 
-    start: int
-    middles: tuple
-    end: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ARQuiver:
-    quiver: DynkinQuiver
-    vertices: tuple
-    meshes: tuple
-    projection_vertices: tuple
+class ARQuiver(namedtuple("ARQuiver", "quiver vertices meshes projection_vertices")):
+    __slots__ = ()
 
     @property
     def n_vertices(self):
@@ -243,14 +228,12 @@ def knit_ar_quiver(quiver, enable_e=False):
     return ARQuiver(quiver, vertices, meshes, projections)
 
 
-@dataclass(frozen=True)
-class AffineFunctional:
+class AffineFunctional(namedtuple("AffineFunctional", "mesh_coeffs proj_coeffs")):
     """q_M expressed over the mesh parameters and the projection coordinates:
     value = sum(mesh_coeffs . c) + sum(proj_coeffs . x), with mesh_coeffs in
     ARQuiver.meshes order and proj_coeffs in projection_vertices order."""
 
-    mesh_coeffs: tuple
-    proj_coeffs: tuple
+    __slots__ = ()
 
 
 def abhy_functionals(ar):

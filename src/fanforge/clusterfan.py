@@ -30,13 +30,13 @@ the flip closure of the fan triangulation at vertex 1.
 """
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
 
 from .errors import BudgetExceeded, InconsistentSystem, InfiniteType
 from .linalg import det_int, dot, primitive
-from .polyhedra import Fan, _json_field, int_rows
+from .polyhedra import Fan, _immutable, _json_field, int_rows
 
 DEFAULT_BFS_BUDGET = 100_000
 
@@ -107,10 +107,11 @@ def _inverse_rows(seed):
     return tuple(tuple(dk * x // dj for dk, x in zip(d, cj)) for cj, dj in zip(c, d))
 
 
-@dataclass(frozen=True)
 class Seed:
     """Mutation state: the exchange matrix plus the g-vectors and c-vectors
-    of the current cluster, one tuple per direction.
+    of the current cluster, one tuple per direction, and the positive
+    integer symmetrizer D with d_i b_ij = -d_j b_ji, derived when not
+    given. Equality and hash ignore D.
 
     Construction proves the g-vectors unimodular by the duality identity
     G D C^T = D (_dual), which every seed reached by mutation from an
@@ -118,27 +119,45 @@ class Seed:
     Bareiss determinant instead. Whether the identity held is kept, so
     that enumerate_fan can hand each cone its inverse (_inverse_rows)."""
 
-    b_matrix: tuple
-    g_vectors: tuple
-    c_vectors: tuple
-    # positive integer D with d_i b_ij = -d_j b_ji; derived when not given
-    symmetrizer: tuple = field(default=None, compare=False, repr=False)
+    __slots__ = ("b_matrix", "g_vectors", "c_vectors", "symmetrizer", "_is_dual")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if self.symmetrizer is None:
-            object.__setattr__(self, "symmetrizer", _symmetrizer(self.b_matrix))
-        if not _symmetrizes(self.symmetrizer, self.b_matrix):
+    def __init__(self, b_matrix, g_vectors, c_vectors, symmetrizer=None):
+        if symmetrizer is None:
+            symmetrizer = _symmetrizer(b_matrix)
+        if not _symmetrizes(symmetrizer, b_matrix):
             raise ValueError("exchange matrix is not skew-symmetrizable")
-        dual = _dual(self.g_vectors, self.c_vectors, self.symmetrizer)
-        object.__setattr__(self, "_is_dual", dual)
+        dual = _dual(g_vectors, c_vectors, symmetrizer)
         # a hand-made seed may pair unimodular g-vectors with other
         # c-vectors; a determinant is transpose-invariant, so the g-vectors
         # may be its rows
-        if not dual and abs(det_int(self.g_vectors)) != 1:
+        if not dual and abs(det_int(g_vectors)) != 1:
             raise ValueError("g-vectors are not unimodular")
-        for k, c in enumerate(self.c_vectors):
+        for k, c in enumerate(c_vectors):
             if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
                 raise ValueError(f"c-vector {k} is not sign-coherent")
+        put = object.__setattr__
+        put(self, "b_matrix", b_matrix)
+        put(self, "g_vectors", g_vectors)
+        put(self, "c_vectors", c_vectors)
+        put(self, "symmetrizer", symmetrizer)
+        put(self, "_is_dual", dual)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.b_matrix, self.g_vectors, self.c_vectors) == (
+            other.b_matrix,
+            other.g_vectors,
+            other.c_vectors,
+        )
+
+    def __hash__(self):
+        return hash((self.b_matrix, self.g_vectors, self.c_vectors))
+
+    def __repr__(self):
+        b, g, c = self.b_matrix, self.g_vectors, self.c_vectors
+        return f"Seed(b_matrix={b!r}, g_vectors={g!r}, c_vectors={c!r})"
 
     @property
     def rank(self):
@@ -176,7 +195,11 @@ def mutate_seed(seed, k):
     recurrence, and every vector it does not change is shared with the old
     seed. The symmetrizer is passed on unchanged and certifies the new
     exchange matrix. An involution: mutate_seed(mutate_seed(s, k), k) == s."""
-    g_k = exchanged_g_vector(seed, k)
+    return _mutated(seed, k, exchanged_g_vector(seed, k))
+
+
+def _mutated(seed, k, g_k):
+    """mutate_seed(seed, k) given g_k = exchanged_g_vector(seed, k)."""
     n = seed.rank
     b, g, c = seed.b_matrix, seed.g_vectors, seed.c_vectors
     eps = 1 if any(x > 0 for x in c[k]) else -1
@@ -207,15 +230,13 @@ def is_diagonal(d, polygon_size):
     return 2 <= d[1] - d[0] <= polygon_size - 2
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(namedtuple("Triangulation", "polygon_size diagonals")):
     """Triangulation of a convex polygon with vertices 1..polygon_size in
     counterclockwise order; diagonals are sorted endpoint pairs."""
 
-    polygon_size: int
-    diagonals: tuple
+    __slots__ = ()
 
-    def __init__(self, polygon_size, diagonals):
+    def __new__(cls, polygon_size, diagonals):
         if polygon_size < 4:
             raise ValueError("polygon must have at least 4 vertices")
         diags = tuple(sorted(tuple(sorted(d)) for d in diagonals))
@@ -231,8 +252,7 @@ class Triangulation:
         for d1, d2 in combinations(diags, 2):
             if diagonals_cross(d1, d2):
                 raise ValueError(f"diagonals {d1} and {d2} cross")
-        object.__setattr__(self, "polygon_size", polygon_size)
-        object.__setattr__(self, "diagonals", diags)
+        return super().__new__(cls, polygon_size, diags)
 
     def triangles(self):
         """The polygon_size - 2 triangular faces, as sorted vertex triples."""
@@ -304,13 +324,11 @@ def flip(tri, diagonal):
     return Triangulation(tri.polygon_size, new_diags), other
 
 
-@dataclass(frozen=True)
-class ExchangeGraph:
+class ExchangeGraph(namedtuple("ExchangeGraph", "nodes edges")):
     """Clusters as nodes (ray-index sets, aligned with Fan.maximal_cones)
     and mutations as edges labeled by the exchanged ray pair."""
 
-    nodes: tuple
-    edges: tuple
+    __slots__ = ()
 
     def is_regular(self, degree):
         deg = [0] * len(self.nodes)
@@ -351,16 +369,14 @@ class ExchangeGraph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class FanEnumeration:
+class FanEnumeration(
+    namedtuple("FanEnumeration", "fan graph node_triangulations diagonal_rays")
+):
     """Everything the BFS discovered: the fan, the exchange graph, and (for
     tracked type-A runs) the triangulation attached to each graph node plus
     the diagonal -> ray dictionary."""
 
-    fan: Fan
-    graph: ExchangeGraph
-    node_triangulations: tuple
-    diagonal_rays: dict
+    __slots__ = ()
 
 
 def _check_finite_type(b, node):
@@ -413,8 +429,8 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
             g_k, g2 = s.g_vectors[k], exchanged_g_vector(s, k)
             key2 = key - {g_k} | {g2}
             if key2 not in states:
-                # Seed.__post_init__ checks the mutated g-vectors' unimodularity
-                s2 = mutate_seed(s, k)
+                # Seed.__init__ checks the mutated g-vectors' unimodularity
+                s2 = _mutated(s, k, g2)
                 _check_finite_type(s2.b_matrix, len(states))
                 diags2 = None
                 if diags is not None:
@@ -471,10 +487,8 @@ def all_triangulations(polygon_size):
     return list(flip_graph(polygon_size).nodes)
 
 
-@dataclass(frozen=True)
-class FlipGraph:
-    nodes: tuple
-    edges: tuple
+class FlipGraph(namedtuple("FlipGraph", "nodes edges")):
+    __slots__ = ()
 
 
 def flip_graph(polygon_size):

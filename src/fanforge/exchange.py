@@ -12,7 +12,7 @@ Diagonals are the sorted vertex pairs of clusterfan, and rotation maps
 pairs to pairs.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .clusterfan import enumerate_fan, is_diagonal, seed_from_triangulation
 from .errors import InconsistentSystem
@@ -33,17 +33,13 @@ def all_diagonals(polygon_size):
     ]
 
 
-@dataclass(frozen=True)
-class RelativeMesh:
+class RelativeMesh(namedtuple("RelativeMesh", "start middles end normal")):
     """Almost-split configuration start -> middles -> end in the cluster
     category that the relative structure keeps, with end the rotation of
     start and all diagonals sorted vertex pairs; the normal is the
     inequality functional over the fan's ray coordinates."""
 
-    start: tuple
-    middles: tuple
-    end: tuple
-    normal: tuple
+    __slots__ = ()
 
 
 def _corner_cuts(start, polygon_size):

@@ -18,7 +18,7 @@ a fan with one certificate per cone, with no double description.
 """
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -257,29 +257,29 @@ def _fraction(x):
     return x if type(x) is Fraction else Fraction(x)
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(namedtuple("HPolytope", "ineq_matrix bounds")):
     """Rational halfspace intersection {x : A x <= b}, with the entries of A
     and b stored as given (ints or Fractions); rows of A are outer facet
     normals when the representation is irredundant."""
 
-    ineq_matrix: tuple
-    bounds: tuple
+    __slots__ = ()
 
-    def __init__(self, ineq_matrix, bounds):
+    def __new__(cls, ineq_matrix, bounds):
         rows = tuple(map(tuple, ineq_matrix))
         b = tuple(bounds)
         if len(rows) != len(b):
             raise ValueError("one bound per inequality row required")
-        object.__setattr__(self, "ineq_matrix", rows)
-        object.__setattr__(self, "bounds", b)
+        return super().__new__(cls, rows, b)
 
     @property
     def dim(self):
         return len(self.ineq_matrix[0]) if self.ineq_matrix else 0
 
 
-@dataclass(frozen=True)
+def _immutable(self, name, *value):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
 class VPolytope:
     """Vertex list in lexicographic order, from points given in any order.
 
@@ -288,11 +288,12 @@ class VPolytope:
     its rows keyed (primitive integer normal, offset), and per input point
     the bitmask of the rows tight on it. They are kept as contacts, a dict
     row -> bitmask of vertex indices (bit j for vertices[j]), from which
-    facet extraction then selects the facets.
+    facet extraction then selects the facets. Equality and hash read only
+    the vertices.
     """
 
-    vertices: tuple
-    contacts: dict = field(default=None, compare=False)
+    __slots__ = ("vertices", "contacts")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, vertices, incidence=None):
         pts = [tuple(_fraction(x) for x in v) for v in vertices]
@@ -307,6 +308,17 @@ class VPolytope:
             rows, tight = incidence
             contacts = dict(zip(rows, row_contacts([tight[i] for i in order], len(rows))))
         object.__setattr__(self, "contacts", contacts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash((self.vertices,))
+
+    def __repr__(self):
+        return f"VPolytope(vertices={self.vertices!r}, contacts={self.contacts!r})"
 
     @property
     def dim(self):

@@ -21,7 +21,7 @@ read back (type_cone_from_json) here, as Fan JSON is in polyhedra.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,18 +35,14 @@ from .linalg import _echelon, dot, primitive, solve, transpose
 from .polyhedra import _json_field, extreme_rays, facet_rows, int_rows, p_h, row_contacts
 
 
-@dataclass(frozen=True)
-class Wall:
-    """Adjacent pair of maximal cones sharing n-1 rays."""
+class Wall(namedtuple("Wall", "cone_a cone_b shared exchanged")):
+    """Adjacent pair of maximal cones sharing n-1 rays; exchanged is
+    (ray in cone_a only, ray in cone_b only)."""
 
-    cone_a: int
-    cone_b: int
-    shared: tuple
-    exchanged: tuple  # (ray in cone_a only, ray in cone_b only)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LinearDependency:
+class LinearDependency(namedtuple("LinearDependency", "wall normal")):
     """The dependency across a wall as its primitive integer normal on all
     N rays: normal[r]*r + normal[r']*r' + sum(normal[s]*s over shared s) = 0
     with normal[r], normal[r'] > 0 and zeros off the wall. alpha,
@@ -54,8 +50,7 @@ class LinearDependency:
     order) are computed on each read, as Fractions normalized to
     alpha*r + alpha_prime*r' = sum alpha_i s_i, alpha + alpha_prime = 2."""
 
-    wall: Wall
-    normal: tuple
+    __slots__ = ()
 
     def _normalized(self, x):
         r, r2 = self.wall.exchanged
@@ -160,17 +155,15 @@ def unique_exchange_check(fan, dependencies=None):
     }
 
 
-@dataclass(frozen=True)
-class TypeCone:
-    """Inequality description of the cone of admissible height vectors.
+class TypeCone(namedtuple("TypeCone", "n_rays wall_list raw_inequalities facets")):
+    """Inequality description of the cone of admissible height vectors:
+    raw_inequalities holds one primitive integer N-vector per wall, facets
+    the irredundant ones, sorted.
 
     The normals are stored closed; the cone itself is open, so membership
     is strict comparison."""
 
-    n_rays: int
-    wall_list: tuple
-    raw_inequalities: tuple  # one primitive integer N-vector per wall
-    facets: tuple  # primitive integer N-vectors, irredundant, sorted
+    __slots__ = ()
 
     @property
     def k_matrix(self):
@@ -258,15 +251,11 @@ def type_cone(fan):
     return TypeCone(fan.n_rays, tuple(wall_list), tuple(raw), tuple(sorted(facets)))
 
 
-@dataclass(frozen=True)
-class SlackCertificate:
+class SlackCertificate(namedtuple("SlackCertificate", "h c k_matrix ray_matrix")):
     """Witnesses Q_c = {q : Kq = c, q >= 0} ~ P_h via q = h - Gx: the map
     preserves the K-fibers (KG = 0, Kh = c) and q >= 0 <=> Gx <= h."""
 
-    h: tuple
-    c: tuple
-    k_matrix: tuple
-    ray_matrix: tuple
+    __slots__ = ()
 
     def slack(self, x):
         """Nonnegative slack coordinates of a point of P_h."""

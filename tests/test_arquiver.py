@@ -231,12 +231,10 @@ def test_abhy_polytope_a1_segment():
 
 
 def test_singular_system_on_corrupted_quiver():
-    import dataclasses
-
     from fanforge.errors import SingularSystem
 
     ar = knit_ar_quiver(linear_quiver(2))
-    broken = dataclasses.replace(ar, meshes=ar.meshes + (ar.meshes[0],))
+    broken = ar._replace(meshes=ar.meshes + (ar.meshes[0],))
     with pytest.raises(SingularSystem):
         abhy_functionals(broken)
 

@@ -799,12 +799,13 @@ def test_bfs_builds_one_seed_per_new_cluster(monkeypatch, name):
     tri = TRIANGULATION_SEEDS.get(name)
     seed = DIFFERENTIAL_SEEDS[name]
     calls = []
+    mutated = clusterfan._mutated
 
-    def counting_mutate_seed(s, k):
+    def counting_mutated(s, k, g_k):
         calls.append(k)
-        return mutate_seed(s, k)
+        return mutated(s, k, g_k)
 
-    monkeypatch.setattr(clusterfan, "mutate_seed", counting_mutate_seed)
+    monkeypatch.setattr(clusterfan, "_mutated", counting_mutated)
     enum = enumerate_fan(seed, triangulation=tri)
     assert len(calls) == len(enum.graph.nodes) - 1
 
@@ -813,20 +814,20 @@ def test_bfs_builds_one_seed_per_new_cluster(monkeypatch, name):
 def test_tracked_bfs_validates_each_triangulation_once(monkeypatch, name):
     tri = TRIANGULATION_SEEDS[name]
     seed = seed_from_triangulation(tri)
-    calls = {"init": 0, "triangles": 0}
-    init, triangles = Triangulation.__init__, Triangulation.triangles
+    calls = {"new": 0, "triangles": 0}
+    new, triangles = Triangulation.__new__, Triangulation.triangles
 
-    def counting_init(self, *args):
-        calls["init"] += 1
-        init(self, *args)
+    def counting_new(cls, *args):
+        calls["new"] += 1
+        return new(cls, *args)
 
     def counting_triangles(self):
         calls["triangles"] += 1
         return triangles(self)
 
-    monkeypatch.setattr(Triangulation, "__init__", counting_init)
+    monkeypatch.setattr(Triangulation, "__new__", counting_new)
     monkeypatch.setattr(Triangulation, "triangles", counting_triangles)
     enum = enumerate_fan(seed, triangulation=tri)
     # flips reuse the validated start, so no Triangulation is built;
     # triangles() runs only for the check that the seed matches the start
-    assert calls == {"init": 0, "triangles": 1}
+    assert calls == {"new": 0, "triangles": 1}

@@ -37,6 +37,7 @@ INTEGER_KERNELS = [
     ("polyhedra.py", "_adjugate_int"),
     ("polyhedra.py", "extreme_rays"),
     ("clusterfan.py", "mutate_seed"),
+    ("clusterfan.py", "_mutated"),
     ("clusterfan.py", "exchanged_g_vector"),
     ("clusterfan.py", "_symmetrizes"),
     ("clusterfan.py", "_dual"),
@@ -112,7 +113,7 @@ def test_determinants_and_vertex_order_have_one_owner_each():
                 if _callee(call) in callers:
                     callers[_callee(call)].add(name)
     assert callers == {
-        "det_int": {"Seed.__post_init__", "_adjugate_int"},
+        "det_int": {"Seed.__init__", "_adjugate_int"},
         "_lex_order": {"VPolytope.__init__"},
     }
 

@@ -1,6 +1,7 @@
 """The package resolves each public name on first use, and each CLI command
-loads only the fanforge modules it runs. Module sets are read in a fresh
-interpreter per case, since this one has imported everything."""
+loads only the fanforge modules it runs and none of the standard library's
+code-introspection modules. Module sets are read in a fresh interpreter
+per case, since this one has imported everything."""
 
 import json
 import os
@@ -16,6 +17,8 @@ from fanforge.cli import main
 
 SRC = str(Path(fanforge.__file__).parents[1])
 CORE = {"fanforge", "fanforge.errors", "fanforge.linalg", "fanforge.polyhedra"}
+# what `dataclasses` pulls in: several milliseconds of start-up per process
+INTROSPECTION = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
 
 PROBE = """
 import json, runpy, sys
@@ -28,28 +31,39 @@ if sys.argv[1:]:
         code = exc.code
 else:
     import fanforge
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "fanforge")]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def loaded_after(argv):
-    """Exit code and the fanforge modules loaded, after running the CLI
-    with argv (or only `import fanforge` when argv is empty) in a fresh
-    interpreter."""
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+def _run(*args):
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=SRC),
         timeout=60,
         check=True,
-    )
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    return code, set(modules)
+    ).stdout
+
+
+def loaded_after(argv):
+    """Exit code, the fanforge modules loaded and every other module
+    loaded, after running the CLI with argv (or only `import fanforge`
+    when argv is empty) in a fresh interpreter."""
+    code, modules = json.loads(_run("-c", PROBE, json.dumps(argv)).splitlines()[-1])
+    ours = {m for m in modules if m.split(".")[0] == "fanforge"}
+    return code, ours, set(modules) - ours
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules a bare `python -c pass` has loaded: site and its .pth
+    files may bring some in before any fanforge code runs."""
+    return set(_run("-c", "import sys; print(*sys.modules)").split())
 
 
 def test_import_fanforge_loads_no_submodule():
-    assert loaded_after([]) == (None, {"fanforge"})
+    assert loaded_after([])[:2] == (None, {"fanforge"})
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +74,19 @@ def a3_files(tmp_path_factory):
     assert main(["typecone", "--fan", str(paths["fan"]), "-o", str(paths["tc"])]) == 0
     assert main(["realize", "--fan", str(paths["fan"]), "-o", str(paths["off"])]) == 0
     return {k: str(v) for k, v in paths.items()}
+
+
+def command_argv(command, files, out):
+    fan, tc, off = files["fan"], files["tc"], files["off"]
+    return {
+        "fan": ["fan", "--type", "A", "--rank", "3", "-o", out],
+        "graph": ["graph", "--type", "A", "--rank", "3", "--annotate", "-o", out],
+        "typecone": ["typecone", "--fan", fan, "-o", out],
+        "realize": ["realize", "--fan", fan, "--typecone", tc, "-o", out],
+        "verify": ["verify", "--fan", fan, "--polytope", off],
+        "abhy": ["abhy", "--type", "A", "--rank", "3", "-o", out],
+        "paper-a2": ["paper-a2", "-o", out],
+    }[command]
 
 
 @pytest.mark.parametrize(
@@ -75,18 +102,17 @@ def a3_files(tmp_path_factory):
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(a3_files, tmp_path, command, extra):
-    out = str(tmp_path / "out")
-    fan, tc, off = a3_files["fan"], a3_files["tc"], a3_files["off"]
-    argv = {
-        "fan": ["fan", "--type", "A", "--rank", "3", "-o", out],
-        "graph": ["graph", "--type", "A", "--rank", "3", "--annotate", "-o", out],
-        "typecone": ["typecone", "--fan", fan, "-o", out],
-        "realize": ["realize", "--fan", fan, "--typecone", tc, "-o", out],
-        "verify": ["verify", "--fan", fan, "--polytope", off],
-        "abhy": ["abhy", "--type", "A", "--rank", "3", "-o", out],
-        "paper-a2": ["paper-a2", "-o", out],
-    }[command]
-    assert loaded_after(argv) == (0, CORE | {f"fanforge.{m}" for m in extra})
+    code, ours, _others = loaded_after(command_argv(command, a3_files, str(tmp_path / "out")))
+    assert (code, ours) == (0, CORE | {f"fanforge.{m}" for m in extra})
+
+
+@pytest.mark.parametrize(
+    "command", ["fan", "graph", "typecone", "realize", "verify", "abhy", "paper-a2"]
+)
+def test_no_command_loads_the_introspection_modules(a3_files, bare_modules, tmp_path, command):
+    code, _ours, others = loaded_after(command_argv(command, a3_files, str(tmp_path / "out")))
+    assert code == 0
+    assert INTROSPECTION & others <= bare_modules
 
 
 def test_each_public_name_is_its_module_attribute():

@@ -297,14 +297,12 @@ def test_degenerate_wall_of_a_folded_fan():
 
 
 def test_qc_inconsistent_system_guard():
-    import dataclasses
-
     from fanforge.errors import InconsistentSystem
 
     fan = a2_fan()
     tc = type_cone(fan)
     rows = (tc.facets[0], tc.facets[1], tc.facets[0])  # rank 2, count 3
-    broken = dataclasses.replace(tc, facets=rows)
+    broken = tc._replace(facets=rows)
     with pytest.raises(InconsistentSystem):
         qc_polytope(fan, broken, (1, 1, 1))
 
@@ -452,8 +450,6 @@ def test_qc_polytope_a2():
 
 
 def test_slack_certificate_rejects_a_wrong_fiber():
-    import dataclasses
-
     fan = a2_fan()
     _poly, cert = qc_polytope(fan, type_cone(fan), (Fraction(1, 2), 2, Fraction(3, 7)))
     assert cert.check()
@@ -470,7 +466,7 @@ def test_slack_certificate_rejects_a_wrong_fiber():
         ({"ray_matrix": tuple(map(tuple, g_off))}, "K G != 0"),
     ]:
         with pytest.raises(InconsistentSystem, match=message):
-            dataclasses.replace(cert, **changes).check()
+            cert._replace(**changes).check()
 
 
 def test_qc_rejects_bad_parameters():
@@ -485,9 +481,7 @@ def test_qc_rejects_bad_parameters():
 def test_qc_not_simplicial_guard():
     fan = a2_fan()
     tc = type_cone(fan)
-    import dataclasses
-
-    broken = dataclasses.replace(tc, facets=tc.facets[:2])
+    broken = tc._replace(facets=tc.facets[:2])
     with pytest.raises(NotSimplicial):
         qc_polytope(fan, broken, (1, 1, 1))
 
