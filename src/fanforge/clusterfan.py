@@ -484,7 +484,8 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
 
 def all_triangulations(polygon_size):
     """Every triangulation of the convex polygon, canonically ordered."""
-    return list(flip_graph(polygon_size).nodes)
+    order = sorted(diags for diags, _reached in _flip_closure(polygon_size))
+    return [Triangulation(polygon_size, d) for d in order]
 
 
 class FlipGraph(namedtuple("FlipGraph", "nodes edges")):
@@ -493,16 +494,27 @@ class FlipGraph(namedtuple("FlipGraph", "nodes edges")):
 
 def flip_graph(polygon_size):
     """Graph of all triangulations with diagonal flips as edges, sorted by
-    their diagonals. It is the flip closure of the fan triangulation at
-    vertex 1: the flip graph is connected, so that reaches every one."""
+    their diagonals."""
+    closure = list(_flip_closure(polygon_size))
+    order = sorted(diags for diags, _reached in closure)
+    index = {diags: i for i, diags in enumerate(order)}
+    edges = sorted(tuple(sorted((index[a], index[b]))) for a, bs in closure for b in bs)
+    return FlipGraph(tuple(Triangulation(polygon_size, d) for d in order), tuple(edges))
+
+
+def _flip_closure(polygon_size):
+    """Each triangulation, as its sorted diagonals, with those one flip
+    away along the edges not yet flipped from their other end, so each edge
+    comes once. It is the flip closure of the fan triangulation at vertex 1:
+    the flip graph is connected, so that reaches every one."""
     if polygon_size < 4:
         raise ValueError("need a polygon with at least 4 vertices")
     start = tuple((1, j) for j in range(3, polygon_size))
     seen = {start}
     order = [start]
-    flips = []
     done = set()  # (triangulation, diagonal): the flip back along an edge already found
     for diags in order:
+        reached = []
         for d in diags:
             if (diags, d) in done:
                 continue
@@ -512,11 +524,8 @@ def flip_graph(polygon_size):
             if diags2 not in seen:
                 seen.add(diags2)
                 order.append(diags2)
-            flips.append((diags, diags2))
-    order.sort()
-    index = {diags: i for i, diags in enumerate(order)}
-    edges = sorted(tuple(sorted((index[a], index[b]))) for a, b in flips)
-    return FlipGraph(tuple(Triangulation(polygon_size, d) for d in order), tuple(edges))
+            reached.append(diags2)
+        yield diags, reached
 
 
 def _is_label(value):

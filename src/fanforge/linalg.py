@@ -1,11 +1,12 @@
 """Exact linear algebra over the integers and fractions.Fraction.
 
 Matrices are lists of row lists; entries are ints or Fractions. Nothing in
-here ever touches a float. All elimination is one fraction-free
-Gauss-Jordan on integer rows (:func:`_echelon`): the rank tests, the double
-description's initial basis and the cone adjugates read its pivots and
-integer rows directly, and only `solve` divides to Fractions, at the end
-and only in the entries it returns. Determinants are Bareiss
+here ever touches a float. Elimination is fraction-free on integer rows:
+every rank test and the double description's initial basis use
+:func:`_independent_rows`, which stops at full rank; `solve` and the cone
+adjugates read the pivots and integer rows of the full Gauss-Jordan
+(:func:`_echelon`), and only `solve` divides to Fractions, at the end and
+only in the entries it returns. Determinants are Bareiss
 (:func:`det_int`). Identical inputs give identical results.
 """
 
@@ -20,6 +21,31 @@ def transpose(m):
 
 def dot(u, v):
     return sum(map(mul, u, v))
+
+
+def _independent_rows(rows, limit):
+    """Indices of the first rows of an integer matrix that are independent
+    of the rows before them, at most limit of them (so the rank, if that is
+    below limit). Fraction-free: each row in order is reduced against the
+    rows kept so far and is kept, with its first nonzero column as pivot,
+    if anything is left. The rows are not changed."""
+    kept, chosen = [], []
+    for i, row in enumerate(rows):
+        if len(chosen) == limit:
+            break
+        for c, k in kept:
+            f = row[c]
+            if f:
+                p = k[c]
+                row = [p * x - f * y for x, y in zip(row, k)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is not None:
+            kept.append((pivot, row))
+            chosen.append(i)
+    return chosen
 
 
 def _echelon(m):

@@ -20,17 +20,17 @@ a fan with one certificate per cone, with no double description.
 import json
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 
 from .errors import DimensionDeficient, Empty, InconsistentSystem, Unbounded
 from .linalg import (
     _echelon,
+    _independent_rows,
     det_int,
     dot,
     primitive,
     scale_rows_int,
-    transpose,
 )
 
 
@@ -190,15 +190,20 @@ def extreme_rays(constraints, d):
     double description. Returns a dict from each ray, a primitive integer
     tuple, to the bitmask of the constraints tight on it (bit i for
     constraints[i]); the rays iterate in sorted order. The constraint rows
-    are integer vectors of rank d, so the cone is pointed."""
-    init = _echelon(transpose(constraints))
+    are integer vectors of rank d, so the cone is pointed. The sweep drops a
+    ray wherever a row it meets is negative on it, so the closing
+    infeasible-ray check evaluates only the pairs the sweep never did: each
+    ray on the basis rows (the first d independent rows) and on the rows up
+    to and including the one whose step created it."""
+    init = _independent_rows(constraints, d)
     if len(init) != d:
         raise InconsistentSystem(f"constraints do not span R^{d}")
     # the initial simplicial cone's rays are the columns of the inverse
     adj, _det = _adjugate_int([list(constraints[i]) for i in init])
     basis = sum(1 << i for i in init)
+    # (ray, tight mask, index of the row whose step created it)
     rays = [
-        (primitive([adj[i][j] for i in range(d)]), basis ^ 1 << init[j])
+        (primitive([adj[i][j] for i in range(d)]), basis ^ 1 << init[j], -1)
         for j in range(d)
     ]
     for ci, a in enumerate(constraints):
@@ -206,17 +211,17 @@ def extreme_rays(constraints, d):
         if basis & bit:
             continue
         plus, zero, minus = [], [], []
-        for ray, tight in rays:
+        for ray, tight, born in rays:
             v = dot(a, ray)
             if v > 0:
-                plus.append((ray, tight, v))
+                plus.append((ray, tight, born, v))
             elif v == 0:
-                zero.append((ray, tight | bit))
+                zero.append((ray, tight | bit, born))
             else:
                 minus.append((ray, tight, v))
         new = []
-        masks = [t for _r, t in rays]
-        for rp, tp, vp in plus:
+        masks = [t for _r, t, _b in rays]
+        for rp, tp, _bp, vp in plus:
             for rm, tm, vm in minus:
                 common = tp & tm
                 # adjacent iff they share at least d - 2 tight rows and no
@@ -227,18 +232,28 @@ def extreme_rays(constraints, d):
                 ):
                     continue
                 combo = [vp * y - vm * x for x, y in zip(rp, rm)]
-                new.append((primitive(combo), common | bit))
-        rays = [(r, t) for r, t, _v in plus] + zero + new
-    for ray, _tight in rays:
-        if any(dot(c, ray) < 0 for c in constraints):
+                new.append((primitive(combo), common | bit, ci))
+        # rays tight on this row first: later adjacency scans find a third
+        # ray among them sooner (the sort below fixes the output order)
+        rays = zero + [(r, t, b) for r, t, b, _v in plus] + new
+    for ray, _tight, born in rays:
+        unseen = chain(constraints[: born + 1], (constraints[i] for i in init if i > born))
+        if any(dot(c, ray) < 0 for c in unseen):
             raise InconsistentSystem("double description produced an infeasible ray")
-    return dict(sorted(rays))
+    return dict(sorted((r, t) for r, t, _b in rays))
 
 
 def row_contacts(tight, count):
     """The contact bitmask of each of count constraint rows (bit j for
-    tight[j]), from the bitmask of the rows tight on each ray or vertex."""
-    return [sum(1 << j for j, t in enumerate(tight) if t >> i & 1) for i in range(count)]
+    tight[j]), from the bitmask of the rows tight on each ray or vertex;
+    bits at or above count are ignored."""
+    contacts = [0] * count
+    for j, t in enumerate(tight):
+        t &= (1 << count) - 1
+        while t:
+            contacts[(t & -t).bit_length() - 1] |= 1 << j
+            t &= t - 1
+    return contacts
 
 
 def facet_rows(rows, contacts):
@@ -350,7 +365,7 @@ def vertices(p):
     n = p.dim
     if n == 0 or not a_rows:
         raise Unbounded("no constraints: feasible set is all of R^n")
-    if len(_echelon([row[:] for row in a_rows])) < n:
+    if len(_independent_rows(a_rows, n)) < n:
         raise Unbounded("constraint matrix is rank deficient")
     cone = [[-x for x in row] + [bi] for row, bi in zip(a_rows, b)]
     cone.append([0] * n + [1])
@@ -360,7 +375,7 @@ def vertices(p):
             raise Unbounded(f"recession direction {list(ray[:n])} exists")
     if not rays:
         raise Empty("no feasible point")
-    if len(_echelon([list(ray) for ray in rays])) != n + 1:
+    if len(_independent_rows(rays, n + 1)) != n + 1:
         raise DimensionDeficient("polytope has no interior point")
     keys = [_facet_key([*row, bi]) for row, bi in zip(a_rows, b)]
     verts = [[Fraction(x, ray[n]) for x in ray[:n]] for ray in rays]
@@ -394,7 +409,7 @@ def facet_description(vp):
     candidates = vp.contacts
     if candidates is None:
         valid = scale_rows_int([[-x for x in v] + [1] for v in pts])
-        if len(_echelon([row[:] for row in valid])) != n + 1:
+        if len(_independent_rows(valid, n + 1)) != n + 1:
             raise DimensionDeficient("polytope is not full-dimensional")
         candidates = {_facet_key(ray): tight for ray, tight in extreme_rays(valid, n + 1).items()}
     keys = list(candidates)

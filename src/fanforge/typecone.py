@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveParameter,
     NotSimplicial,
 )
-from .linalg import _echelon, dot, primitive, solve, transpose
+from .linalg import _independent_rows, dot, primitive, solve, transpose
 from .polyhedra import _json_field, extreme_rays, facet_rows, int_rows, p_h, row_contacts
 
 
@@ -285,8 +285,8 @@ def qc_polytope(fan, tc, c):
         raise NotSimplicial(
             f"type cone has {tc.n_facets} facets, expected N - n = {expected}"
         )
-    # K's rows are integer facets: their echelon pivots give its rank
-    if len(_echelon([list(f) for f in tc.k_matrix])) != expected:
+    # K's rows are integer facets, so its integer rank is its rank
+    if len(_independent_rows(tc.k_matrix, expected)) != expected:
         raise InconsistentSystem("facet matrix K is rank deficient")
     c = [Fraction(x) for x in c]
     if len(c) != expected:

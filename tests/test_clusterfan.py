@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -504,6 +505,13 @@ def test_flip_graph_matches_the_brute_force_oracle():
         g = flip_graph(m)
         assert [t.diagonals for t in g.nodes] == nodes
         assert list(g.edges) == edges
+
+
+@pytest.mark.parametrize("m", range(4, 12))
+def test_all_triangulations_are_the_flip_graph_nodes(m):
+    tris = all_triangulations(m)
+    assert tris == list(flip_graph(m).nodes)
+    assert len(tris) == math.comb(2 * (m - 2), m - 2) // (m - 1)  # Catalan C_(m-2)
 
 
 @pytest.mark.parametrize("m", range(4, 9))

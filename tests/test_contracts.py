@@ -33,6 +33,7 @@ def test_no_assert_contracts(path):
 # (module, function) pairs that must run on integers only
 INTEGER_KERNELS = [
     ("linalg.py", "_echelon"),
+    ("linalg.py", "_independent_rows"),
     ("linalg.py", "det_int"),
     ("polyhedra.py", "_adjugate_int"),
     ("polyhedra.py", "extreme_rays"),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fanforge.linalg import (
     _echelon,
+    _independent_rows,
     det_int,
     dot,
     primitive,
@@ -229,6 +230,29 @@ rational_matrices = st.integers(min_value=1, max_value=6).flatmap(
 @given(rational_matrices)
 def test_integer_rank_matches_rref_pivot_count(m):
     assert rank(m) == len(rref(m)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@example([[0, 0], [1, 2], [2, 4], [0, 1], [3, 3]], 5)
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 2)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda ncols: st.lists(
+            st.lists(small_int, min_size=ncols, max_size=ncols), max_size=8
+        )
+    ),
+    st.integers(min_value=0, max_value=7),
+)
+def test_independent_rows_are_the_echelon_pivots_of_the_transpose(m, limit):
+    """The rows kept are the first independent rows in order, so they are
+    the pivot columns of the transpose's echelon, cut at limit; their count
+    is the rank when the rank is below limit. The rows are not changed."""
+    before = [list(row) for row in m]
+    chosen = _independent_rows(m, limit)
+    pivots = _echelon(transpose(m))
+    assert chosen == pivots[:limit]
+    assert len(chosen) == min(rank(m), limit)
+    assert m == before
 
 
 @settings(max_examples=150, deadline=None)

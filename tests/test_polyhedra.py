@@ -15,11 +15,13 @@ from fanforge.errors import (
     InconsistentSystem,
     Unbounded,
 )
-from fanforge.linalg import det_int, dot, primitive, scale_rows_int, solve, transpose
+from fanforge import polyhedra
+from fanforge.linalg import _echelon, det_int, dot, primitive, scale_rows_int, solve, transpose
 from fanforge.polyhedra import (
     Fan,
     HPolytope,
     VPolytope,
+    _adjugate_int,
     extreme_rays,
     facet_description,
     fan_eq,
@@ -515,17 +517,129 @@ def test_validate_matches_pairwise_oracle(fan):
         assert type_cone(fan).facets == rank_rule_type_cone_facets(fan)
 
 
-def assert_tight_masks_exact(constraints, d):
-    """Every ray's bitmask has bit i set iff constraints[i] . ray == 0."""
-    for ray, mask in extreme_rays(constraints, d).items():
+def reference_extreme_rays(constraints, d):
+    """Reference double description: the initial basis from the echelon
+    pivots of the full transpose, the same sweep and adjacency test, and a
+    closing check of every final ray against every constraint."""
+    init = _echelon(transpose(constraints))
+    if len(init) != d:
+        raise InconsistentSystem(f"constraints do not span R^{d}")
+    adj, _det = _adjugate_int([list(constraints[i]) for i in init])
+    basis = sum(1 << i for i in init)
+    rays = [
+        (primitive([adj[i][j] for i in range(d)]), basis ^ 1 << init[j])
+        for j in range(d)
+    ]
+    for ci, a in enumerate(constraints):
+        bit = 1 << ci
+        if basis & bit:
+            continue
+        plus, zero, minus = [], [], []
+        for ray, tight in rays:
+            v = dot(a, ray)
+            if v > 0:
+                plus.append((ray, tight, v))
+            elif v == 0:
+                zero.append((ray, tight | bit))
+            else:
+                minus.append((ray, tight, v))
+        new = []
+        masks = [t for _r, t in rays]
+        for rp, tp, vp in plus:
+            for rm, tm, vm in minus:
+                common = tp & tm
+                if common.bit_count() < d - 2 or any(
+                    t & common == common and t != tp and t != tm for t in masks
+                ):
+                    continue
+                combo = [vp * y - vm * x for x, y in zip(rp, rm)]
+                new.append((primitive(combo), common | bit))
+        rays = [(r, t) for r, t, _v in plus] + zero + new
+    for ray, _tight in rays:
+        if any(dot(c, ray) < 0 for c in constraints):
+            raise InconsistentSystem("double description produced an infeasible ray")
+    return dict(sorted(rays))
+
+
+def assert_extreme_rays_exact(constraints, d):
+    """The rays, their masks and their order equal the reference double
+    description's, and every ray's bitmask has bit i set iff
+    constraints[i] . ray == 0."""
+    got = extreme_rays(constraints, d)
+    assert list(got.items()) == list(reference_extreme_rays(constraints, d).items())
+    for ray, mask in got.items():
         assert mask == sum(1 << i for i, c in enumerate(constraints) if dot(c, ray) == 0)
+
+
+@st.composite
+def integer_systems(draw):
+    """Random integer constraint systems in R^2..R^5, small entries so that
+    many are degenerate (rays on more than d - 1 rows) or rank deficient."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    row = st.lists(st.integers(min_value=-2, max_value=2), min_size=d, max_size=d)
+    return draw(st.lists(row, min_size=d, max_size=d + 6)), d
+
+
+@settings(max_examples=200, deadline=None)
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1]], 3))
+@example(([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1], [-1, -1, 2]], 3))
+@example(([[1, 1, 0], [2, 2, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]], 3))
+@given(integer_systems())
+def test_extreme_rays_match_the_reference_on_random_systems(system):
+    constraints, d = system
+    if rank(constraints) == d:
+        assert_extreme_rays_exact(constraints, d)
+    else:
+        for route in (extreme_rays, reference_extreme_rays):
+            with pytest.raises(InconsistentSystem):
+                route(constraints, d)
+
+
+# x, y >= 0 (the basis), x >= y, then 2y >= x, whose step makes the ray (2, 1)
+PLANAR = [(1, 0), (0, 1), (1, -1), (-1, 2)]
+# x, y >= 0, x >= y (no basis row: it depends on them), then z >= 0: the
+# step of x >= y makes the ray (1, 1, 0) before the basis row z >= 0
+LATE_BASIS_ROW = [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "constraints, corrupt",
+    [
+        (PLANAR, lambda r: tuple(-x for x in r)),
+        (PLANAR, lambda r: r[::-1]),
+        (PLANAR, lambda r: (r[0] + 1, *r[1:])),
+        (LATE_BASIS_ROW, lambda r: (*r[:-1], r[-1] - 1)),
+    ],
+    ids=["negated", "breaks-an-earlier-row", "breaks-its-own-row", "breaks-a-later-basis-row"],
+)
+def test_the_closing_check_rejects_a_corrupted_ray(monkeypatch, constraints, corrupt):
+    """The last combination the sweep makes is corrupted so that it breaks
+    one row the sweep never evaluated it on; it survives the sweep, and the
+    closing check must reject it."""
+    calls = []
+
+    def counting(vec):
+        calls.append(vec)
+        return primitive(vec)
+
+    monkeypatch.setattr(polyhedra, "primitive", counting)
+    extreme_rays(constraints, len(constraints[0]))
+    last = len(calls)
+
+    def last_call_corrupted(vec):
+        out = counting(vec)
+        return corrupt(out) if len(calls) == 2 * last else out
+
+    monkeypatch.setattr(polyhedra, "primitive", last_call_corrupted)
+    with pytest.raises(InconsistentSystem, match="infeasible ray"):
+        extreme_rays(constraints, len(constraints[0]))
 
 
 @settings(max_examples=30, deadline=None)
 @given(base_fans())
 def test_extreme_ray_masks_on_type_cone_reductions(fan):
     _dedup, reduced, d = type_cone_reduction(fan)
-    assert_tight_masks_exact(reduced, d)
+    assert_extreme_rays_exact(reduced, d)
 
 
 def test_strict_feasible_basic():
@@ -670,7 +784,7 @@ def test_extreme_ray_masks_on_homogenized_hpolytope_cones(p):
     a_rows, b = scale_rows_int(p.ineq_matrix, p.bounds)
     cone = [[-x for x in row] + [bi] for row, bi in zip(a_rows, b)] + [[0] * p.dim + [1]]
     if rank(cone) == p.dim + 1:
-        assert_tight_masks_exact(cone, p.dim + 1)
+        assert_extreme_rays_exact(cone, p.dim + 1)
     else:
         with pytest.raises(InconsistentSystem):
             extreme_rays(cone, p.dim + 1)
