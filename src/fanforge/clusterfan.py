@@ -18,10 +18,16 @@ enumerator hands to the fan it builds. The fan enumerator is a
 BFS over clusters: mutation in direction k changes only g-vector k, so a
 neighbour is named by the frozenset of g-vectors with g_k exchanged
 (exchanged_g_vector), and a full seed is built, once, only for a cluster
-not seen before. It raises InfiniteType as soon as a reached seed has
-|b_ij b_ji| > 3 (Fomin-Zelevinsky, "Cluster algebras II", Invent. Math.
-2003, Thm 1.8); for type A it can carry polygon triangulations alongside,
-which yields the diagonal-to-ray dictionary used by the mesh cross-checks.
+not seen before. Mutation is an involution, so a cluster never looks back
+along the direction that reached it, and each exchange-graph edge is
+recorded once, from the end the BFS reached first. A mutation rebuilds
+only row k of the exchange matrix and the rows i with b_ik != 0; every
+other row is the old seed's. The BFS raises InfiniteType as soon as a
+reached seed has |b_ij b_ji| > 3 (Fomin-Zelevinsky, "Cluster algebras
+II", Invent. Math. 2003, Thm 1.8), or once it holds more clusters than
+any finite type of its rank has (_largest_finite_type); for type A it can
+carry polygon triangulations alongside, which yields the diagonal-to-ray
+dictionary used by the mesh cross-checks.
 A diagonal is a sorted vertex pair (is_diagonal), and a flip reads its
 quadrilateral off the triangulation's edges (_flipped). The tracked BFS
 flips each cluster's diagonals with that rule and validates only the start
@@ -33,6 +39,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
+from math import comb
 
 from .errors import BudgetExceeded, InconsistentSystem, InfiniteType
 from .linalg import det_int, dot, primitive
@@ -211,17 +218,18 @@ def _mutated(seed, k, g_k):
         if j != k and coeff > 0:
             c2[j] = tuple(x + coeff * y for x, y in zip(c[j], c[k]))
     # b'_ij = -b_ij on row and column k, else b_ij + sgn(b_ik) max(0, b_ik b_kj),
-    # which is b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2, an exact division
-    b2 = tuple(
-        tuple(
-            -b[i][j]
-            if k in (i, j)
-            else b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return Seed(b2, g[:k] + (g_k,) + g[k + 1 :], tuple(c2), seed.symmetrizer)
+    # which is b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2, an exact division; a
+    # row i with b_ik = 0 gains 0 everywhere, so it is shared with the old seed
+    b_k = b[k]
+    b2 = list(b)
+    b2[k] = tuple(-x for x in b_k)
+    for i, row in enumerate(b):
+        b_ik = row[k]
+        if b_ik:  # never on row k: b_kk = 0
+            new = [x + (abs(b_ik) * y + b_ik * abs(y)) // 2 for x, y in zip(row, b_k)]
+            new[k] = -b_ik
+            b2[i] = tuple(new)
+    return Seed(tuple(b2), g[:k] + (g_k,) + g[k + 1 :], tuple(c2), seed.symmetrizer)
 
 
 def is_diagonal(d, polygon_size):
@@ -392,6 +400,29 @@ def _check_finite_type(b, node):
                 )
 
 
+# cluster counts of the connected types that are not A_r, B_r/C_r or D_r
+_EXCEPTIONAL_CLUSTERS = {2: 8, 4: 105, 6: 833, 7: 4160, 8: 25080}  # G2, F4, E6, E7, E8
+
+
+def _largest_finite_type(n):
+    """The most clusters of any cluster algebra of finite type and rank n:
+    the largest product of connected types' cluster counts over the ways
+    to split n into their ranks. The counts are A_r: Cat(r+1), B_r and C_r:
+    C(2r, r), D_r: (3r-2)/r C(2r-2, r-1), and G2, F4, E6, E7, E8: 8, 105,
+    833, 4160, 25080 (Fomin-Zelevinsky, "Y-systems and generalized
+    associahedra", Ann. Math. 2003)."""
+    best = [1]
+    for r in range(1, n + 1):
+        connected = max(
+            comb(2 * r + 2, r + 1) // (r + 2),
+            comb(2 * r, r),
+            (3 * r - 2) * comb(2 * r - 2, r - 1) // r if r >= 4 else 0,
+            _EXCEPTIONAL_CLUSTERS.get(r, 0),
+        )
+        best.append(max([connected, *(best[a] * best[r - a] for a in range(1, r))]))
+    return best[n]
+
+
 def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     """BFS over seeds modulo cluster-set equality.
 
@@ -403,11 +434,16 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     are tracked alongside mutations and every diagonal is matched to its
     g-vector ray; agreement across all clusters containing the diagonal is
     checked, for each new seed on the one pair it does not share with its
-    parent. Raises InfiniteType, a BudgetExceeded, as soon as a reached
-    seed is not 2-finite, and BudgetExceeded when more than budget seeds
-    are reached. When every seed passed its duality identity, the fan's
-    cone inverses are its seeds' (_inverse_rows), so validating it inverts
-    no matrix.
+    parent. Each cluster is expanded in every direction but the one that
+    reached it, which leads back to its parent, and each edge is recorded
+    once: when its far end is new or comes later in BFS order. Every new
+    seed runs Seed.__init__'s proofs and the 2-finiteness test. Raises
+    InfiniteType, a BudgetExceeded, as soon as a reached seed is not
+    2-finite or more clusters are reached than any finite type of rank n
+    has (_largest_finite_type), and BudgetExceeded when more than budget
+    seeds are reached. When every seed passed its duality identity, the
+    fan's cone inverses are its seeds' (_inverse_rows), so validating it
+    inverts no matrix.
     """
     n = seed.rank
     if triangulation is not None:
@@ -418,20 +454,29 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     # the start seed's diagonals are distinct, so its pairs cannot disagree
     diagonal_rays = dict(zip(diags, seed.g_vectors)) if triangulation else {}
     start_key = frozenset(seed.g_vectors)
-    # diags lists the diagonals in direction order: a flip of a
-    # triangulation is one, so only the start needs validating
-    states = {start_key: (seed, diags)}
+    bound = _largest_finite_type(n)
+    # one node per cluster, in BFS order: its seed, its diagonals in
+    # direction order (a flip of a triangulation is one, so only the start
+    # needs validating) and the direction that reached it
+    position = {start_key: 0}
     order = [start_key]
-    edges = set()
-    for key in order:
-        s, diags = states[key]
+    nodes = [(seed, diags, None)]
+    edges = []  # (position, later position, g_k, g'_k), each edge once
+    for pos, key in enumerate(order):
+        s, diags, back = nodes[pos]
         for k in range(n):
+            if k == back:
+                # mutation is an involution: k leads back to the parent,
+                # and the parent recorded that edge
+                continue
             g_k, g2 = s.g_vectors[k], exchanged_g_vector(s, k)
             key2 = key - {g_k} | {g2}
-            if key2 not in states:
+            pos2 = position.get(key2)
+            if pos2 is None:
+                pos2 = len(order)
                 # Seed.__init__ checks the mutated g-vectors' unimodularity
                 s2 = _mutated(s, k, g2)
-                _check_finite_type(s2.b_matrix, len(states))
+                _check_finite_type(s2.b_matrix, pos2)
                 diags2 = None
                 if diags is not None:
                     new_diag = _flipped(triangulation.polygon_size, diags, diags[k])
@@ -441,43 +486,53 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
                         raise InconsistentSystem(
                             f"diagonal {new_diag} matched two distinct g-vectors"
                         )
-                states[key2] = (s2, diags2)
+                position[key2] = pos2
                 order.append(key2)
-                if len(states) > budget:
+                nodes.append((s2, diags2, k))
+                if len(order) > bound:
+                    raise InfiniteType(
+                        f"seed BFS reached {len(order)} clusters, more than the {bound} "
+                        f"of any finite type of rank {n}: the cluster algebra is of infinite type"
+                    )
+                if len(order) > budget:
                     raise BudgetExceeded(f"seed BFS exceeded {budget} nodes")
-            edges.add((frozenset((key, key2)), tuple(sorted((g_k, g2)))))
+            elif pos2 < pos:
+                # recorded when the earlier node was expanded
+                continue
+            edges.append((pos, pos2, g_k, g2))
 
     all_rays = sorted({g for key in order for g in key}, reverse=True)
     ray_index = {g: i for i, g in enumerate(all_rays)}
-    cone_of = {key: tuple(sorted(ray_index[g] for g in key)) for key in order}
+    cones = [tuple(sorted(ray_index[g] for g in key)) for key in order]
     labels = None
     if triangulation is not None:
         ray_diag = {ray_index[g]: d for d, g in diagonal_rays.items()}
         labels = [f"{ray_diag[i][0]}-{ray_diag[i][1]}" for i in range(len(all_rays))]
 
-    fan = Fan(n, all_rays, list(cone_of.values()), labels)
+    fan = Fan(n, all_rays, cones, labels)
     cone_pos = {cone: i for i, cone in enumerate(fan.maximal_cones)}
-    node_of_key = {key: cone_pos[cone_of[key]] for key in order}
-    graph_edges = set()
-    for key_pair, ray_pair in edges:
-        k1, k2 = tuple(key_pair)
-        a, b = sorted((node_of_key[k1], node_of_key[k2]))
-        graph_edges.add((a, b, tuple(sorted(ray_index[g] for g in ray_pair))))
+    node_at = [cone_pos[cone] for cone in cones]
+    graph_edges = []
+    for pos, pos2, g_k, g2 in edges:
+        a, b = sorted((node_at[pos], node_at[pos2]))
+        r, r2 = sorted((ray_index[g_k], ray_index[g2]))
+        graph_edges.append((a, b, (r, r2)))
     graph = ExchangeGraph(fan.maximal_cones, tuple(sorted(graph_edges)))
     node_triangulations = ()
     if triangulation is not None:
-        by_node = sorted((node_of_key[key], states[key][1]) for key in order)
+        by_node = sorted(zip(node_at, (diags for _s, diags, _k in nodes)))
         node_triangulations = tuple(t for _i, t in by_node)
-    if all(states[key][0]._is_dual for key in order):
+    if all(s._is_dual for s, _diags, _k in nodes):
         # each seed's own identity proved its cone unimodular, so the rays
         # are its g-vectors and its inverse is (D^-1 C D, det 1), rows in
         # the cone's sorted-ray order: the cache Fan._cone_data fills. Each
         # seed is dropped once read, so the rows take the seeds' memory.
         inverses = [None] * len(order)
-        for key in order:
-            s, _diags = states.pop(key)
+        for pos, node in enumerate(node_at):
+            s = nodes[pos][0]
+            nodes[pos] = None
             rows = sorted(zip([ray_index[g] for g in s.g_vectors], _inverse_rows(s)))
-            inverses[node_of_key[key]] = ([row for _i, row in rows], 1)
+            inverses[node] = ([row for _i, row in rows], 1)
         fan._cone_inverses = inverses
     return FanEnumeration(fan, graph, node_triangulations, diagonal_rays)
 

@@ -24,6 +24,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .errors import (
     DegenerateWall,
@@ -90,7 +91,8 @@ def wall_dependency(fan, wall):
     det*r' = sum(lambda_k a_k) over cone A's rays a_k, with lambda_k =
     adj_A[k] . r' from cone A's cached adjugate. With a = lambda_r the
     normal is -a at r, det at r' and -lambda_s at each shared s, made
-    primitive; it has both exchanged entries positive iff a < 0.
+    primitive by the gcd of those n + 1 entries; it has both exchanged
+    entries positive iff a < 0.
     """
     r, r2 = wall.exchanged
     cone = fan.maximal_cones[wall.cone_a]
@@ -98,15 +100,18 @@ def wall_dependency(fan, wall):
         raise DegenerateWall(f"wall {wall.exchanged} is not a facet of cone {wall.cone_a}")
     adj, det = fan._cone_data()[wall.cone_a]
     ray = fan.rays[r2]
+    lam = [dot(row, ray) for row in adj]
+    # det and the lambda_k are the normal's only nonzero entries
+    g = gcd(det, *lam)
     vec = [0] * fan.n_rays
-    for k, row in zip(cone, adj):
-        vec[k] = -dot(row, ray)
+    for k, x in zip(cone, lam):
+        vec[k] = -x // g
     if vec[r] <= 0:
         raise DegenerateWall(
             f"exchanged rays of wall {wall.exchanged} are not on opposite sides"
         )
-    vec[r2] = det
-    return LinearDependency(wall, primitive(vec))
+    vec[r2] = det // g
+    return LinearDependency(wall, tuple(vec))
 
 
 def unique_exchange_check(fan, dependencies=None):

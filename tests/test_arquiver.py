@@ -304,11 +304,12 @@ D5_ORIENTATIONS = [None, ((1, 2), (3, 2), (3, 4), (5, 3)), ((2, 1), (2, 3), (4, 
 
 
 @pytest.mark.parametrize(
-    "rank, orientation",
-    [pytest.param(4, o, id=f"D4-{k}") for k, o in enumerate(_orientations("D", 4))]
-    + [pytest.param(5, o, id=f"D5-{k}") for k, o in enumerate(D5_ORIENTATIONS)],
+    "type_, rank, orientation",
+    [pytest.param("D", 4, o, id=f"D4-{k}") for k, o in enumerate(_orientations("D", 4))]
+    + [pytest.param("D", 5, o, id=f"D5-{k}") for k, o in enumerate(D5_ORIENTATIONS)]
+    + [pytest.param("E", 6, None, id="E6")],
 )
-def test_abhy_polytope_is_q_c_beyond_type_a(rank, orientation):
+def test_abhy_polytope_is_q_c_beyond_type_a(type_, rank, orientation):
     # criterion 6 off type A: the classes map onto the g-vector rays, the
     # knitted mesh rows are the type cone facets, and the ABHY polytope for
     # c is Q_c for c carried from the meshes to the facets
@@ -317,8 +318,8 @@ def test_abhy_polytope_is_q_c_beyond_type_a(rank, orientation):
     from fanforge.polyhedra import realization
     from fanforge.typecone import qc_polytope, type_cone
 
-    q = DynkinQuiver("D", rank, orientation)
-    ar = knit_ar_quiver(q)
+    q = DynkinQuiver(type_, rank, orientation)
+    ar = knit_ar_quiver(q, enable_e=True)
     fan = enumerate_fan(initial_seed(q.exchange_matrix())).fan
     exact = [
         (sign, arrows)

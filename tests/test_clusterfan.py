@@ -818,6 +818,66 @@ def test_bfs_builds_one_seed_per_new_cluster(monkeypatch, name):
     assert len(calls) == len(enum.graph.nodes) - 1
 
 
+@pytest.mark.parametrize("name", ["A3", "D4", "heptagon-fan"])
+def test_bfs_skips_the_direction_back_to_the_parent(monkeypatch, name):
+    # every cluster but the start was reached along one direction, and
+    # mutating back along it would only find the parent again; every new
+    # seed is still proved and tested for 2-finiteness
+    tri = TRIANGULATION_SEEDS.get(name)
+    seed = DIFFERENTIAL_SEEDS[name]
+    calls = {"exchanged": 0, "init": 0, "finite": 0}
+    exchanged, init, finite = (
+        clusterfan.exchanged_g_vector,
+        Seed.__init__,
+        clusterfan._check_finite_type,
+    )
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(clusterfan, "exchanged_g_vector", counting("exchanged", exchanged))
+    monkeypatch.setattr(Seed, "__init__", counting("init", init))
+    monkeypatch.setattr(clusterfan, "_check_finite_type", counting("finite", finite))
+    enum = enumerate_fan(seed, triangulation=tri)
+    nodes = len(enum.graph.nodes)
+    # a tracked run also builds the triangulation's seed, to match it
+    seeds = nodes - 1 + (tri is not None)
+    assert calls == {"exchanged": seed.rank * nodes - (nodes - 1), "init": seeds, "finite": nodes}
+
+
+@pytest.mark.parametrize("name, walk", [("D4", [0, 1, 3]), ("B3", [1, 0, 2, 1])])
+def test_mutation_shares_the_rows_it_does_not_change(name, walk):
+    seed = DIFFERENTIAL_SEEDS[name]
+    for k in walk:
+        s2 = mutate_seed(seed, k)
+        for i, (row, row2) in enumerate(zip(seed.b_matrix, s2.b_matrix)):
+            assert (row2 is row) == (i != k and row[k] == 0)
+        seed = s2
+
+
+def test_largest_finite_type_per_rank():
+    # rank 6 is B6/C6, not E6 (833); rank 9 is E8 x A1, not B9 (48620)
+    got = [clusterfan._largest_finite_type(n) for n in range(1, 10)]
+    assert got == [2, 8, 20, 105, 252, 924, 4160, 25080, 50160]
+
+
+def test_infinite_type_is_rejected_at_the_finite_type_bound(monkeypatch):
+    # linear affine E6, the centre 1 with arms 1-2-3, 1-4-5 and 1-6-7: every
+    # seed is 2-finite up to node 2571, so only the bound can stop it earlier
+    b = [[0] * 7 for _ in range(7)]
+    for s, t in [(3, 2), (2, 1), (5, 4), (4, 1), (7, 6), (6, 1)]:
+        b[t - 1][s - 1] += 1
+        b[s - 1][t - 1] -= 1
+    monkeypatch.setattr(clusterfan, "_largest_finite_type", lambda n: 1500)
+    bound = "1501 clusters, more than the 1500 of any finite type of rank 7"
+    with pytest.raises(InfiniteType, match=bound):
+        enumerate_fan(initial_seed(b))
+
+
 @pytest.mark.parametrize("name", ["heptagon-fan", "octagon-zigzag"])
 def test_tracked_bfs_validates_each_triangulation_once(monkeypatch, name):
     tri = TRIANGULATION_SEEDS[name]
