@@ -118,8 +118,9 @@ def cmd_fan(args):
     from . import clusterfan, polyhedra
     seed, tri = _seed_from_args(args)
     enum = clusterfan.enumerate_fan(seed, triangulation=tri, budget=args.budget)
-    if args.validate:
-        enum.fan.validate()
+    # proved with or without --validate, which scripts still pass; the BFS
+    # handed the fan its cone inverses, so the proof inverts no matrix
+    enum.fan.validate()
     _write_out(polyhedra.fan_to_json(enum.fan), args.output)
     if args.graph_out:
         _write_out(enum.graph.to_dot(), args.graph_out)
@@ -148,7 +149,9 @@ def cmd_typecone(args):
     tc = typecone.type_cone(fan)
     expected = fan.n_rays - fan.dim
     if args.report:
-        uerp = typecone.unique_exchange_check(fan)
+        # the type cone's raw rows are its walls' dependency normals
+        deps = map(typecone.LinearDependency, tc.wall_list, tc.raw_inequalities)
+        uerp = typecone.unique_exchange_check(fan, deps)
         line = (
             f"facets={tc.n_facets} expected={expected} "
             f"uerp={'true' if uerp['holds'] else 'false'}"

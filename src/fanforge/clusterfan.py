@@ -434,16 +434,16 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     are tracked alongside mutations and every diagonal is matched to its
     g-vector ray; agreement across all clusters containing the diagonal is
     checked, for each new seed on the one pair it does not share with its
-    parent. Each cluster is expanded in every direction but the one that
-    reached it, which leads back to its parent, and each edge is recorded
-    once: when its far end is new or comes later in BFS order. Every new
-    seed runs Seed.__init__'s proofs and the 2-finiteness test. Raises
-    InfiniteType, a BudgetExceeded, as soon as a reached seed is not
-    2-finite or more clusters are reached than any finite type of rank n
-    has (_largest_finite_type), and BudgetExceeded when more than budget
-    seeds are reached. When every seed passed its duality identity, the
-    fan's cone inverses are its seeds' (_inverse_rows), so validating it
-    inverts no matrix.
+    parent. Each cluster is one BFS node (key, seed, diagonals and the
+    direction that reached it, which leads back to its parent and is not
+    expanded), and each edge is recorded once: when its far end is new or
+    comes later in BFS order. Every new seed runs Seed.__init__'s proofs
+    and the 2-finiteness test. Raises InfiniteType, a BudgetExceeded, as
+    soon as a reached seed is not 2-finite or more clusters are reached
+    than any finite type of rank n has (_largest_finite_type), and else
+    BudgetExceeded, naming that bound, when more than budget are reached.
+    When every seed passed its duality identity, the fan's cone inverses
+    are its seeds' (_inverse_rows), so validating it inverts no matrix.
     """
     n = seed.rank
     if triangulation is not None:
@@ -455,15 +455,13 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     diagonal_rays = dict(zip(diags, seed.g_vectors)) if triangulation else {}
     start_key = frozenset(seed.g_vectors)
     bound = _largest_finite_type(n)
-    # one node per cluster, in BFS order: its seed, its diagonals in
-    # direction order (a flip of a triangulation is one, so only the start
-    # needs validating) and the direction that reached it
+    # one node per cluster, in BFS order: its key, its seed, its diagonals
+    # in direction order (a flip of a triangulation is one, so only the
+    # start needs validating) and the direction that reached it
     position = {start_key: 0}
-    order = [start_key]
-    nodes = [(seed, diags, None)]
+    nodes = [(start_key, seed, diags, None)]
     edges = []  # (position, later position, g_k, g'_k), each edge once
-    for pos, key in enumerate(order):
-        s, diags, back = nodes[pos]
+    for pos, (key, s, diags, back) in enumerate(nodes):
         for k in range(n):
             if k == back:
                 # mutation is an involution: k leads back to the parent,
@@ -473,7 +471,7 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
             key2 = key - {g_k} | {g2}
             pos2 = position.get(key2)
             if pos2 is None:
-                pos2 = len(order)
+                pos2 = len(nodes)
                 # Seed.__init__ checks the mutated g-vectors' unimodularity
                 s2 = _mutated(s, k, g2)
                 _check_finite_type(s2.b_matrix, pos2)
@@ -487,23 +485,25 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
                             f"diagonal {new_diag} matched two distinct g-vectors"
                         )
                 position[key2] = pos2
-                order.append(key2)
-                nodes.append((s2, diags2, k))
-                if len(order) > bound:
+                nodes.append((key2, s2, diags2, k))
+                if len(nodes) > bound:
                     raise InfiniteType(
-                        f"seed BFS reached {len(order)} clusters, more than the {bound} "
+                        f"seed BFS reached {len(nodes)} clusters, more than the {bound} "
                         f"of any finite type of rank {n}: the cluster algebra is of infinite type"
                     )
-                if len(order) > budget:
-                    raise BudgetExceeded(f"seed BFS exceeded {budget} nodes")
+                if len(nodes) > budget:  # then budget < bound
+                    raise BudgetExceeded(
+                        f"seed BFS exceeded {budget} nodes; a cluster algebra of finite "
+                        f"type and rank {n} has up to {bound} clusters"
+                    )
             elif pos2 < pos:
                 # recorded when the earlier node was expanded
                 continue
             edges.append((pos, pos2, g_k, g2))
 
-    all_rays = sorted({g for key in order for g in key}, reverse=True)
+    all_rays = sorted({g for node in nodes for g in node[0]}, reverse=True)
     ray_index = {g: i for i, g in enumerate(all_rays)}
-    cones = [tuple(sorted(ray_index[g] for g in key)) for key in order]
+    cones = [tuple(sorted(ray_index[g] for g in key)) for key, _s, _diags, _k in nodes]
     labels = None
     if triangulation is not None:
         ray_diag = {ray_index[g]: d for d, g in diagonal_rays.items()}
@@ -520,16 +520,16 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     graph = ExchangeGraph(fan.maximal_cones, tuple(sorted(graph_edges)))
     node_triangulations = ()
     if triangulation is not None:
-        by_node = sorted(zip(node_at, (diags for _s, diags, _k in nodes)))
+        by_node = sorted(zip(node_at, (diags for _key, _s, diags, _k in nodes)))
         node_triangulations = tuple(t for _i, t in by_node)
-    if all(s._is_dual for s, _diags, _k in nodes):
+    if all(s._is_dual for _key, s, _diags, _k in nodes):
         # each seed's own identity proved its cone unimodular, so the rays
         # are its g-vectors and its inverse is (D^-1 C D, det 1), rows in
         # the cone's sorted-ray order: the cache Fan._cone_data fills. Each
         # seed is dropped once read, so the rows take the seeds' memory.
-        inverses = [None] * len(order)
+        inverses = [None] * len(nodes)
         for pos, node in enumerate(node_at):
-            s = nodes[pos][0]
+            s = nodes[pos][1]
             nodes[pos] = None
             rows = sorted(zip([ray_index[g] for g in s.g_vectors], _inverse_rows(s)))
             inverses[node] = ([row for _i, row in rows], 1)

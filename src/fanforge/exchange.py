@@ -7,14 +7,14 @@ the (n+3)-gon and the translation acts by unit rotation. Equipping the
 category with the relative structure of an initial triangulation drops
 exactly the n almost-split triangles ending at initial diagonals; the
 remaining N - n mesh relations must reproduce the type cone facets, which is
-the package's independent cross-check of the realization pipeline.
-Diagonals are the sorted vertex pairs of clusterfan, and rotation maps
-pairs to pairs.
+the package's independent cross-check of the realization pipeline. It reads
+the tracked fan enumeration its caller ran and runs no BFS of its own.
+Diagonals are clusterfan's sorted vertex pairs; rotation maps pairs to pairs.
 """
 
 from collections import namedtuple
 
-from .clusterfan import enumerate_fan, is_diagonal, seed_from_triangulation
+from .clusterfan import is_diagonal
 from .errors import InconsistentSystem
 from .typecone import unique_exchange_check, wall_dependency, walls
 
@@ -50,17 +50,15 @@ def _corner_cuts(start, polygon_size):
     return tuple(sorted(d for d in cuts if is_diagonal(d, m)))
 
 
-def relative_ar_meshes(tri, enumeration=None):
+def relative_ar_meshes(tri, enumeration):
     """Non-excluded relative AR meshes of the triangulation, with their
     inequality normals over the g-vector fan rays.
 
-    The diagonal -> ray dictionary comes from the tracked fan enumeration
-    started at the triangulation's seed; pass the enumeration in when it has
-    already been computed. An enumeration started anywhere else, where the
-    k-th diagonal of tri is not the k-th unit ray, raises ValueError.
+    The diagonal -> ray dictionary comes from enumeration, the tracked fan
+    enumeration run from the triangulation's seed (enumerate_fan with
+    triangulation=tri). One started anywhere else, where the k-th diagonal
+    of tri is not the k-th unit ray, raises ValueError.
     """
-    if enumeration is None:
-        enumeration = enumerate_fan(seed_from_triangulation(tri), triangulation=tri)
     diag_ray = enumeration.diagonal_rays
     fan = enumeration.fan
     ray_index = {ray: i for i, ray in enumerate(fan.rays)}

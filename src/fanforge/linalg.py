@@ -131,10 +131,7 @@ def primitive(vec):
     return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
-def scale_rows_int(rows, rhs=None):
-    """Scale each row (and its rhs entry) by a positive rational so all
-    entries are integers. Inequality semantics are unchanged."""
-    if rhs is None:
-        return [list(primitive(row)) for row in rows]
-    out = [primitive(list(row) + [bi]) for row, bi in zip(rows, rhs)]
-    return [list(r[:-1]) for r in out], [r[-1] for r in out]
+def scale_rows_int(rows):
+    """Scale each row by a positive rational to a primitive integer list.
+    Inequality semantics are unchanged."""
+    return [list(primitive(row)) for row in rows]

@@ -361,13 +361,13 @@ def vertices(p):
     the homogeneous rays have rank n + 1 iff the vertices have affine rank
     n. Each row's contact set is keyed by its primitive normal and offset.
     """
-    a_rows, b = scale_rows_int(p.ineq_matrix, p.bounds)
+    rows = scale_rows_int([*a, beta] for a, beta in zip(p.ineq_matrix, p.bounds))
     n = p.dim
-    if n == 0 or not a_rows:
+    if n == 0 or not rows:
         raise Unbounded("no constraints: feasible set is all of R^n")
-    if len(_independent_rows(a_rows, n)) < n:
+    if len(_independent_rows((row[:n] for row in rows), n)) < n:
         raise Unbounded("constraint matrix is rank deficient")
-    cone = [[-x for x in row] + [bi] for row, bi in zip(a_rows, b)]
+    cone = [[-x for x in row[:n]] + row[n:] for row in rows]
     cone.append([0] * n + [1])
     rays = extreme_rays(cone, n + 1)
     for ray in rays:
@@ -377,7 +377,7 @@ def vertices(p):
         raise Empty("no feasible point")
     if len(_independent_rows(rays, n + 1)) != n + 1:
         raise DimensionDeficient("polytope has no interior point")
-    keys = [_facet_key([*row, bi]) for row, bi in zip(a_rows, b)]
+    keys = [_facet_key(row) for row in rows]
     verts = [[Fraction(x, ray[n]) for x in ray[:n]] for ray in rays]
     return VPolytope(verts, (keys, list(rays.values())))
 

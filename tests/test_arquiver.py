@@ -299,14 +299,14 @@ def _g_vector(quiver, d, sign=1, arrows=DynkinQuiver.arrows_out):
     )
 
 
-# every D4 orientation; of the 16 D5 ones, the linear one and two others
-D5_ORIENTATIONS = [None, ((1, 2), (3, 2), (3, 4), (5, 3)), ((2, 1), (2, 3), (4, 3), (3, 5))]
-
-
+# every orientation of D4 (8) and D5 (16), and linear E6
 @pytest.mark.parametrize(
     "type_, rank, orientation",
-    [pytest.param("D", 4, o, id=f"D4-{k}") for k, o in enumerate(_orientations("D", 4))]
-    + [pytest.param("D", 5, o, id=f"D5-{k}") for k, o in enumerate(D5_ORIENTATIONS)]
+    [
+        pytest.param("D", rank, o, id=f"D{rank}-{k}")
+        for rank in (4, 5)
+        for k, o in enumerate(_orientations("D", rank))
+    ]
     + [pytest.param("E", 6, None, id="E6")],
 )
 def test_abhy_polytope_is_q_c_beyond_type_a(type_, rank, orientation):

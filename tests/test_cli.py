@@ -701,6 +701,67 @@ def test_realize_and_verify_run_no_double_description(tmp_path, capsys, monkeypa
     assert out == "verified: normal fan of the polytope equals the fan\n"
 
 
+@pytest.mark.parametrize("flag", [[], ["--validate"]], ids=["plain", "validate"])
+def test_fan_proves_its_fan_once_from_the_bfs_inverses(tmp_path, capsys, monkeypatch, flag):
+    proved = []
+    validate = polyhedra.Fan.validate
+
+    def counted(fan):
+        proved.append(fan)
+        return validate(fan)
+
+    def no_adjugate(*_args):
+        raise AssertionError("a cone was inverted")
+
+    monkeypatch.setattr(polyhedra.Fan, "validate", counted)
+    monkeypatch.setattr(polyhedra, "_adjugate_int", no_adjugate)
+    path = tmp_path / "fan.json"
+    assert run(capsys, ["fan", "--type", "D", "--rank", "4", *flag, "-o", str(path)]) == (0, "", "")
+    assert proved == [polyhedra.fan_from_json(path.read_text())]
+
+
+def test_fan_writes_nothing_when_its_proof_fails(tmp_path, capsys, monkeypatch):
+    def refuted(_fan):
+        raise ValueError("wall condition violated")
+
+    monkeypatch.setattr(polyhedra.Fan, "validate", refuted)
+    code, out, err = run(capsys, ["fan", "--type", "A", "--rank", "3"])
+    assert (code, out, err) == (2, "", "fanforge: error: wall condition violated\n")
+
+
+def test_typecone_report_derives_each_wall_dependency_once(tmp_path, capsys, monkeypatch):
+    from fanforge import typecone
+
+    path = tmp_path / "d5.json"
+    assert run(capsys, ["fan", "--type", "D", "--rank", "5", "-o", str(path)])[0] == 0
+    calls = {"wall_dependency": [], "walls": 0, "wall_subsets": 0}
+    wall_dependency, walls = typecone.wall_dependency, typecone.walls
+    wall_subsets = polyhedra.Fan.wall_subsets
+
+    def counted_dependency(fan, wall):
+        calls["wall_dependency"].append(wall)
+        return wall_dependency(fan, wall)
+
+    def counted_walls(fan):
+        calls["walls"] += 1
+        return walls(fan)
+
+    def counted_subsets(fan):
+        calls["wall_subsets"] += 1
+        return wall_subsets(fan)
+
+    monkeypatch.setattr(typecone, "wall_dependency", counted_dependency)
+    monkeypatch.setattr(typecone, "walls", counted_walls)
+    monkeypatch.setattr(polyhedra.Fan, "wall_subsets", counted_subsets)
+    code, out, err = run(capsys, ["typecone", "--report", "--fan", str(path)])
+    assert (code, out, err) == (0, "facets=20 expected=20 uerp=true\n", "")
+    # D5 has 182 clusters of rank 5, so 182 * 5 / 2 = 455 walls: one
+    # dependency each, one wall list, and wall subsets for validate and it
+    deps = calls.pop("wall_dependency")
+    assert len(deps) == len(set(deps)) == 455
+    assert calls == {"walls": 1, "wall_subsets": 2}
+
+
 def test_seed_labels_are_checked_but_do_not_change_the_output(tmp_path, capsys):
     b = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
     outputs = []

@@ -234,6 +234,12 @@ def test_budget_guard_on_a_finite_type_seed_is_not_infinite_type():
     with pytest.raises(BudgetExceeded) as info:
         enumerate_fan(initial_seed(A4_B), budget=10)
     assert not isinstance(info.value, InfiniteType)
+    # the budget, not the type, stopped the BFS: the message names the
+    # most clusters a finite type of rank 4 has (F4)
+    assert str(info.value) == (
+        "seed BFS exceeded 10 nodes; a cluster algebra of finite type and rank 4 "
+        "has up to 105 clusters"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(INFINITE_B))

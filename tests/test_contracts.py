@@ -1,7 +1,8 @@
 """Contract checks must survive `python -O`, which strips `assert`: the
 package raises FanforgeError subclasses instead. The integer kernels stay
 in integers: they construct no Fraction. Every public linalg function has
-a caller elsewhere in the package, so test-only helpers live in the tests.
+a caller elsewhere in the package, and every private module-level name one
+outside its own definition, so test-only helpers live in the tests.
 Files are written by one writer, `cli._write_out`, which never truncates
 on open. Determinants and vertex orders each have one owner."""
 
@@ -88,6 +89,42 @@ def test_every_public_linalg_function_is_used_elsewhere_in_the_package():
             elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "linalg":
                 used.add(node.attr)
     assert public - used == set(), f"linalg functions only the tests call: {sorted(public - used)}"
+
+
+def _definitions(tree):
+    """(name, statement) for each module-level function, class and assigned
+    name of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for name in (n for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                yield name.id, node
+
+
+def _reads(node):
+    """Every identifier that node reads, imports or reads as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_private_module_level_name_is_used_outside_its_definition():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    statements = [(stmt, set(_reads(stmt))) for tree in trees.values() for stmt in tree.body]
+    dead = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, definition in _definitions(tree)
+        if name.startswith("_")
+        and not name.startswith("__")
+        and not any(name in reads for stmt, reads in statements if stmt is not definition)
+    ]
+    assert not dead, f"private names nothing else in the package reads: {dead}"
 
 
 def _callee(node):

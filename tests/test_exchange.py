@@ -67,7 +67,8 @@ def test_middles_never_contain_endpoints():
 
 def test_relative_meshes_a1():
     tri = fan_triangulation(4)
-    meshes = relative_ar_meshes(tri)
+    enum = enumerate_fan(seed_from_triangulation(tri), triangulation=tri)
+    meshes = relative_ar_meshes(tri, enum)
     assert len(meshes) == 1
     (mesh,) = meshes
     assert mesh.middles == ()
@@ -125,6 +126,12 @@ def test_verify_mutation_theorem_a1():
     report = verify_mutation_theorem(enum.fan, enum.graph)
     assert report["holds"]
     assert report["walls_checked"] == 1
+
+
+def test_relative_meshes_need_the_enumeration_they_check():
+    # the meshes run no BFS of their own
+    with pytest.raises(TypeError):
+        relative_ar_meshes(fan_triangulation(5))
 
 
 def test_relative_meshes_reject_an_enumeration_from_another_triangulation():

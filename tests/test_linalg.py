@@ -101,11 +101,8 @@ def test_left_kernel():
 
 
 def test_scale_rows_int():
-    rows, rhs = scale_rows_int(
-        [[Fraction(1, 2), Fraction(1, 3)], [2, 4]], [Fraction(5, 6), 6]
-    )
-    assert rows == [[3, 2], [1, 2]]
-    assert rhs == [5, 3]
+    rows = scale_rows_int([[Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)], [2, 4, 6]])
+    assert rows == [[3, 2, 5], [1, 2, 3]]
 
 
 def rref(rows):

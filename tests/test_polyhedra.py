@@ -674,8 +674,9 @@ def scan_vertices(p):
     Cramer solution of an invertible n-subset is a vertex, and none at all
     means Empty.
     """
-    a, b = scale_rows_int(p.ineq_matrix, p.bounds)
     n = p.dim
+    rows = scale_rows_int([*row, bi] for row, bi in zip(p.ineq_matrix, p.bounds))
+    a, b = [row[:n] for row in rows], [row[n] for row in rows]
     if rank(a) < n:
         raise Unbounded("rank deficient")
     for subset in combinations(a, n - 1):
@@ -781,8 +782,8 @@ def test_oracle_cases_cover_every_outcome():
 @example(SQUARE_PYRAMID)
 @given(small_hpolytopes())
 def test_extreme_ray_masks_on_homogenized_hpolytope_cones(p):
-    a_rows, b = scale_rows_int(p.ineq_matrix, p.bounds)
-    cone = [[-x for x in row] + [bi] for row, bi in zip(a_rows, b)] + [[0] * p.dim + [1]]
+    rows = scale_rows_int([*row, bi] for row, bi in zip(p.ineq_matrix, p.bounds))
+    cone = [[-x for x in row[:-1]] + row[-1:] for row in rows] + [[0] * p.dim + [1]]
     if rank(cone) == p.dim + 1:
         assert_extreme_rays_exact(cone, p.dim + 1)
     else:
