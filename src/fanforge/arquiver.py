@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
-from .errors import NonPositiveParameter, SingularSystem, UnsupportedType
+from .errors import NonPositiveParameter, SingularSystem
 from .polyhedra import HPolytope
 
 TREE_BUILDERS = {
@@ -166,11 +166,10 @@ class ARQuiver(namedtuple("ARQuiver", "quiver vertices meshes projection_vertice
         return json.dumps(payload, separators=(",", ":"))
 
 
-def knit_ar_quiver(quiver, enable_e=False):
+def knit_ar_quiver(quiver):
     """Knit the translation-quiver window from the shifted-injective slice
-    through the injective slice, with dimension vectors by mesh additivity."""
-    if quiver.type == "E" and not enable_e:
-        raise UnsupportedType("type E knitting is behind the enable_e feature gate")
+    through the injective slice, with dimension vectors by mesh additivity;
+    types A, D and E knit alike."""
     n = quiver.rank
     verts = list(range(1, n + 1))
     p = _level_of(quiver)

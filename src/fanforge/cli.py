@@ -211,7 +211,7 @@ def cmd_verify(args):
 def cmd_abhy(args):
     from . import arquiver, polyhedra
     quiver = _quiver_from_args(args)
-    ar = arquiver.knit_ar_quiver(quiver, enable_e=args.enable_e)
+    ar = arquiver.knit_ar_quiver(quiver)
     c = _parameters(args.c, len(ar.meshes))
     lines = ["# coordinate dictionary (id, slice, tree vertex, label, kind)"]
     for row in ar.coordinate_dictionary():
@@ -404,6 +404,7 @@ def build_parser():
     p_ab = sub.add_parser("abhy", help="mesh-equation route: knit, eliminate, realize")
     _add_quiver_options(p_ab)
     p_ab.add_argument("--c", help="comma-separated positive rationals, one per mesh")
+    # type E knits like A and D; scripts still pass --enable-e
     p_ab.add_argument("--enable-e", action="store_true")
     p_ab.add_argument("-o", "--output")
     p_ab.add_argument("--polytope-out")

@@ -42,7 +42,7 @@ from itertools import chain, combinations
 from math import comb
 
 from .errors import BudgetExceeded, InconsistentSystem, InfiniteType
-from .linalg import det_int, dot, primitive
+from .linalg import dot, primitive
 from .polyhedra import Fan, _immutable, _json_field, int_rows
 
 DEFAULT_BFS_BUDGET = 100_000
@@ -94,7 +94,7 @@ def _dual(g, c, d):
     n = len(d)
     if not (len(g) == len(c) == n and all(len(v) == n for v in (*g, *c))):
         return False
-    if set(map(type, chain(*g, *c))) != {int}:
+    if not set(map(type, chain(*g, *c))) <= {int}:  # a rank-0 seed has no entries
         return False
     if d.count(1) != n:
         c = [tuple(dk * x for dk, x in zip(d, ci)) for ci in c]
@@ -105,9 +105,9 @@ def _dual(g, c, d):
 
 def _inverse_rows(seed):
     """The rows of M^-1 = D^-1 C D for M the seed's g-vectors as columns,
-    one per direction, when the seed's identity held (_dual): row j is c_j
-    with entry k scaled by d_k / d_j, an exact division, and is c_j itself
-    when D = I."""
+    one per direction, which the seed's identity proved (_dual): row j is
+    c_j with entry k scaled by d_k / d_j, an exact division, and is c_j
+    itself when D = I."""
     c, d = seed.c_vectors, seed.symmetrizer
     if d.count(1) == len(d):
         return c
@@ -120,13 +120,13 @@ class Seed:
     integer symmetrizer D with d_i b_ij = -d_j b_ji, derived when not
     given. Equality and hash ignore D.
 
-    Construction proves the g-vectors unimodular by the duality identity
-    G D C^T = D (_dual), which every seed reached by mutation from an
-    initial seed satisfies; only a hand-made seed that fails it pays a
-    Bareiss determinant instead. Whether the identity held is kept, so
-    that enumerate_fan can hand each cone its inverse (_inverse_rows)."""
+    Construction tests, in this order, the symmetrizer, the sign-coherence
+    of each c-vector and the duality identity G D C^T = D (_dual), which
+    every seed of a cluster pattern satisfies (Nakanishi-Zelevinsky 2012).
+    The identity proves the g-vectors unimodular and gives each cone its
+    inverse (_inverse_rows); a seed that fails it is rejected."""
 
-    __slots__ = ("b_matrix", "g_vectors", "c_vectors", "symmetrizer", "_is_dual")
+    __slots__ = ("b_matrix", "g_vectors", "c_vectors", "symmetrizer")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, b_matrix, g_vectors, c_vectors, symmetrizer=None):
@@ -134,21 +134,16 @@ class Seed:
             symmetrizer = _symmetrizer(b_matrix)
         if not _symmetrizes(symmetrizer, b_matrix):
             raise ValueError("exchange matrix is not skew-symmetrizable")
-        dual = _dual(g_vectors, c_vectors, symmetrizer)
-        # a hand-made seed may pair unimodular g-vectors with other
-        # c-vectors; a determinant is transpose-invariant, so the g-vectors
-        # may be its rows
-        if not dual and abs(det_int(g_vectors)) != 1:
-            raise ValueError("g-vectors are not unimodular")
         for k, c in enumerate(c_vectors):
             if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
                 raise ValueError(f"c-vector {k} is not sign-coherent")
+        if not _dual(g_vectors, c_vectors, symmetrizer):
+            raise ValueError("g-vectors are not proved unimodular: G D C^T != D")
         put = object.__setattr__
         put(self, "b_matrix", b_matrix)
         put(self, "g_vectors", g_vectors)
         put(self, "c_vectors", c_vectors)
         put(self, "symmetrizer", symmetrizer)
-        put(self, "_is_dual", dual)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -442,8 +437,8 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     soon as a reached seed is not 2-finite or more clusters are reached
     than any finite type of rank n has (_largest_finite_type), and else
     BudgetExceeded, naming that bound, when more than budget are reached.
-    When every seed passed its duality identity, the fan's cone inverses
-    are its seeds' (_inverse_rows), so validating it inverts no matrix.
+    Each seed's duality identity gives its cone's inverse (_inverse_rows),
+    which the fan takes, so validating it inverts no matrix.
     """
     n = seed.rank
     if triangulation is not None:
@@ -472,7 +467,7 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
             pos2 = position.get(key2)
             if pos2 is None:
                 pos2 = len(nodes)
-                # Seed.__init__ checks the mutated g-vectors' unimodularity
+                # Seed.__init__ proves the mutated seed by its identity
                 s2 = _mutated(s, k, g2)
                 _check_finite_type(s2.b_matrix, pos2)
                 diags2 = None
@@ -522,18 +517,17 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     if triangulation is not None:
         by_node = sorted(zip(node_at, (diags for _key, _s, diags, _k in nodes)))
         node_triangulations = tuple(t for _i, t in by_node)
-    if all(s._is_dual for _key, s, _diags, _k in nodes):
-        # each seed's own identity proved its cone unimodular, so the rays
-        # are its g-vectors and its inverse is (D^-1 C D, det 1), rows in
-        # the cone's sorted-ray order: the cache Fan._cone_data fills. Each
-        # seed is dropped once read, so the rows take the seeds' memory.
-        inverses = [None] * len(nodes)
-        for pos, node in enumerate(node_at):
-            s = nodes[pos][1]
-            nodes[pos] = None
-            rows = sorted(zip([ray_index[g] for g in s.g_vectors], _inverse_rows(s)))
-            inverses[node] = ([row for _i, row in rows], 1)
-        fan._cone_inverses = inverses
+    # each seed's own identity proved its cone unimodular, so the rays are
+    # its g-vectors and its inverse is (D^-1 C D, det 1), rows in the
+    # cone's sorted-ray order: the cache Fan._cone_data fills. Each seed is
+    # dropped once read, so the rows take the seeds' memory.
+    inverses = [None] * len(nodes)
+    for pos, node in enumerate(node_at):
+        s = nodes[pos][1]
+        nodes[pos] = None
+        rows = sorted(zip([ray_index[g] for g in s.g_vectors], _inverse_rows(s)))
+        inverses[node] = ([row for _i, row in rows], 1)
+    fan._cone_inverses = inverses
     return FanEnumeration(fan, graph, node_triangulations, diagonal_rays)
 
 
@@ -591,11 +585,13 @@ def _is_label(value):
 
 def seed_from_json(text):
     """Accept {"b": [[..]], "labels": [..]} or
-    {"triangulation": {"polygon": m, "diagonals": [[a,b],...]}}. Labels are
-    checked but not kept: a cluster is named by its g-vectors."""
+    {"triangulation": {"polygon": m, "diagonals": [[a,b],...]}}, not both.
+    Labels are checked but not kept: a cluster is named by its g-vectors."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("seed JSON must be an object")
+    if "b" in data and "triangulation" in data:
+        raise ValueError("seed JSON takes a 'b' matrix or a 'triangulation', not both")
     if "triangulation" in data:
         td = data["triangulation"]
         polygon = _json_field(td, "polygon", "seed 'triangulation'")

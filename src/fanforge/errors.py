@@ -17,10 +17,6 @@ class DimensionDeficient(FanforgeError):
     """The feasible region has no interior point (affine hull is proper)."""
 
 
-class UnsupportedType(FanforgeError):
-    """Dynkin type not enabled in this build."""
-
-
 class SingularSystem(FanforgeError):
     """Back-substitution could not isolate a coordinate (knitting bug)."""
 

@@ -13,7 +13,7 @@ from fanforge.arquiver import (
     knit_ar_quiver,
     linear_quiver,
 )
-from fanforge.errors import NonPositiveParameter, UnsupportedType
+from fanforge.errors import NonPositiveParameter
 from fanforge.polyhedra import normal_fan, fan_eq, vertices
 
 
@@ -87,13 +87,13 @@ def test_knit_d5_counts():
     assert len(ar.meshes) == 20
 
 
-def test_e_feature_gate():
-    q = DynkinQuiver("E", 6)
-    with pytest.raises(UnsupportedType):
-        knit_ar_quiver(q)
-    ar = knit_ar_quiver(q, enable_e=True)
-    assert ar.n_vertices == 42  # 36 positive roots + 6
-    assert len(ar.meshes) == 36
+def test_knit_e_counts():
+    # type E knits like A and D: one vertex per positive root and per
+    # shifted injective, one mesh per positive root
+    for rank, roots in [(6, 36), (7, 63), (8, 120)]:
+        ar = knit_ar_quiver(DynkinQuiver("E", rank))
+        assert ar.n_vertices == roots + rank
+        assert len(ar.meshes) == roots
 
 
 def test_mesh_additivity_signed():
@@ -319,7 +319,7 @@ def test_abhy_polytope_is_q_c_beyond_type_a(type_, rank, orientation):
     from fanforge.typecone import qc_polytope, type_cone
 
     q = DynkinQuiver(type_, rank, orientation)
-    ar = knit_ar_quiver(q, enable_e=True)
+    ar = knit_ar_quiver(q)
     fan = enumerate_fan(initial_seed(q.exchange_matrix())).fan
     exact = [
         (sign, arrows)
@@ -361,7 +361,7 @@ def test_projection_vertices_and_kinds_every_orientation(type_, rank):
     # abhy_functionals' coordinates are the classes of I_1, ..., I_n in order
     for orientation in _orientations(type_, rank):
         q = DynkinQuiver(type_, rank, orientation)
-        ar = knit_ar_quiver(q, enable_e=True)
+        ar = knit_ar_quiver(q)
         idims = injective_dims(q)
         for j in range(1, rank + 1):
             assert ar.vertices[ar.projection_vertices[j - 1]].dim_vector == idims[j]

@@ -290,12 +290,17 @@ def test_abhy_command_with_polytope_out(tmp_path, capsys):
     assert off_path.read_text().startswith("ROFF\n")
 
 
-def test_abhy_type_e_gate(capsys):
-    code, _, err = run(capsys, ["abhy", "--type", "E", "--rank", "6"])
-    assert code == 2
-    assert "enable_e" in err
-    code, out, _ = run(capsys, ["abhy", "--type", "E", "--rank", "6", "--enable-e"])
-    assert code == 0
+def test_abhy_type_e_gate(tmp_path, capsys):
+    """Type E knits like A and D: --enable-e is accepted and changes no byte."""
+    results = []
+    for flag in ([], ["--enable-e"]):
+        ar_path = tmp_path / f"e6{len(flag)}.json"
+        argv = ["abhy", "--type", "E", "--rank", "6", *flag, "--ar-out", str(ar_path)]
+        results.append((run(capsys, argv), ar_path.read_bytes()))
+    assert results[0] == results[1]
+    (code, out, err), ar = results[0]
+    assert code == 0 and err == ""
+    assert "# mesh equations" in out and len(json.loads(ar)["vertices"]) == 42
 
 
 def test_graph_command(capsys):
@@ -349,6 +354,24 @@ def test_wrongly_typed_seed_is_input_error(tmp_path, capsys, seed):
     assert code == 2
     assert out == ""
     assert err.startswith("fanforge: error:") and err.count("\n") == 1
+
+
+def test_a_seed_file_with_both_forms_is_input_error(tmp_path, capsys):
+    path = tmp_path / "seed.json"
+    tri = {"polygon": 5, "diagonals": [[1, 3], [1, 4]]}
+    path.write_text(json.dumps({"triangulation": tri, "b": [[0]]}))
+    code, out, err = run(capsys, ["fan", "--seed", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fanforge: error:") and err.count("\n") == 1
+    assert "not both" in err
+
+
+def test_a_rank_0_seed_is_input_error(tmp_path, capsys):
+    path = tmp_path / "seed.json"
+    path.write_text('{"b": []}')
+    code, out, err = run(capsys, ["fan", "--seed", str(path)])
+    assert (code, out, err) == (2, "", "fanforge: error: ambient dimension must be positive\n")
 
 
 @pytest.mark.parametrize(

@@ -417,15 +417,24 @@ def test_mutation_equals_the_row_major_reference(name, walk):
 
 def test_seed_rejects_g_vectors_that_are_not_unimodular():
     b, ident = ((0, 1), (-1, 0)), ((1, 0), (0, 1))
-    assert Seed(b, ((1, 1), (0, 1)), ident).g_vectors == ((1, 1), (0, 1))
-    for g in [((1, 1), (1, -1)), ((1, 0), (2, 0)), ((2, 0), (0, 1))]:
+    s = mutate_seed(initial_seed(b), 0)
+    assert s.g_vectors == ((-1, 1), (0, 1))
+    assert Seed(s.b_matrix, s.g_vectors, s.c_vectors) == s
+    # ((1, 1), (0, 1)) is unimodular but not dual to the identity
+    # c-vectors, so no seed of a cluster pattern has it
+    for g in [((1, 1), (0, 1)), ((1, 1), (1, -1)), ((1, 0), (2, 0)), ((2, 0), (0, 1))]:
         with pytest.raises(ValueError, match="unimodular"):
             Seed(b, g, ident)
 
 
 def test_seed_rejects_a_c_vector_that_is_not_sign_coherent():
     b, ident = ((0, 1), (-1, 0)), ((1, 0), (0, 1))
-    assert Seed(b, ident, ((-1, 0), (1, 1))).c_vectors == ((-1, 0), (1, 1))
+    s = mutate_seed(initial_seed(b), 0)
+    assert s.c_vectors == ((-1, 0), (1, 1))
+    assert Seed(s.b_matrix, s.g_vectors, s.c_vectors) == s
+    # sign-coherent, but not dual to the identity g-vectors
+    with pytest.raises(ValueError, match="unimodular"):
+        Seed(b, ident, ((-1, 0), (1, 1)))
     # read as a matrix by rows, both columns of ((1, -1), (1, 0)) would be
     # sign-coherent: the check reads the c-vectors themselves
     for c in [((1, -1), (0, 1)), ((1, -1), (1, 0)), ((1, 0), (2, -1))]:
@@ -678,6 +687,12 @@ def test_seed_json_triangulation():
     )
     assert tri is not None
     assert seed.b_matrix == ((0, 1), (-1, 0))
+
+
+def test_seed_json_takes_one_form():
+    tri = '{"polygon": 5, "diagonals": [[1, 3], [1, 4]]}'
+    with pytest.raises(ValueError, match="not both"):
+        seed_from_json(f'{{"triangulation": {tri}, "b": [[0]]}}')
 
 
 @pytest.mark.parametrize(

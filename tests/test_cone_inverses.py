@@ -1,7 +1,8 @@
 """The seed BFS hands its fan each cone's inverse, D^-1 C D, which the
 cone's own seed proved by the duality identity G D C^T = D. That route
-must agree with the adjugate route that any other fan takes, and it must
-hand over nothing when a seed fails the identity."""
+must agree with the adjugate route that any other fan takes. A seed that
+fails the identity is no seed of a cluster pattern: it is rejected, as a
+start seed and inside the BFS, and no fan is built from it."""
 
 from collections import Counter
 
@@ -104,24 +105,19 @@ D4_B = ((0, 1, 0, 0), (-1, 0, -1, -1), (0, 1, 0, 0), (0, 1, 0, 0))
 
 
 @pytest.mark.parametrize("b", [A2_B, B3_B, D4_B], ids=["A2", "B3", "D4"])
-def test_a_start_seed_that_fails_the_identity_hands_over_no_inverse(b):
+def test_a_start_seed_that_fails_the_identity_is_rejected(b):
     """Unitriangular g-vectors over the identity c-vectors: unimodular,
-    but not dual. Mutation keeps G D C^T - D zero or nonzero, so every
-    seed of the BFS fails the identity, and the fan, the linear image of
-    the g-vector fan under G, inverts its cones itself."""
+    but not dual, so no seed of a cluster pattern."""
     n = len(b)
     g = tuple(tuple(int(i <= j) for j in range(n)) for i in range(n))
-    enum = enumerate_fan(Seed(b, g, initial_seed(b).c_vectors))
-    fan = enum.fan
-    assert fan._cone_inverses is None
-    assert fan._cone_data() == _adjugate_route(fan)._cone_data()
-    assert fan.validate()
+    with pytest.raises(ValueError, match="unimodular"):
+        Seed(b, g, initial_seed(b).c_vectors)
 
 
 @pytest.mark.parametrize("b", [A2_B, B3_B, D4_B], ids=["A2", "B3", "D4"])
 def test_one_seed_without_the_identity_stops_the_hand_over(monkeypatch, b):
-    """A seed that is proved unimodular only by its determinant makes the
-    BFS hand over no inverse, not even the proved ones."""
+    """A seed the BFS reaches that fails its identity stops the BFS with
+    the seed's ValueError: there is no second proof to fall back on."""
     dual, calls = clusterfan._dual, []
 
     def third_seed_fails(*args):
@@ -129,9 +125,9 @@ def test_one_seed_without_the_identity_stops_the_hand_over(monkeypatch, b):
         return dual(*args) and len(calls) != 3
 
     monkeypatch.setattr(clusterfan, "_dual", third_seed_fails)
-    fan = enumerate_fan(initial_seed(b)).fan
-    assert len(calls) == len(fan.maximal_cones) and fan._cone_inverses is None
-    assert fan._cone_data() == _adjugate_route(fan)._cone_data()
+    with pytest.raises(ValueError, match="unimodular"):
+        enumerate_fan(initial_seed(b))
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("kind", [("D", 5), ("E", 6)], ids=["D5", "E6"])
@@ -145,7 +141,6 @@ def test_bfs_and_validate_take_no_determinant_and_no_adjugate(monkeypatch, kind)
 
         return wrapper
 
-    monkeypatch.setattr(clusterfan, "det_int", counted("det_int", clusterfan.det_int))
     monkeypatch.setattr(polyhedra, "det_int", counted("det_int", polyhedra.det_int))
     adjugate = counted("_adjugate_int", polyhedra._adjugate_int)
     monkeypatch.setattr(polyhedra, "_adjugate_int", adjugate)

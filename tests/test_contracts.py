@@ -4,7 +4,8 @@ in integers: they construct no Fraction. Every public linalg function has
 a caller elsewhere in the package, and every private module-level name one
 outside its own definition, so test-only helpers live in the tests.
 Files are written by one writer, `cli._write_out`, which never truncates
-on open. Determinants and vertex orders each have one owner."""
+on open. Determinants and vertex orders each have one owner, and every
+error class is raised somewhere."""
 
 import ast
 from pathlib import Path
@@ -132,8 +133,8 @@ def _callee(node):
 
 
 def test_determinants_and_vertex_order_have_one_owner_each():
-    """A determinant is taken where a seed proves its g-vectors unimodular
-    and where a matrix is inverted; vertices are ordered where a VPolytope
+    """A determinant is taken only where a matrix is inverted (a seed is
+    proved by its duality identity); vertices are ordered where a VPolytope
     is built."""
     callers = {"det_int": set(), "_lex_order": set()}
     for path in SOURCES:
@@ -151,9 +152,33 @@ def test_determinants_and_vertex_order_have_one_owner_each():
                 if _callee(call) in callers:
                     callers[_callee(call)].add(name)
     assert callers == {
-        "det_int": {"Seed.__init__", "_adjugate_int"},
+        "det_int": {"_adjugate_int"},
         "_lex_order": {"VPolytope.__init__"},
     }
+
+
+def _raised_name(node):
+    """The name a raise statement raises, `errors.` prefix and call dropped."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return ast.unparse(exc).rsplit(".", 1)[-1] if exc is not None else None
+
+
+def test_every_error_class_is_raised_somewhere():
+    """Each FanforgeError subclass names a failure the package can report:
+    one that nothing raises is a leftover of a removed path."""
+    [errors] = [p for p in SOURCES if p.name == "errors.py"]
+    family = {"FanforgeError"}
+    for node in ast.parse(errors.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef) and {ast.unparse(b) for b in node.bases} & family:
+            family.add(node.name)
+    raised = {
+        _raised_name(node)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+    }
+    unraised = family - raised - {"FanforgeError"}
+    assert not unraised, f"error classes nothing raises: {sorted(unraised)}"
 
 
 def _opens_for_writing(call):
