@@ -13,7 +13,7 @@ import stat
 import sys
 from fractions import Fraction
 
-from .errors import FanforgeError
+from .errors import FanforgeError, InconsistentSystem
 
 
 def _budget(args):
@@ -226,8 +226,14 @@ def cmd_abhy(args):
     text = "\n".join(lines)
     _write_out(text, args.output)
     if args.polytope_out:
-        vp = polyhedra.vertices(poly)
-        _write_out(polyhedra.write_roff(vp), args.polytope_out)
+        # ABHY = Q_c: P_h on the quiver's g-vector fan, proved cone by cone
+        from . import clusterfan
+        fan = clusterfan.enumerate_fan(clusterfan.initial_seed(quiver.exchange_matrix())).fan
+        fan.validate()
+        if sorted(poly.ineq_matrix) != sorted(fan.rays):
+            raise InconsistentSystem("the ABHY normals are not the rays of the g-vector fan")
+        h = list(map(dict(zip(poly.ineq_matrix, poly.bounds)).get, fan.rays))
+        _write_out(polyhedra.write_roff(polyhedra.realization(fan, h)), args.polytope_out)
     if args.ar_out:
         _write_out(ar.to_json(), args.ar_out)
     return 0

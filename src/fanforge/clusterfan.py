@@ -584,14 +584,17 @@ def _is_label(value):
 
 
 def seed_from_json(text):
-    """Accept {"b": [[..]], "labels": [..]} or
-    {"triangulation": {"polygon": m, "diagonals": [[a,b],...]}}, not both.
-    Labels are checked but not kept: a cluster is named by its g-vectors."""
+    """Accept {"b": [[..]]} or {"triangulation": {"polygon": m, "diagonals":
+    [[a,b],...]}}, not both. Either may list "labels", which are checked
+    but not kept: a cluster is named by its g-vectors."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("seed JSON must be an object")
     if "b" in data and "triangulation" in data:
         raise ValueError("seed JSON takes a 'b' matrix or a 'triangulation', not both")
+    b, labels = data.get("b"), data.get("labels")
+    if labels and not (isinstance(labels, list) and all(map(_is_label, labels))):
+        raise ValueError("seed 'labels' must list integers, strings or integer lists")
     if "triangulation" in data:
         td = data["triangulation"]
         polygon = _json_field(td, "polygon", "seed 'triangulation'")
@@ -601,11 +604,8 @@ def seed_from_json(text):
         tri = Triangulation(polygon, [tuple(d) for d in diagonals])
         return seed_from_triangulation(tri), tri
     if "b" in data:
-        b, labels = data["b"], data.get("labels")
         if not isinstance(b, list):
             raise ValueError("seed 'b' must be a square integer matrix")
         int_rows(b, len(b))
-        if labels and not (isinstance(labels, list) and all(map(_is_label, labels))):
-            raise ValueError("seed 'labels' must list integers, strings or integer lists")
         return initial_seed(b), None
     raise ValueError("seed JSON needs a 'b' matrix or a 'triangulation'")

@@ -176,7 +176,7 @@ def test_demo_stdout_matches_the_recorded_digest(demo):
 # window vertex became its signed class and a mesh parameter its position:
 # one sha256 over the exit code and the `abhy -o`, `--polytope-out` and
 # `--ar-out` bytes. Every orientation of A1-A4 and D4 runs with all-ones c;
-# linear A5, D5 and E6 with one rational c per mesh.
+# linear A5, D5, E6 and E7 with one rational c per mesh.
 def _every_orientation(type_, rank):
     edges = dynkin_tree_edges(type_, rank)
     for flips in itertools.product((False, True), repeat=len(edges)):
@@ -197,6 +197,7 @@ ABHY_INSTANCES.update(
         "A5:c": ["--type", "A", "--rank", "5", "--c", _rational_c(15)],
         "D5:c": ["--type", "D", "--rank", "5", "--c", _rational_c(20)],
         "E6:c": ["--type", "E", "--rank", "6", "--enable-e", "--c", _rational_c(36)],
+        "E7:c": ["--type", "E", "--rank", "7", "--c", _rational_c(63)],
     }
 )
 ABHY_DIGESTS = {
@@ -226,6 +227,9 @@ ABHY_DIGESTS = {
     "D4:2>1,3>2,4>2": "5a6f869f92c7dc3e43637ae79c315e1a4fa2eadf03a5a1326ce0d99735b0273e",
     "D5:c": "2da7e64150a6cd93384e939e27d1a755bfb99a5fd7f40d71392018cb6fd4d2fe",
     "E6:c": "cb83aa1c7cd0df530f31fbf8b51f3eb30958ccecdcf8698744ebc18a730e43fa",
+    # recorded while `--polytope-out` still enumerated vertices by double
+    # description, so it checks the g-vector fan route independently
+    "E7:c": "c6502419e589ad38405db3ed6f1dfabb6864ebb20422ddcda375371935f3906c",
 }
 
 
@@ -240,4 +244,19 @@ def _abhy_digest(tmp_path, args):
 
 @pytest.mark.parametrize("name", sorted(ABHY_INSTANCES))
 def test_abhy_outputs_match_the_recorded_digest(tmp_path, name):
+    assert _abhy_digest(tmp_path, ABHY_INSTANCES[name]) == ABHY_DIGESTS[name]
+
+
+def _no_double_description(*_args):
+    raise AssertionError("abhy ran the double description")
+
+
+@pytest.mark.parametrize("name", ["A3:1>2,2>3", "D4:1>2,2>3,2>4", "E6:c"])
+def test_abhy_writes_the_recorded_bytes_without_double_description(tmp_path, monkeypatch, name):
+    """`abhy --polytope-out` proves the ABHY polytope on its g-vector fan
+    and has no second route through vertex enumeration."""
+    from fanforge import polyhedra
+
+    monkeypatch.setattr(polyhedra, "extreme_rays", _no_double_description)
+    monkeypatch.setattr(polyhedra, "vertices", _no_double_description)
     assert _abhy_digest(tmp_path, ABHY_INSTANCES[name]) == ABHY_DIGESTS[name]

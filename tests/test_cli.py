@@ -290,6 +290,33 @@ def test_abhy_command_with_polytope_out(tmp_path, capsys):
     assert off_path.read_text().startswith("ROFF\n")
 
 
+@pytest.mark.parametrize("mismatch", ["reversed arrows", "a doubled row"])
+def test_abhy_normals_that_are_not_the_fan_rays_exit_2(tmp_path, capsys, monkeypatch, mismatch):
+    """A mismatch between the ABHY rows and the g-vector fan is a knitting
+    or orientation bug: no polytope is written, and there is no second route."""
+    from fanforge import arquiver
+
+    if mismatch == "reversed arrows":
+        exchange_matrix = arquiver.DynkinQuiver.exchange_matrix
+        reversed_b = lambda quiver: [[-x for x in row] for row in exchange_matrix(quiver)]
+        monkeypatch.setattr(arquiver.DynkinQuiver, "exchange_matrix", reversed_b)
+    else:
+        abhy_polytope = arquiver.abhy_polytope
+
+        def doubled_row(ar, c):
+            poly = abhy_polytope(ar, c)
+            rows = [*poly.ineq_matrix[:-1], [2 * x for x in poly.ineq_matrix[-1]]]
+            return polyhedra.HPolytope(rows, poly.bounds)
+
+        monkeypatch.setattr(arquiver, "abhy_polytope", doubled_row)
+    off_path = tmp_path / "abhy.off"
+    argv = ["abhy", "--type", "A", "--rank", "3", "-o", str(tmp_path / "abhy.txt")]
+    code, out, err = run(capsys, [*argv, "--polytope-out", str(off_path)])
+    assert (code, out) == (2, "")
+    assert err == "fanforge: error: the ABHY normals are not the rays of the g-vector fan\n"
+    assert not off_path.exists()
+
+
 def test_abhy_type_e_gate(tmp_path, capsys):
     """Type E knits like A and D: --enable-e is accepted and changes no byte."""
     results = []
@@ -796,6 +823,15 @@ def test_seed_labels_are_checked_but_do_not_change_the_output(tmp_path, capsys):
         assert (code, err) == (0, "")
         outputs.append((out, dot.read_text()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("seed", VALID_SEEDS)
+def test_seed_labels_that_are_not_a_list_exit_2_in_either_seed_form(tmp_path, capsys, seed):
+    seed_file = tmp_path / "seed.json"
+    seed_file.write_text(json.dumps({**seed, "labels": 3}))
+    code, out, err = run(capsys, ["fan", "--seed", str(seed_file)])
+    assert (code, out) == (2, "")
+    assert err == "fanforge: error: seed 'labels' must list integers, strings or integer lists\n"
 
 
 def test_shorter_output_over_a_longer_file_leaves_only_the_new_bytes(tmp_path, capsys):

@@ -705,6 +705,7 @@ def test_seed_json_takes_one_form():
         '{"triangulation": {"polygon": "x", "diagonals": 3}}',
         '{"triangulation": {"polygon": 5, "diagonals": 3}}',
         '{"triangulation": [5]}',
+        '{"triangulation": {"polygon": 5, "diagonals": [[1, 3], [1, 4]]}, "labels": 3}',
     ],
 )
 def test_seed_json_with_wrongly_typed_fields_raises_value_error(text):

@@ -221,3 +221,17 @@ def test_write_out_is_the_only_writer_and_never_truncates_on_open():
                         offenders.append((path.name, call.lineno))
     assert writers == {("cli.py", "_write_out")}
     assert not offenders, f"files opened with truncation at {offenders}"
+
+
+def test_only_paper_a2_enumerates_vertices_on_the_command_line():
+    """In cli.py only `paper-a2` enumerates vertices, as the independent
+    check of the paper's printed vertices: a command that writes the
+    polytope of a g-vector fan proves it cone by cone (realization)."""
+    [cli] = [p for p in SOURCES if p.name == "cli.py"]
+    callers = {"polyhedra.vertices": set(), "polyhedra.extreme_rays": set()}
+    for function in ast.parse(cli.read_text(encoding="utf-8")).body:
+        if isinstance(function, ast.FunctionDef):
+            for call in ast.walk(function):
+                if _callee(call) in callers:
+                    callers[_callee(call)].add(function.name)
+    assert callers == {"polyhedra.vertices": {"cmd_paper_a2"}, "polyhedra.extreme_rays": set()}

@@ -85,6 +85,9 @@ def command_argv(command, files, out):
         "realize": ["realize", "--fan", fan, "--typecone", tc, "-o", out],
         "verify": ["verify", "--fan", fan, "--polytope", off],
         "abhy": ["abhy", "--type", "A", "--rank", "3", "-o", out],
+        "abhy --polytope-out": [
+            "abhy", "--type", "A", "--rank", "3", "-o", out, "--polytope-out", f"{out}.off"
+        ],
         "paper-a2": ["paper-a2", "-o", out],
     }[command]
 
@@ -99,6 +102,7 @@ def command_argv(command, files, out):
         ("verify", set()),
         ("abhy", {"arquiver"}),
         ("paper-a2", {"arquiver"}),
+        ("abhy --polytope-out", {"arquiver", "clusterfan"}),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(a3_files, tmp_path, command, extra):
@@ -107,7 +111,8 @@ def test_each_command_loads_only_the_modules_it_runs(a3_files, tmp_path, command
 
 
 @pytest.mark.parametrize(
-    "command", ["fan", "graph", "typecone", "realize", "verify", "abhy", "paper-a2"]
+    "command",
+    ["fan", "graph", "typecone", "realize", "verify", "abhy", "paper-a2", "abhy --polytope-out"],
 )
 def test_no_command_loads_the_introspection_modules(a3_files, bare_modules, tmp_path, command):
     code, _ours, others = loaded_after(command_argv(command, a3_files, str(tmp_path / "out")))
