@@ -223,8 +223,7 @@ def cmd_abhy(args):
     for row, bound in zip(poly.ineq_matrix, poly.bounds):
         lhs = _named_linear(row, [f"x{i + 1}" for i in range(len(row))])
         lines.append(f"{lhs} <= {bound}")
-    text = "\n".join(lines)
-    _write_out(text, args.output)
+    outputs = [("\n".join(lines), args.output)]
     if args.polytope_out:
         # ABHY = Q_c: P_h on the quiver's g-vector fan, proved cone by cone
         from . import clusterfan
@@ -233,9 +232,12 @@ def cmd_abhy(args):
         if sorted(poly.ineq_matrix) != sorted(fan.rays):
             raise InconsistentSystem("the ABHY normals are not the rays of the g-vector fan")
         h = list(map(dict(zip(poly.ineq_matrix, poly.bounds)).get, fan.rays))
-        _write_out(polyhedra.write_roff(polyhedra.realization(fan, h)), args.polytope_out)
+        outputs.append((polyhedra.write_roff(polyhedra.realization(fan, h)), args.polytope_out))
     if args.ar_out:
-        _write_out(ar.to_json(), args.ar_out)
+        outputs.append((ar.to_json(), args.ar_out))
+    # written only once the polytope is proved, so an exit 2 leaves nothing
+    for text, path in outputs:
+        _write_out(text, path)
     return 0
 
 

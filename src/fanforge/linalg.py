@@ -15,10 +15,6 @@ from math import gcd, lcm
 from operator import mul
 
 
-def transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
 def dot(u, v):
     return sum(map(mul, u, v))
 

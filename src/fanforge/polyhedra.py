@@ -525,18 +525,13 @@ def int_rows(value, width):
     return value
 
 
-def _frac_str(x):
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def write_roff(vp):
     """ROFF text: header, `V F` counts, vertex rows as `p/q` rationals,
     then facet lines `k i1 ... ik` with sorted vertex indices."""
     _normals, _offsets, contacts = facet_description(vp)
     lines = ["ROFF", f"{len(vp.vertices)} {len(contacts)}"]
     for v in vp.vertices:
-        lines.append(" ".join(_frac_str(x) for x in v))
+        lines.append(" ".join(f"{x.numerator}/{x.denominator}" for x in v))
     for fl in sorted(contacts):
         lines.append(" ".join(str(i) for i in [len(fl), *fl]))
     return "\n".join(lines) + "\n"

@@ -3,8 +3,11 @@
 A wall is an (n-1)-subset of the fan's cone table and the two cones listed
 under it. Its dependency is read off the integer adjugate of one of those
 cones, the per-cone data that :meth:`Fan.validate` builds and caches, and
-kept as one primitive integer normal on all N rays. The type cone, the
-unique exchange check and the mutation theorem read that normal;
+kept as one primitive integer normal on all N rays. That adjugate is det
+times a proved cone inverse, so the normal annihilates the ray matrix by
+construction: wall_dependency is the one place the identity
+sum(v_i r_i) = 0 is established. The type cone, the unique exchange check
+and the mutation theorem read that normal and do not re-derive it;
 Fractions appear only when its entries are read normalized to
 alpha + alpha' = 2, and in the report of a failed check.
 
@@ -32,7 +35,7 @@ from .errors import (
     NonPositiveParameter,
     NotSimplicial,
 )
-from .linalg import _independent_rows, dot, primitive, solve, transpose
+from .linalg import _independent_rows, dot, primitive, solve
 from .polyhedra import _json_field, extreme_rays, facet_rows, int_rows, p_h, row_contacts
 
 
@@ -225,13 +228,10 @@ def type_cone(fan):
     wall_list = walls(fan)
     raw = [wall_dependency(fan, w).normal for w in wall_list]
     dedup = list(dict.fromkeys(raw))
-    columns = transpose(fan.rays)
-    for p in dedup:
-        if any(dot(p, col) for col in columns):
-            raise InconsistentSystem("dependency normal does not annihilate the ray matrix")
-    # every row annihilates G and cone 0's rays are independent, so
-    # dropping a row's entries on cone 0 maps the left kernel of G one to
-    # one onto R^(N-n): tight sets and facet certificates are unchanged
+    # wall_dependency builds every row from a proved cone inverse, so it
+    # annihilates G; cone 0's rays are independent, so dropping a row's
+    # entries on cone 0 maps the left kernel of G one to one onto
+    # R^(N-n): tight sets and facet certificates are unchanged
     cone0 = fan.maximal_cones[0]
     free = [i for i in range(fan.n_rays) if i not in cone0]
     reduced = [tuple(p[i] for i in free) for p in dedup]

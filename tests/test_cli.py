@@ -290,16 +290,24 @@ def test_abhy_command_with_polytope_out(tmp_path, capsys):
     assert off_path.read_text().startswith("ROFF\n")
 
 
+def _reverse_arrows(monkeypatch):
+    """Knit the quiver as given but build its fan from the reversed arrows."""
+    from fanforge import arquiver
+
+    exchange_matrix = arquiver.DynkinQuiver.exchange_matrix
+    reversed_b = lambda quiver: [[-x for x in row] for row in exchange_matrix(quiver)]
+    monkeypatch.setattr(arquiver.DynkinQuiver, "exchange_matrix", reversed_b)
+
+
 @pytest.mark.parametrize("mismatch", ["reversed arrows", "a doubled row"])
 def test_abhy_normals_that_are_not_the_fan_rays_exit_2(tmp_path, capsys, monkeypatch, mismatch):
     """A mismatch between the ABHY rows and the g-vector fan is a knitting
-    or orientation bug: no polytope is written, and there is no second route."""
+    or orientation bug: there is no second route, and nothing is written,
+    neither the text (to -o or to stdout) nor the polytope nor the AR JSON."""
     from fanforge import arquiver
 
     if mismatch == "reversed arrows":
-        exchange_matrix = arquiver.DynkinQuiver.exchange_matrix
-        reversed_b = lambda quiver: [[-x for x in row] for row in exchange_matrix(quiver)]
-        monkeypatch.setattr(arquiver.DynkinQuiver, "exchange_matrix", reversed_b)
+        _reverse_arrows(monkeypatch)
     else:
         abhy_polytope = arquiver.abhy_polytope
 
@@ -309,12 +317,15 @@ def test_abhy_normals_that_are_not_the_fan_rays_exit_2(tmp_path, capsys, monkeyp
             return polyhedra.HPolytope(rows, poly.bounds)
 
         monkeypatch.setattr(arquiver, "abhy_polytope", doubled_row)
-    off_path = tmp_path / "abhy.off"
-    argv = ["abhy", "--type", "A", "--rank", "3", "-o", str(tmp_path / "abhy.txt")]
-    code, out, err = run(capsys, [*argv, "--polytope-out", str(off_path)])
-    assert (code, out) == (2, "")
-    assert err == "fanforge: error: the ABHY normals are not the rays of the g-vector fan\n"
-    assert not off_path.exists()
+    paths = [tmp_path / name for name in ("abhy.txt", "abhy.off", "abhy.ar.json")]
+    outputs = ["-o", str(paths[0]), "--polytope-out", str(paths[1]), "--ar-out", str(paths[2])]
+    message = "fanforge: error: the ABHY normals are not the rays of the g-vector fan\n"
+    assert run(capsys, ["abhy", "--type", "A", "--rank", "3", *outputs]) == (2, "", message)
+    assert not any(path.exists() for path in paths)
+    # without -o the text would go to stdout
+    outputs = ["--polytope-out", str(paths[1])]
+    assert run(capsys, ["abhy", "--type", "A", "--rank", "3", *outputs]) == (2, "", message)
+    assert not paths[1].exists()
 
 
 def test_abhy_type_e_gate(tmp_path, capsys):
@@ -659,6 +670,45 @@ def test_json_input_names_its_missing_or_mistyped_key(
         "fan": ["fan", "--seed", str(bad)],
     }[command]
     assert run(capsys, argv) == (2, "", f"fanforge: error: {message}\n")
+
+
+OUTPUT_FLAGS = {
+    "fan": ["-o", "--graph-out"],
+    "graph": ["-o"],
+    "typecone": ["-o"],
+    "realize": ["-o"],
+    "abhy": ["-o", "--polytope-out", "--ar-out"],
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_FLAGS))
+def test_a_run_that_exits_2_writes_no_file(a2_files, tmp_path, capsys, monkeypatch, command):
+    """Every output flag the command takes points at a fresh path; an
+    input error or a failed proof leaves none of them behind."""
+    bad = tmp_path / "bad.json"
+    if command in ("fan", "graph"):
+        bad.write_text(json.dumps({"b": [[0, 2], [-2, 0]]}))  # Kronecker: infinite type
+        argv = [command, "--seed", str(bad)]
+    elif command == "typecone":
+        fan = json.loads(a2_files["fan"].read_text())
+        del fan["cones"]
+        bad.write_text(json.dumps(fan))
+        argv = ["typecone", "--fan", str(bad)]
+    elif command == "realize":
+        tc = json.loads(a2_files["tc"].read_text())
+        tc["N"] += 1
+        bad.write_text(json.dumps(tc))
+        argv = ["realize", "--fan", str(a2_files["fan"]), "--typecone", str(bad)]
+    else:
+        _reverse_arrows(monkeypatch)
+        argv = ["abhy", "--type", "A", "--rank", "3"]
+    paths = [tmp_path / f"out{i}" for i in range(len(OUTPUT_FLAGS[command]))]
+    for flag, path in zip(OUTPUT_FLAGS[command], paths):
+        argv += [flag, str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("fanforge: error:") and err.count("\n") == 1
+    assert [path.name for path in paths if path.exists()] == []
 
 
 def _with_interior_vertex(lines):

@@ -21,6 +21,7 @@ from fanforge.clusterfan import (
     seed_from_triangulation,
 )
 from fanforge.exchange import verify_mutation_theorem
+from fanforge.linalg import dot
 from fanforge.polyhedra import Fan
 from fanforge.typecone import type_cone, wall_dependency, walls
 
@@ -85,6 +86,12 @@ def _rows(data):
 @settings(max_examples=40, deadline=None)
 @given(bfs_starts())
 def test_handed_over_inverses_equal_the_adjugate_route(start):
+    """The BFS's handed-over cone inverses equal the _adjugate_int route,
+    and so do the wall dependencies, mutation-theorem reports and type
+    cones built from them, and every wall normal annihilates the rays. With
+    test_wall_dependency_matches_the_kernel_route this holds the only check
+    of that identity: type_cone and verify_mutation_theorem do not re-derive
+    it at run time."""
     seed, tri = start
     enum = enumerate_fan(seed, triangulation=tri)
     fan, fresh = enum.fan, _adjugate_route(enum.fan)
@@ -92,9 +99,9 @@ def test_handed_over_inverses_equal_the_adjugate_route(start):
     assert _rows(fan._cone_data()) == fresh._cone_data()
     assert fan.validate() and fresh.validate()
     assert verify_mutation_theorem(fan, enum.graph) == verify_mutation_theorem(fresh, enum.graph)
-    assert [wall_dependency(fan, w).normal for w in walls(fan)] == [
-        wall_dependency(fresh, w).normal for w in walls(fresh)
-    ]
+    normals = [wall_dependency(fan, w).normal for w in walls(fan)]
+    assert normals == [wall_dependency(fresh, w).normal for w in walls(fresh)]
+    assert all(dot(v, col) == 0 for v in normals for col in zip(*fan.rays))
     if fan.dim <= 5:
         assert type_cone(fan).facets == type_cone(fresh).facets
 

@@ -12,7 +12,6 @@ from fanforge.linalg import (
     primitive,
     scale_rows_int,
     solve,
-    transpose,
 )
 from fanforge.polyhedra import _adjugate_int
 
@@ -103,6 +102,10 @@ def test_left_kernel():
 def test_scale_rows_int():
     rows = scale_rows_int([[Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)], [2, 4, 6]])
     assert rows == [[3, 2, 5], [1, 2, 3]]
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
 
 
 def rref(rows):

@@ -16,7 +16,7 @@ from fanforge.errors import (
     Unbounded,
 )
 from fanforge import polyhedra
-from fanforge.linalg import _echelon, det_int, dot, primitive, scale_rows_int, solve, transpose
+from fanforge.linalg import _echelon, det_int, dot, primitive, scale_rows_int, solve
 from fanforge.polyhedra import (
     Fan,
     HPolytope,
@@ -41,7 +41,7 @@ from fanforge.typecone import (
     wall_dependency,
     walls,
 )
-from test_linalg import kernel_basis, rank, rref
+from test_linalg import kernel_basis, rank, rref, transpose
 
 
 def contains(poly, point):

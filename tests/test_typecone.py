@@ -177,6 +177,12 @@ def dependency_fans(draw):
 @settings(max_examples=60, deadline=None)
 @given(dependency_fans())
 def test_wall_dependency_matches_the_kernel_route(fan):
+    """wall_dependency equals an independent kernel computation, and its
+    normal annihilates every column of G. Neither type_cone nor
+    verify_mutation_theorem re-derives that identity from the rays at run
+    time, so this test and
+    test_cone_inverses.py::test_handed_over_inverses_equal_the_adjugate_route
+    hold the only check of it."""
     for w in walls(fan):
         dep = wall_dependency(fan, w)
         assert (dep.alpha, dep.alpha_prime, dep.middle_coeffs) == kernel_route_dependency(fan, w)
