@@ -72,16 +72,39 @@ def _seed_from_args(args):
     return clusterfan.initial_seed(_quiver_from_args(args).exchange_matrix()), None
 
 
-def _write_out(text, path):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+def _write_out(*outputs):
+    """Write each (text, path) pair in order, to stdout when the path is
+    None or "-". Every file is opened before anything is written, so a
+    path that cannot be opened raises with nothing written: the files this
+    call created are removed and the existing ones keep their bytes."""
+    fds, created = [], []
+    try:
+        for _text, path in outputs:
+            if path is None or path == "-":
+                fds.append(None)
+                continue
+            # a dangling symlink's open creates its target
+            new = not os.path.exists(path)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            fds.append(fd)
+            if new:
+                created.append(os.path.realpath(path))
+    except OSError:
+        for fd in fds:
+            if fd is not None:
+                os.close(fd)
+        for path in created:
+            os.unlink(path)
+        raise
+    for (text, _path), fd in zip(outputs, fds):
+        if fd is None:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            continue
         # rewrite in place, then cut a regular file to length (FIFOs and
         # devices refuse ftruncate): truncating on open makes ext4 flush
         # the file on close, and the next rewrite waits for that flush
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
             if stat.S_ISREG(os.fstat(fd).st_mode):
@@ -121,9 +144,10 @@ def cmd_fan(args):
     # proved with or without --validate, which scripts still pass; the BFS
     # handed the fan its cone inverses, so the proof inverts no matrix
     enum.fan.validate()
-    _write_out(polyhedra.fan_to_json(enum.fan), args.output)
+    outputs = [(polyhedra.fan_to_json(enum.fan), args.output)]
     if args.graph_out:
-        _write_out(enum.graph.to_dot(), args.graph_out)
+        outputs.append((enum.graph.to_dot(), args.graph_out))
+    _write_out(*outputs)
     return 0
 
 
@@ -139,7 +163,7 @@ def cmd_graph(args):
             key = tuple(sorted(w.exchanged))
             mids = "+".join(f"{x}*h{s}" for s, x in coeffs.items() if x)
             labels[key] = f"h{key[0]}+h{key[1]}>{mids or '0'}"
-    _write_out(enum.graph.to_dot(labels), args.output)
+    _write_out((enum.graph.to_dot(labels), args.output))
     return 0
 
 
@@ -156,11 +180,12 @@ def cmd_typecone(args):
             f"facets={tc.n_facets} expected={expected} "
             f"uerp={'true' if uerp['holds'] else 'false'}"
         )
-        print(line)
+        outputs = [(line, None)]
         if args.output:
-            _write_out(tc.to_json(), args.output)
+            outputs.append((tc.to_json(), args.output))
+        _write_out(*outputs)
         return 0 if tc.n_facets == expected else 1
-    _write_out(tc.to_json(), args.output)
+    _write_out((tc.to_json(), args.output))
     return 0
 
 
@@ -189,7 +214,7 @@ def cmd_realize(args):
     except ValueError as exc:
         print(f"realization failed: {exc}")
         return 1
-    _write_out(polyhedra.write_roff(vp), args.output)
+    _write_out((polyhedra.write_roff(vp), args.output))
     return 0
 
 
@@ -236,8 +261,7 @@ def cmd_abhy(args):
     if args.ar_out:
         outputs.append((ar.to_json(), args.ar_out))
     # written only once the polytope is proved, so an exit 2 leaves nothing
-    for text, path in outputs:
-        _write_out(text, path)
+    _write_out(*outputs)
     return 0
 
 
@@ -323,7 +347,7 @@ def cmd_paper_a2(args):
         failures.append(f"vertex mismatch: {sorted(verts)}")
 
     text = "\n".join(lines)
-    _write_out(text, args.output)
+    _write_out((text, args.output))
     if failures:
         for f in failures:
             print(f"MISMATCH {f}")

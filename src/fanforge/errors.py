@@ -34,7 +34,9 @@ class NotSimplicial(FanforgeError):
 
 
 class InconsistentSystem(FanforgeError):
-    """Exact linear system has unexpected rank (facet bug upstream)."""
+    """Exact data contradicts itself: a linear system of unexpected rank
+    (facet bug upstream), or a type cone with no interior, which means the
+    complete fan it came from is not polytopal."""
 
 
 class BudgetExceeded(FanforgeError):

@@ -16,11 +16,12 @@ span of the ray-matrix columns), so facet extraction works on the left
 kernel of G, in the coordinates of the N - n rays outside maximal cone 0:
 that cone is nonsingular, so a kernel row's entries on it are fixed by the
 others. The extreme rays of the projected cone are computed exactly by
-incremental double description, facets are the rows tight on
-inclusion-maximal sets of rays, and each is certified by an explicit point
-satisfying all other inequalities strictly and its own with equality; the
-point is checked, not kept. TypeCone JSON is written (TypeCone.to_json) and
-read back (type_cone_from_json) here, as Fan JSON is in polyhedra.
+incremental double description, and the facets are read off its exact
+incidence: the rows tight on inclusion-maximal sets of rays. Two such rows
+with the same set mean the cone has no interior, which is how a complete
+fan that is not polytopal is rejected. TypeCone JSON is written
+(TypeCone.to_json) and read back (type_cone_from_json) here, as Fan JSON
+is in polyhedra.
 """
 
 import json
@@ -220,8 +221,10 @@ def type_cone(fan):
 
     Raw inequalities are the primitive integer normals of all wall
     dependencies, deduplicated in wall order (positive scaling only, so
-    sign is meaningful); irredundancy is certified facet by facet on the
-    rows' entries at the rays outside maximal cone 0.
+    sign is meaningful); the facets are the rows whose contact sets with
+    the extreme rays are inclusion-maximal, on the rows' entries at the
+    rays outside maximal cone 0. A fan with no strictly convex heights
+    (complete but not polytopal) raises InconsistentSystem.
     """
     if not fan.maximal_cones:
         raise InconsistentSystem("fan has no maximal cone")
@@ -231,28 +234,20 @@ def type_cone(fan):
     # wall_dependency builds every row from a proved cone inverse, so it
     # annihilates G; cone 0's rays are independent, so dropping a row's
     # entries on cone 0 maps the left kernel of G one to one onto
-    # R^(N-n): tight sets and facet certificates are unchanged
+    # R^(N-n): tight sets are unchanged
     cone0 = fan.maximal_cones[0]
     free = [i for i in range(fan.n_rays) if i not in cone0]
     reduced = [tuple(p[i] for i in free) for p in dedup]
-    d = len(free)
-    extreme = extreme_rays(reduced, d)
-    rays = list(extreme)
+    extreme = extreme_rays(reduced, len(free))
     contacts = row_contacts(list(extreme.values()), len(reduced))
-    facets = []
-    for idx in facet_rows(reduced, contacts):
-        on_facet = [ray for k, ray in enumerate(rays) if contacts[idx] >> k & 1]
-        cert = tuple(sum(ray[i] for ray in on_facet) for i in range(d))
-        for jdx, other in enumerate(reduced):
-            val = dot(other, cert)
-            if jdx == idx:
-                if val != 0:
-                    raise InconsistentSystem("facet certificate fails its own equality")
-            elif val <= 0:
-                raise InconsistentSystem(
-                    "facet certificate not strictly interior to the other inequalities"
-                )
-        facets.append(dedup[idx])
+    selected = facet_rows(reduced, contacts)
+    # the masks are exact zero tests on rays that satisfy every row, so the
+    # sum of a facet's contact rays is tight on exactly the rows whose
+    # contact sets contain its own; facet sets are inclusion-maximal, so it
+    # is strictly inside every other row iff no two facets share a set
+    if len({contacts[k] for k in selected}) != len(selected):
+        raise InconsistentSystem("the type cone has no interior: the fan is not polytopal")
+    facets = [dedup[k] for k in selected]
     return TypeCone(fan.n_rays, tuple(wall_list), tuple(raw), tuple(sorted(facets)))
 
 
@@ -298,9 +293,8 @@ def qc_polytope(fan, tc, c):
         raise ValueError(f"need one parameter per facet ({expected})")
     if any(x <= 0 for x in c):
         raise NonPositiveParameter("all parameters must be strictly positive")
+    # K is square of full rank, so Kh = c has exactly one solution
     h = solve(tc.k_matrix, c)
-    if h is None:
-        raise InconsistentSystem("Kh = c is not solvable")
     cert = SlackCertificate(tuple(h), tuple(c), tc.k_matrix, fan.rays)
     cert.check()
     return p_h(fan, h), cert

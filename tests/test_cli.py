@@ -711,6 +711,81 @@ def test_a_run_that_exits_2_writes_no_file(a2_files, tmp_path, capsys, monkeypat
     assert [path.name for path in paths if path.exists()] == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fan", "--type", "A", "--rank", "2", "-o", "f.json", "--graph-out", "nodir/g.dot"],
+        [
+            "abhy", "--type", "A", "--rank", "2",
+            "-o", "t.txt", "--polytope-out", "p.off", "--ar-out", "nodir/a.json",
+        ],
+        ["typecone", "--report", "-o", "nodir/x"],
+        ["fan", "--type", "A", "--rank", "2", "-o", "link.json", "--graph-out", "nodir/g.dot"],
+    ],
+    ids=["fan", "abhy", "typecone-report", "fan-dangling-symlink"],
+)
+def test_an_output_that_cannot_be_opened_leaves_every_output_as_it_was(
+    a2_files, tmp_path, capsys, monkeypatch, argv
+):
+    """Every output is opened before any is written: after the exit 2 no
+    new file exists (not even a dangling symlink's target), an existing
+    output keeps its bytes and stdout is empty."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text("kept\n")
+    (tmp_path / "link.json").symlink_to("target.json")
+    if argv[0] == "typecone":
+        argv = argv + ["--fan", str(a2_files["fan"])]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("fanforge: error:") and err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "t.txt"]
+    assert (tmp_path / "t.txt").read_text() == "kept\n"
+
+
+def _prism_file(tmp_path, bottom):
+    from test_typecone import PRISM_TOP, prism_fan
+
+    path = tmp_path / "prism.json"
+    path.write_text(polyhedra.fan_to_json(prism_fan(PRISM_TOP, bottom)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["typecone"], ["typecone", "--report"], ["realize", "--c", "1,1,1"]],
+    ids=["typecone", "report", "realize"],
+)
+def test_a_fan_that_is_not_polytopal_exits_2(tmp_path, capsys, argv):
+    from test_typecone import TWISTED_BOTTOM
+
+    argv = argv + ["--fan", _prism_file(tmp_path, TWISTED_BOTTOM)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("fanforge: error:") and err.count("\n") == 1
+    assert "not polytopal" in err
+
+
+def test_heights_on_a_fan_that_is_not_polytopal_fail_the_realization(tmp_path, capsys):
+    from test_typecone import TWISTED_BOTTOM
+
+    argv = ["realize", "--fan", _prism_file(tmp_path, TWISTED_BOTTOM), "--h", "1,1,1,1,1,1"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert out.startswith("realization failed")
+
+
+def test_the_control_prism_realizes_and_verifies(tmp_path, capsys):
+    from test_typecone import CONTROL_BOTTOM
+
+    fan = _prism_file(tmp_path, CONTROL_BOTTOM)
+    off = str(tmp_path / "prism.off")
+    code, out, _ = run(capsys, ["typecone", "--report", "--fan", fan])
+    assert (code, out.split()[:2]) == (0, ["facets=3", "expected=3"])
+    assert run(capsys, ["realize", "--fan", fan, "-o", off]) == (0, "", "")
+    code, out, _ = run(capsys, ["verify", "--fan", fan, "--polytope", off])
+    assert (code, out) == (0, "verified: normal fan of the polytope equals the fan\n")
+
+
 def _with_interior_vertex(lines):
     nv, nf = map(int, lines[1].split())
     verts = [[Fraction(tok) for tok in line.split()] for line in lines[2 : 2 + nv]]

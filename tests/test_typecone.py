@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanforge.arquiver import DynkinQuiver, dynkin_tree_edges
@@ -17,12 +17,23 @@ from fanforge.clusterfan import (
 )
 from fanforge.errors import (
     DegenerateWall,
+    FanforgeError,
     InconsistentSystem,
     NonPositiveParameter,
     NotSimplicial,
 )
 from fanforge.linalg import dot, primitive, solve
-from fanforge.polyhedra import Fan, HPolytope, fan_eq, normal_fan, p_h, vertices
+from fanforge.polyhedra import (
+    Fan,
+    HPolytope,
+    extreme_rays,
+    facet_rows,
+    fan_eq,
+    normal_fan,
+    p_h,
+    row_contacts,
+    vertices,
+)
 from fanforge.typecone import (
     qc_polytope,
     type_cone,
@@ -31,6 +42,7 @@ from fanforge.typecone import (
     wall_dependency,
     walls,
 )
+from test_cone_inverses import bfs_starts
 from test_linalg import kernel_basis, rank
 
 
@@ -571,3 +583,97 @@ def test_type_cone_json_reads_back_n_and_facets(b):
     tc = type_cone(enumerate_fan(initial_seed(b)).fan)
     back = type_cone_from_json(tc.to_json())
     assert (back.n_rays, back.facets) == (tc.n_rays, tc.facets)
+
+
+PRISM_TOP = ((4, 0, 1), (-2, 4, 1), (-2, -4, 1))
+# the straight prism: its twisted side triangulation has no convex heights
+TWISTED_BOTTOM = ((4, 0, -1), (-2, 4, -1), (-2, -4, -1))
+# the bottom triangle turned about the axis: the same cones are polytopal
+CONTROL_BOTTOM = ((3, 2, -1), (-4, 1, -1), (1, -4, -1))
+
+
+def prism_fan(top, bottom, twist=1):
+    """The fan over a triangular prism in R^3: the top and bottom triangles
+    and each side square split by a diagonal, all turning one way; twist=-1
+    takes the other diagonal of every square."""
+    cones = [(0, 1, 2), (3, 4, 5)]
+    for i in range(3):
+        j = (i + 1) % 3
+        if twist == 1:
+            cones += [(i, j, 3 + i), (j, 3 + i, 3 + j)]
+        else:
+            cones += [(i, j, 3 + j), (i, 3 + i, 3 + j)]
+    return Fan(3, list(top) + list(bottom), [tuple(sorted(c)) for c in cones])
+
+
+def test_a_complete_fan_that_is_not_polytopal_has_no_type_cone():
+    fan = prism_fan(PRISM_TOP, TWISTED_BOTTOM)
+    assert fan.validate()
+    with pytest.raises(InconsistentSystem, match="not polytopal"):
+        type_cone(fan)
+
+
+def point_certificate_facets(fan):
+    """The type cone's facets by the former route, as an oracle: each row
+    that the double description's incidence selects is proved by an
+    explicit point, the sum of the extreme rays it is tight on, which must
+    be tight on its own row and strictly inside every other."""
+    raw = [wall_dependency(fan, w).normal for w in walls(fan)]
+    dedup = list(dict.fromkeys(raw))
+    free = [i for i in range(fan.n_rays) if i not in fan.maximal_cones[0]]
+    reduced = [tuple(p[i] for i in free) for p in dedup]
+    extreme = extreme_rays(reduced, len(free))
+    contacts = row_contacts(list(extreme.values()), len(reduced))
+    facets = []
+    for idx in facet_rows(reduced, contacts):
+        on_facet = [ray for k, ray in enumerate(extreme) if contacts[idx] >> k & 1]
+        point = [sum(ray[i] for ray in on_facet) for i in range(len(free))]
+        values = [dot(row, point) for row in reduced]
+        if values[idx] != 0 or any(v <= 0 for k, v in enumerate(values) if k != idx):
+            raise InconsistentSystem("facet point certificate fails")
+        facets.append(dedup[idx])
+    return tuple(sorted(facets))
+
+
+def _facets_or_rejection(route, fan):
+    try:
+        return route(fan)
+    except FanforgeError as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bfs_starts())
+def test_type_cone_matches_the_point_certificate_on_bfs_fans(start):
+    seed, tri = start
+    fan = enumerate_fan(seed, triangulation=tri).fan
+    assume(fan.dim <= 5)
+    assert type_cone(fan).facets == point_certificate_facets(fan)
+
+
+@st.composite
+def perturbed_prisms(draw):
+    """The straight prism with every ray moved by up to 3 in x and y, in
+    either twist; only the complete ones are kept."""
+    offsets = st.integers(min_value=-3, max_value=3)
+    top, bottom = (
+        [(x + draw(offsets), y + draw(offsets), z) for x, y, z in rays]
+        for rays in (PRISM_TOP, TWISTED_BOTTOM)
+    )
+    twist = draw(st.sampled_from([1, -1]))
+    try:
+        fan = prism_fan(top, bottom, twist)
+        fan.validate()
+    except ValueError:
+        assume(False)
+    return fan
+
+
+@settings(max_examples=150, deadline=None)
+@example(prism_fan(PRISM_TOP, TWISTED_BOTTOM))
+@example(prism_fan(PRISM_TOP, CONTROL_BOTTOM))
+@example(prism_fan(PRISM_TOP, CONTROL_BOTTOM, -1))
+@given(perturbed_prisms())
+def test_type_cone_matches_the_point_certificate_on_prisms(fan):
+    got = _facets_or_rejection(lambda f: type_cone(f).facets, fan)
+    assert got == _facets_or_rejection(point_certificate_facets, fan)
