@@ -14,20 +14,25 @@ D-symmetrizability, passes D on, so each mutated matrix is certified by the
 same identity instead of a fresh derivation. The same D makes the g- and
 c-vectors dual, G D C^T = D: one integer identity proves a seed's
 g-vectors unimodular and gives its cone's inverse D^-1 C D, which the
-enumerator hands to the fan it builds. The fan enumerator is a
-BFS over clusters: mutation in direction k changes only g-vector k, so a
-neighbour is named by the frozenset of g-vectors with g_k exchanged
-(exchanged_g_vector), and a full seed is built, once, only for a cluster
-not seen before. Mutation is an involution, so a cluster never looks back
-along the direction that reached it, and each exchange-graph edge is
-recorded once, from the end the BFS reached first. A mutation rebuilds
-only row k of the exchange matrix and the rows i with b_ik != 0; every
-other row is the old seed's. The BFS raises InfiniteType as soon as a
-reached seed has |b_ij b_ji| > 3 (Fomin-Zelevinsky, "Cluster algebras
-II", Invent. Math. 2003, Thm 1.8), or once it holds more clusters than
-any finite type of its rank has (_largest_finite_type); for type A it can
-carry polygon triangulations alongside, which yields the diagonal-to-ray
-dictionary used by the mesh cross-checks.
+enumerator hands to the fan it builds. A start seed is proved on every
+entry, a mutated seed only on what its mutation rebuilt (_prove): the
+pairs on its rebuilt rows of B, its rebuilt c-vectors, and the rows of
+rebuilt g-vectors and the columns of rebuilt c-vectors of G D C^T. Every
+other entry is its parent's, which the parent's proof covers. A mutation
+rebuilds only g-vector k, row k of the exchange matrix and the rows i
+with b_ik != 0, and c_k and the c-vectors c_j with eps b_kj > 0. The fan
+enumerator is a BFS over clusters: mutation in direction k changes only
+g-vector k, so a neighbour is named by the cluster's rays with g_k
+exchanged (exchanged_g_vector), and a full seed is built, once, only for
+a cluster not seen before. Each exchange-graph edge is resolved once,
+from the end the BFS reaches first: a cluster never looks again along
+the direction that reached it (mutation is an involution) or along one
+by which an earlier cluster found it. The BFS raises InfiniteType as
+soon as a reached seed has |b_ij b_ji| > 3 (Fomin-Zelevinsky, "Cluster
+algebras II", Invent. Math. 2003, Thm 1.8), or once it holds more
+clusters than any finite type of its rank has (_largest_finite_type);
+for type A it can carry polygon triangulations alongside, which yields
+the diagonal-to-ray dictionary used by the mesh cross-checks.
 A diagonal is a sorted vertex pair (is_diagonal), and a flip reads its
 quadrilateral off the triangulation's edges (_flipped). The tracked BFS
 flips each cluster's diagonals with that rule and validates only the start
@@ -73,34 +78,81 @@ def _symmetrizer(b):
     return primitive(d)
 
 
-def _symmetrizes(d, b):
-    """Whether d is a positive integer vector with d_i b_ij = -d_j b_ji for
-    all i <= j (which also forces a zero diagonal): the one test of
-    skew-symmetrizability."""
-    n = len(b)
-    return (
-        len(d) == n
-        and all(type(x) is int and x > 0 for x in d)
-        and all(d[i] * b[i][j] == -d[j] * b[j][i] for i in range(n) for j in range(i, n))
-    )
+def _symmetrizes(d, b, rows=None):
+    """Whether d_i b_ij = -d_j b_ji for every i in rows and every j (which
+    also forces a zero diagonal), each row in rows having len(d) entries:
+    the one test of skew-symmetrizability. With rows omitted every row is
+    tested, and d must be a positive integer vector with one entry per row."""
+    n = len(d)
+    if rows is None:
+        if not (len(b) == n and all(type(x) is int and x > 0 for x in d)):
+            return False
+        rows = range(n)
+    if any(len(b[i]) != n for i in rows):
+        return False
+    return all(d[i] * b[i][j] == -d[j] * b[j][i] for i in rows for j in range(n))
 
 
-def _dual(g, c, d):
+def _dual(g, c, d, rows=None, cols=()):
     """Whether the g-vectors g and c-vectors c are integer and dual under
     the symmetrizer d: sum_k g_j[k] d_k c_i[k] = d_j [i == j] for all i, j,
     that is G D C^T = D (Nakanishi-Zelevinsky 2012). Then det G det C = 1,
     so G is unimodular and M = G^T, the g-vectors as columns, has the
-    integer inverse D^-1 C D."""
+    integer inverse D^-1 C D. Given rows, only the rows j in rows and the
+    columns i in cols of G D C^T are tested, on g_j and c_i alone: every
+    other entry is known to hold (a mutation's parent proved it)."""
     n = len(d)
-    if not (len(g) == len(c) == n and all(len(v) == n for v in (*g, *c))):
+    if not len(g) == len(c) == n:
         return False
-    if not set(map(type, chain(*g, *c))) <= {int}:  # a rank-0 seed has no entries
+    if rows is None:
+        rows, cols, tested = range(n), (), (*g, *c)
+    else:
+        tested = [g[j] for j in rows] + [c[i] for i in cols]
+    if not all(len(v) == n for v in tested):
         return False
-    if d.count(1) != n:
-        c = [tuple(dk * x for dk, x in zip(d, ci)) for ci in c]
-    target = [0] * (n * n)
-    target[:: n + 1] = d
-    return [dot(gj, ci) for gj in g for ci in c] == target
+    if not set(map(type, chain(*tested))) <= {int}:  # a rank-0 seed has no entries
+        return False
+    # row j of G D C^T is (D g_j) . c_i over i, column i is g_j . (D c_i)
+    # over j; either is d_j or d_i at its diagonal entry and 0 elsewhere
+    scaled = d.count(1) != n
+    for v, j, others in [(g[j], j, c) for j in rows] + [(c[i], i, g) for i in cols]:
+        if scaled:
+            v = tuple(dk * x for dk, x in zip(d, v))
+        target = [0] * n
+        target[j] = d[j]
+        if [dot(v, w) for w in others] != target:
+            return False
+    return True
+
+
+def _rebuilt(new, old):
+    """The indices where new holds a tuple of its own, not old's: what a
+    mutation rebuilt, read off by identity rather than by the mutation
+    rule, so a wrong update anywhere is in scope."""
+    return [i for i in range(len(new)) if new[i] is not old[i]]
+
+
+def _prove(b, g, c, d, parent=None):
+    """Raise ValueError unless b, g, c and d make a seed of a cluster
+    pattern: d symmetrizes b (_symmetrizes), each c-vector is
+    sign-coherent and G D C^T = D (_dual). Given parent, the proved seed
+    that b, g and c were mutated from over the same d, only the tuples
+    that are not parent's own are tested (_rebuilt); every other entry is
+    parent's, so the proof is as complete as parent's."""
+    if parent is None:
+        b_rows = g_rows = None
+        c_cols = range(len(c))
+    else:
+        b_rows = _rebuilt(b, parent.b_matrix)
+        g_rows = _rebuilt(g, parent.g_vectors)
+        c_cols = _rebuilt(c, parent.c_vectors)
+    if not _symmetrizes(d, b, b_rows):
+        raise ValueError("exchange matrix is not skew-symmetrizable")
+    for k in c_cols:
+        if not (min(c[k], default=0) >= 0 or max(c[k]) <= 0):
+            raise ValueError(f"c-vector {k} is not sign-coherent")
+    if not _dual(g, c, d, g_rows, c_cols):
+        raise ValueError("g-vectors are not proved unimodular: G D C^T != D")
 
 
 def _inverse_rows(seed):
@@ -120,30 +172,25 @@ class Seed:
     integer symmetrizer D with d_i b_ij = -d_j b_ji, derived when not
     given. Equality and hash ignore D.
 
-    Construction tests, in this order, the symmetrizer, the sign-coherence
-    of each c-vector and the duality identity G D C^T = D (_dual), which
-    every seed of a cluster pattern satisfies (Nakanishi-Zelevinsky 2012).
-    The identity proves the g-vectors unimodular and gives each cone its
-    inverse (_inverse_rows); a seed that fails it is rejected."""
+    Construction requires a square exchange matrix and tests (_prove), in
+    this order, the symmetrizer, the sign-coherence of each c-vector and
+    the duality identity G D C^T = D (_dual), which every seed of a
+    cluster pattern satisfies (Nakanishi-Zelevinsky 2012). The identity
+    proves the g-vectors unimodular and gives each cone its inverse
+    (_inverse_rows); a seed that fails it is rejected. A mutated seed
+    (_mutated) is proved by the same tests on the entries its mutation
+    rebuilt."""
 
     __slots__ = ("b_matrix", "g_vectors", "c_vectors", "symmetrizer")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, b_matrix, g_vectors, c_vectors, symmetrizer=None):
+        if any(len(row) != len(b_matrix) for row in b_matrix):
+            raise ValueError("exchange matrix is not square")
         if symmetrizer is None:
             symmetrizer = _symmetrizer(b_matrix)
-        if not _symmetrizes(symmetrizer, b_matrix):
-            raise ValueError("exchange matrix is not skew-symmetrizable")
-        for k, c in enumerate(c_vectors):
-            if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
-                raise ValueError(f"c-vector {k} is not sign-coherent")
-        if not _dual(g_vectors, c_vectors, symmetrizer):
-            raise ValueError("g-vectors are not proved unimodular: G D C^T != D")
-        put = object.__setattr__
-        put(self, "b_matrix", b_matrix)
-        put(self, "g_vectors", g_vectors)
-        put(self, "c_vectors", c_vectors)
-        put(self, "symmetrizer", symmetrizer)
+        _prove(b_matrix, g_vectors, c_vectors, symmetrizer)
+        _fill(self, b_matrix, g_vectors, c_vectors, symmetrizer)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -166,6 +213,15 @@ class Seed:
         return len(self.b_matrix)
 
 
+def _fill(seed, b, g, c, d):
+    """Set the fields of a seed that _prove has proved."""
+    put = object.__setattr__
+    put(seed, "b_matrix", b)
+    put(seed, "g_vectors", g)
+    put(seed, "c_vectors", c)
+    put(seed, "symmetrizer", d)
+
+
 def initial_seed(b_matrix):
     """Seed with g = c = identity over the given exchange matrix."""
     b = tuple(tuple(row) for row in b_matrix)
@@ -182,7 +238,7 @@ def exchanged_g_vector(seed, k):
     if not 0 <= k < n:
         raise ValueError(f"direction {k} out of range")
     b, g = seed.b_matrix, seed.g_vectors
-    eps = 1 if any(x > 0 for x in seed.c_vectors[k]) else -1
+    eps = 1 if max(seed.c_vectors[k]) > 0 else -1
     g_k = [-x for x in g[k]]
     for j in range(n):
         coeff = -eps * b[j][k]
@@ -196,7 +252,9 @@ def mutate_seed(seed, k):
     standard rule; g- and c-vectors mutate by the sign-coherent tropical
     recurrence, and every vector it does not change is shared with the old
     seed. The symmetrizer is passed on unchanged and certifies the new
-    exchange matrix. An involution: mutate_seed(mutate_seed(s, k), k) == s."""
+    exchange matrix. The new seed is proved by Seed's tests on the entries
+    the mutation rebuilt (_prove): the rest is the old seed's, which is
+    proved. An involution: mutate_seed(mutate_seed(s, k), k) == s."""
     return _mutated(seed, k, exchanged_g_vector(seed, k))
 
 
@@ -204,7 +262,7 @@ def _mutated(seed, k, g_k):
     """mutate_seed(seed, k) given g_k = exchanged_g_vector(seed, k)."""
     n = seed.rank
     b, g, c = seed.b_matrix, seed.g_vectors, seed.c_vectors
-    eps = 1 if any(x > 0 for x in c[k]) else -1
+    eps = 1 if max(c[k]) > 0 else -1
     # c'_j = c_j + max(0, eps*b_kj) c_k for j != k, and c'_k = -c_k
     c2 = list(c)
     c2[k] = tuple(-x for x in c[k])
@@ -224,7 +282,12 @@ def _mutated(seed, k, g_k):
             new = [x + (abs(b_ik) * y + b_ik * abs(y)) // 2 for x, y in zip(row, b_k)]
             new[k] = -b_ik
             b2[i] = tuple(new)
-    return Seed(tuple(b2), g[:k] + (g_k,) + g[k + 1 :], tuple(c2), seed.symmetrizer)
+    b2, g2, c2, d = tuple(b2), g[:k] + (g_k,) + g[k + 1 :], tuple(c2), seed.symmetrizer
+    # the parent is proved, so only what this mutation rebuilt is tested
+    _prove(b2, g2, c2, d, seed)
+    s2 = object.__new__(Seed)
+    _fill(s2, b2, g2, c2, d)
+    return s2
 
 
 def is_diagonal(d, polygon_size):
@@ -290,6 +353,11 @@ def seed_from_triangulation(tri):
     adjacency of diagonals sharing a triangle (arrow = counterclockwise turn
     around the common vertex), g and c start as the identity. Direction k
     corresponds to the k-th diagonal in the triangulation's sorted order."""
+    return initial_seed(_triangulation_matrix(tri))
+
+
+def _triangulation_matrix(tri):
+    """The exchange matrix of seed_from_triangulation(tri), as tuples."""
     diags = tri.diagonals
     index = {d: i for i, d in enumerate(diags)}
     n = len(diags)
@@ -301,7 +369,7 @@ def seed_from_triangulation(tri):
             if s_from in index and s_to in index:
                 b[index[s_from]][index[s_to]] += 1
                 b[index[s_to]][index[s_from]] -= 1
-    return initial_seed(b)
+    return tuple(map(tuple, b))
 
 
 def _flipped(polygon_size, diagonals, d):
@@ -382,17 +450,24 @@ class FanEnumeration(
     __slots__ = ()
 
 
-def _check_finite_type(b, node):
-    """Raise InfiniteType if some |b_ij * b_ji| exceeds 3: a seed of finite
-    type has none (Fomin-Zelevinsky, Cluster algebras II, Thm 1.8)."""
+def _check_finite_type(b, node, rows=None):
+    """Raise InfiniteType if some |b_ij * b_ji| exceeds 3, testing the
+    pairs on the given rows (every pair by default) and naming the first
+    such pair: a seed of finite type has none (Fomin-Zelevinsky, Cluster
+    algebras II, Thm 1.8)."""
     n = len(b)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(b[i][j] * b[j][i]) > 3:
-                raise InfiniteType(
-                    f"seed {node} of the BFS has |b[{i}][{j}] * b[{j}][{i}]| = "
-                    f"{abs(b[i][j] * b[j][i])} > 3: the cluster algebra is of infinite type"
-                )
+    bad = [
+        (min(i, j), max(i, j))
+        for i in (range(n) if rows is None else rows)
+        for j in range(n)
+        if abs(b[i][j] * b[j][i]) > 3
+    ]
+    if bad:
+        i, j = min(bad)
+        raise InfiniteType(
+            f"seed {node} of the BFS has |b[{i}][{j}] * b[{j}][{i}]| = "
+            f"{abs(b[i][j] * b[j][i])} > 3: the cluster algebra is of infinite type"
+        )
 
 
 # cluster counts of the connected types that are not A_r, B_r/C_r or D_r
@@ -429,47 +504,53 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     are tracked alongside mutations and every diagonal is matched to its
     g-vector ray; agreement across all clusters containing the diagonal is
     checked, for each new seed on the one pair it does not share with its
-    parent. Each cluster is one BFS node (key, seed, diagonals and the
-    direction that reached it, which leads back to its parent and is not
-    expanded), and each edge is recorded once: when its far end is new or
-    comes later in BFS order. Every new seed runs Seed.__init__'s proofs
-    and the 2-finiteness test. Raises InfiniteType, a BudgetExceeded, as
-    soon as a reached seed is not 2-finite or more clusters are reached
-    than any finite type of rank n has (_largest_finite_type), and else
-    BudgetExceeded, naming that bound, when more than budget are reached.
+    parent. Each cluster is one BFS node (key, seed, diagonals and ray
+    ids), and each edge is resolved once, by one exchanged g-vector: a
+    node does not expand the direction that reached it (mutation is an
+    involution) nor one along which an earlier node found it. Every new
+    seed is proved on the entries its mutation rebuilt (_prove) and tested
+    for 2-finiteness on its rebuilt rows; the rest is its parent's. Raises
+    InfiniteType, a BudgetExceeded, as soon as a reached seed is not
+    2-finite or more clusters are reached than any finite type of rank n
+    has (_largest_finite_type), and else BudgetExceeded, naming that bound,
+    when more than budget are reached.
     Each seed's duality identity gives its cone's inverse (_inverse_rows),
     which the fan takes, so validating it inverts no matrix.
     """
     n = seed.rank
     if triangulation is not None:
-        if seed.b_matrix != seed_from_triangulation(triangulation).b_matrix:
+        if seed.b_matrix != _triangulation_matrix(triangulation):
             raise ValueError("seed does not match the triangulation (flip tracking would drift)")
     _check_finite_type(seed.b_matrix, 0)
     diags = triangulation.diagonals if triangulation else None
     # the start seed's diagonals are distinct, so its pairs cannot disagree
     diagonal_rays = dict(zip(diags, seed.g_vectors)) if triangulation else {}
-    start_key = frozenset(seed.g_vectors)
     bound = _largest_finite_type(n)
-    # one node per cluster, in BFS order: its key, its seed, its diagonals
-    # in direction order (a flip of a triangulation is one, so only the
-    # start needs validating) and the direction that reached it
+    # each distinct g-vector gets an id as the BFS meets it; one node per
+    # cluster, in BFS order: its key (the bitmask of its rays' ids), its
+    # seed, its diagonals in direction order (a flip of a triangulation is
+    # one, so only the start needs validating) and its rays' ids in
+    # direction order. resolved[pos] has bit k set once the edge along
+    # direction k of that node is recorded.
+    ray_ids = {g: k for k, g in enumerate(seed.g_vectors)}
+    start_key = (1 << n) - 1
     position = {start_key: 0}
-    nodes = [(start_key, seed, diags, None)]
-    edges = []  # (position, later position, g_k, g'_k), each edge once
-    for pos, (key, s, diags, back) in enumerate(nodes):
+    nodes = [(start_key, seed, diags, tuple(range(n)))]
+    resolved = [0]
+    edges = []  # (position, later position, id of g_k, id of g'_k), each edge once
+    for pos, (key, s, diags, rays) in enumerate(nodes):
         for k in range(n):
-            if k == back:
-                # mutation is an involution: k leads back to the parent,
-                # and the parent recorded that edge
+            if resolved[pos] >> k & 1:
                 continue
-            g_k, g2 = s.g_vectors[k], exchanged_g_vector(s, k)
-            key2 = key - {g_k} | {g2}
+            g2 = exchanged_g_vector(s, k)
+            r2 = ray_ids.setdefault(g2, len(ray_ids))
+            key2 = key ^ 1 << rays[k] | 1 << r2
             pos2 = position.get(key2)
             if pos2 is None:
                 pos2 = len(nodes)
-                # Seed.__init__ proves the mutated seed by its identity
+                # proved on what the mutation rebuilt, the rest being s's
                 s2 = _mutated(s, k, g2)
-                _check_finite_type(s2.b_matrix, pos2)
+                _check_finite_type(s2.b_matrix, pos2, _rebuilt(s2.b_matrix, s.b_matrix))
                 diags2 = None
                 if diags is not None:
                     new_diag = _flipped(triangulation.polygon_size, diags, diags[k])
@@ -480,7 +561,9 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
                             f"diagonal {new_diag} matched two distinct g-vectors"
                         )
                 position[key2] = pos2
-                nodes.append((key2, s2, diags2, k))
+                nodes.append((key2, s2, diags2, rays[:k] + (r2,) + rays[k + 1 :]))
+                # mutation is an involution: direction k leads back to s
+                resolved.append(1 << k)
                 if len(nodes) > bound:
                     raise InfiniteType(
                         f"seed BFS reached {len(nodes)} clusters, more than the {bound} "
@@ -491,31 +574,34 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
                         f"seed BFS exceeded {budget} nodes; a cluster algebra of finite "
                         f"type and rank {n} has up to {bound} clusters"
                     )
-            elif pos2 < pos:
-                # recorded when the earlier node was expanded
-                continue
-            edges.append((pos, pos2, g_k, g2))
+            else:
+                # a later node, not yet expanded (an earlier one resolved
+                # its edge to s): two clusters share at most one wall, so
+                # the direction of g'_k leads back to s
+                resolved[pos2] |= 1 << nodes[pos2][3].index(r2)
+            edges.append((pos, pos2, rays[k], r2))
 
-    all_rays = sorted({g for node in nodes for g in node[0]}, reverse=True)
-    ray_index = {g: i for i, g in enumerate(all_rays)}
-    cones = [tuple(sorted(ray_index[g] for g in key)) for key, _s, _diags, _k in nodes]
+    all_rays = sorted(ray_ids, reverse=True)
+    index = [0] * len(all_rays)  # ray id -> position in all_rays
+    for i, g in enumerate(all_rays):
+        index[ray_ids[g]] = i
+    cones = [tuple(sorted(index[r] for r in rays)) for _key, _s, _diags, rays in nodes]
     labels = None
     if triangulation is not None:
-        ray_diag = {ray_index[g]: d for d, g in diagonal_rays.items()}
+        ray_diag = {index[ray_ids[g]]: d for d, g in diagonal_rays.items()}
         labels = [f"{ray_diag[i][0]}-{ray_diag[i][1]}" for i in range(len(all_rays))]
 
     fan = Fan(n, all_rays, cones, labels)
     cone_pos = {cone: i for i, cone in enumerate(fan.maximal_cones)}
     node_at = [cone_pos[cone] for cone in cones]
     graph_edges = []
-    for pos, pos2, g_k, g2 in edges:
+    for pos, pos2, r, r2 in edges:
         a, b = sorted((node_at[pos], node_at[pos2]))
-        r, r2 = sorted((ray_index[g_k], ray_index[g2]))
-        graph_edges.append((a, b, (r, r2)))
+        graph_edges.append((a, b, tuple(sorted((index[r], index[r2])))))
     graph = ExchangeGraph(fan.maximal_cones, tuple(sorted(graph_edges)))
     node_triangulations = ()
     if triangulation is not None:
-        by_node = sorted(zip(node_at, (diags for _key, _s, diags, _k in nodes)))
+        by_node = sorted(zip(node_at, (node[2] for node in nodes)))
         node_triangulations = tuple(t for _i, t in by_node)
     # each seed's own identity proved its cone unimodular, so the rays are
     # its g-vectors and its inverse is (D^-1 C D, det 1), rows in the
@@ -523,9 +609,9 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     # dropped once read, so the rows take the seeds' memory.
     inverses = [None] * len(nodes)
     for pos, node in enumerate(node_at):
-        s = nodes[pos][1]
+        _key, s, _diags, rays = nodes[pos]
         nodes[pos] = None
-        rows = sorted(zip([ray_index[g] for g in s.g_vectors], _inverse_rows(s)))
+        rows = sorted(zip([index[r] for r in rays], _inverse_rows(s)))
         inverses[node] = ([row for _i, row in rows], 1)
     fan._cone_inverses = inverses
     return FanEnumeration(fan, graph, node_triangulations, diagonal_rays)

@@ -83,6 +83,7 @@ class Fan:
         # dependencies (typecone.wall_dependency): filled by the seed BFS
         # from its proved seeds, else built lazily
         self._cone_inverses = None
+        self._wall_subsets = None
 
     @property
     def n_rays(self):
@@ -113,12 +114,15 @@ class Fan:
         return self._cone_inverses
 
     def wall_subsets(self):
-        """Multiplicity map: (n-1)-subset of ray indices -> incident cones."""
-        inc = {}
-        for ci, cone in enumerate(self.maximal_cones):
-            for sub in combinations(cone, self.dim - 1):
-                inc.setdefault(sub, []).append(ci)
-        return inc
+        """Multiplicity map: (n-1)-subset of ray indices -> incident cones,
+        built once per fan and shared by every caller, which only reads it."""
+        if self._wall_subsets is None:
+            inc = {}
+            for ci, cone in enumerate(self.maximal_cones):
+                for sub in combinations(cone, self.dim - 1):
+                    inc.setdefault(sub, []).append(ci)
+            self._wall_subsets = inc
+        return self._wall_subsets
 
     def validate(self):
         """Prove that the maximal cones form a complete simplicial fan, or
@@ -146,15 +150,17 @@ class Fan:
         if not self.maximal_cones:
             raise ValueError("fan has no maximal cone")
         data = self._cone_data()
+        # a cone's ray off a wall is the one index it has beyond the wall's
+        totals = [sum(cone) for cone in self.maximal_cones]
         for sub, incident in self.wall_subsets().items():
             if len(incident) != 2:
                 raise ValueError(
                     f"wall condition violated: subset {sub} lies in {len(incident)} cones"
                 )
             a, b = incident
-            cone_a, cone_b = self.maximal_cones[a], self.maximal_cones[b]
-            pos = next(k for k, i in enumerate(cone_a) if i not in sub)
-            other = next(i for i in cone_b if i not in sub)
+            rest = sum(sub)
+            pos = self.maximal_cones[a].index(totals[a] - rest)
+            other = totals[b] - rest
             # row pos of cone a's adjugate vanishes on the wall, positive on its own ray
             if dot(data[a][0][pos], self.rays[other]) >= 0:
                 raise ValueError(

@@ -77,14 +77,17 @@ class LinearDependency(namedtuple("LinearDependency", "wall normal")):
 def walls(fan):
     """All walls of the fan in canonical order (by cone index pair). Each
     (n-1)-subset of the cone table is the shared face of every pair of cones
-    listed under it; two distinct cones share at most one such subset."""
-    cones = fan.maximal_cones
-    out = [
-        Wall(a, b, sub, tuple(next(i for i in cones[c] if i not in sub) for c in (a, b)))
-        for sub, incident in fan.wall_subsets().items()
-        for a, b in combinations(incident, 2)
-    ]
-    return sorted(out, key=lambda w: (w.cone_a, w.cone_b))
+    listed under it; two distinct cones share at most one such subset, and
+    a cone's exchanged ray is the one index it has beyond the subset."""
+    totals = [sum(cone) for cone in fan.maximal_cones]
+    out = []
+    for sub, incident in fan.wall_subsets().items():
+        rest = sum(sub)
+        out += (
+            Wall(a, b, sub, (totals[a] - rest, totals[b] - rest))
+            for a, b in combinations(incident, 2)
+        )
+    return sorted(out)  # two cones share at most one wall: no ties past cone_b
 
 
 def wall_dependency(fan, wall):

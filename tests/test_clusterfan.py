@@ -415,6 +415,18 @@ def test_mutation_equals_the_row_major_reference(name, walk):
         assert seed.symmetrizer == symmetrizer
 
 
+@pytest.mark.parametrize(
+    "b",
+    [((0, 1, 0), (-1, 0)), ((0, 1), (-1,)), ((0, 1), (-1, 0), (0, 0))],
+    ids=["long-row", "short-row", "extra-row"],
+)
+def test_seed_rejects_an_exchange_matrix_that_is_not_square(b):
+    # every row must have one entry per row: a mutated seed's proof covers
+    # only what the mutation rebuilt, so the start seed's must be whole
+    with pytest.raises(ValueError, match="not square"):
+        initial_seed(b)
+
+
 def test_seed_rejects_g_vectors_that_are_not_unimodular():
     b, ident = ((0, 1), (-1, 0)), ((1, 0), (0, 1))
     s = mutate_seed(initial_seed(b), 0)
@@ -843,14 +855,16 @@ def test_bfs_builds_one_seed_per_new_cluster(monkeypatch, name):
 @pytest.mark.parametrize("name", ["A3", "D4", "heptagon-fan"])
 def test_bfs_skips_the_direction_back_to_the_parent(monkeypatch, name):
     # every cluster but the start was reached along one direction, and
-    # mutating back along it would only find the parent again; every new
-    # seed is still proved and tested for 2-finiteness
+    # mutating back along it would only find the parent again; an edge to a
+    # later cluster is not looked up again from that cluster either, so
+    # each edge takes one exchanged g-vector; every seed is still proved
+    # (one _dual call each, the start seed's at its construction) and
+    # tested for 2-finiteness
     tri = TRIANGULATION_SEEDS.get(name)
-    seed = DIFFERENTIAL_SEEDS[name]
-    calls = {"exchanged": 0, "init": 0, "finite": 0}
-    exchanged, init, finite = (
+    calls = {"exchanged": 0, "dual": 0, "finite": 0}
+    exchanged, dual, finite = (
         clusterfan.exchanged_g_vector,
-        Seed.__init__,
+        clusterfan._dual,
         clusterfan._check_finite_type,
     )
 
@@ -862,13 +876,33 @@ def test_bfs_skips_the_direction_back_to_the_parent(monkeypatch, name):
         return counted
 
     monkeypatch.setattr(clusterfan, "exchanged_g_vector", counting("exchanged", exchanged))
-    monkeypatch.setattr(Seed, "__init__", counting("init", init))
+    monkeypatch.setattr(clusterfan, "_dual", counting("dual", dual))
     monkeypatch.setattr(clusterfan, "_check_finite_type", counting("finite", finite))
+    if tri is None:
+        seed = initial_seed(SYMMETRIZABLE_B[name])
+    else:
+        seed = seed_from_triangulation(tri)
     enum = enumerate_fan(seed, triangulation=tri)
     nodes = len(enum.graph.nodes)
-    # a tracked run also builds the triangulation's seed, to match it
-    seeds = nodes - 1 + (tri is not None)
-    assert calls == {"exchanged": seed.rank * nodes - (nodes - 1), "init": seeds, "finite": nodes}
+    assert calls == {"exchanged": len(enum.graph.edges), "dual": nodes, "finite": nodes}
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "B3", "G2", "heptagon-fan", "octagon-zigzag"])
+def test_bfs_resolves_each_edge_with_one_exchanged_g_vector(monkeypatch, name):
+    tri = TRIANGULATION_SEEDS.get(name)
+    seen = []
+    exchanged = clusterfan.exchanged_g_vector
+
+    def recorded(s, k):
+        # the edge is the wall both its clusters share
+        seen.append(frozenset(s.g_vectors) - {s.g_vectors[k]})
+        return exchanged(s, k)
+
+    monkeypatch.setattr(clusterfan, "exchanged_g_vector", recorded)
+    enum = enumerate_fan(DIFFERENTIAL_SEEDS[name], triangulation=tri)
+    # no edge is looked up twice, from either end
+    assert len(seen) == len(set(seen)) == len(enum.graph.edges)
+    assert len(enum.graph.edges) * 2 == DIFFERENTIAL_SEEDS[name].rank * len(enum.graph.nodes)
 
 
 @pytest.mark.parametrize("name, walk", [("D4", [0, 1, 3]), ("B3", [1, 0, 2, 1])])

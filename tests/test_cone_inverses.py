@@ -137,6 +137,72 @@ def test_one_seed_without_the_identity_stops_the_hand_over(monkeypatch, b):
     assert len(calls) == 3
 
 
+@settings(max_examples=40, deadline=None)
+@given(bfs_starts())
+def test_every_mutated_seed_passes_the_full_proof(start):
+    """_mutated proves only what it rebuilt; every seed it builds in a BFS
+    also passes Seed's proof of every entry, and equals that seed."""
+    seed, tri = start
+    built = []
+    mutated = clusterfan._mutated
+
+    def recorded(s, k, g_k):
+        built.append(mutated(s, k, g_k))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clusterfan, "_mutated", recorded)
+        enum = enumerate_fan(seed, triangulation=tri)
+    assert len(built) == len(enum.graph.nodes) - 1
+    for s in built:
+        full = Seed(s.b_matrix, s.g_vectors, s.c_vectors, s.symmetrizer)
+        assert full == s and full.symmetrizer == s.symmetrizer
+
+
+def _corrupted(vectors, i, m):
+    """vectors with entry m of vector i one larger, in a new tuple."""
+    v = list(vectors[i])
+    v[m] += 1
+    return vectors[:i] + (tuple(v),) + vectors[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "b, walk",
+    [(A2_B, [0]), (B3_B, [1, 0]), (D4_B, [1, 3, 0]), (((0, 1), (-3, 0)), [0, 1])],
+    ids=["A2", "B3", "D4", "G2"],
+)
+def test_a_corrupted_entry_fails_the_mutated_seeds_proof(b, walk):
+    """One entry off anywhere in a mutated seed, be it rebuilt by the
+    mutation (g_k, a rebuilt c-vector or B row) or shared under the rule
+    but replaced, fails the proof scoped to what is not the parent's, as
+    it fails the full proof."""
+    parent = initial_seed(b)
+    for k in walk:
+        parent = mutate_seed(parent, k)
+    n, d = parent.rank, parent.symmetrizer
+    for k in range(n):
+        child = mutate_seed(parent, k)
+        fields = (child.b_matrix, child.g_vectors, child.c_vectors)
+        rebuilt = [
+            clusterfan._rebuilt(new, old)
+            for new, old in zip(fields, (parent.b_matrix, parent.g_vectors, parent.c_vectors))
+        ]
+        assert rebuilt[1] == [k] and k in rebuilt[0] and k in rebuilt[2]
+        clusterfan._prove(*fields, d, parent)
+        for f in range(3):
+            for i in range(n):
+                for m in range(n):
+                    bad = list(fields)
+                    bad[f] = _corrupted(fields[f], i, m)
+                    with pytest.raises(ValueError):
+                        clusterfan._prove(*bad, d, parent)
+                    with pytest.raises(ValueError):
+                        Seed(*bad, d)
+        # and through _mutated itself: a wrong g_k
+        with pytest.raises(ValueError, match="unimodular"):
+            clusterfan._mutated(parent, k, _corrupted(child.g_vectors, k, 0)[k])
+
+
 @pytest.mark.parametrize("kind", [("D", 5), ("E", 6)], ids=["D5", "E6"])
 def test_bfs_and_validate_take_no_determinant_and_no_adjugate(monkeypatch, kind):
     calls = Counter()

@@ -44,6 +44,7 @@ INTEGER_KERNELS = [
     ("clusterfan.py", "exchanged_g_vector"),
     ("clusterfan.py", "_symmetrizes"),
     ("clusterfan.py", "_dual"),
+    ("clusterfan.py", "_prove"),
     ("clusterfan.py", "_inverse_rows"),
     ("typecone.py", "type_cone"),
     ("typecone.py", "wall_dependency"),
