@@ -24,7 +24,7 @@ _OWNER = {
     "Triangulation": "clusterfan",
     "TypeCone": "typecone",
     "VPolytope": "polyhedra",
-    "Wall": "typecone",
+    "Wall": "polyhedra",
     "abhy_functionals": "arquiver",
     "abhy_polytope": "arquiver",
     "all_triangulations": "clusterfan",
@@ -50,7 +50,7 @@ _OWNER = {
     "verify_mutation_theorem": "exchange",
     "vertices": "polyhedra",
     "wall_dependency": "typecone",
-    "walls": "typecone",
+    "walls": "polyhedra",
     "write_roff": "polyhedra",
 }
 

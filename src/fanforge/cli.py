@@ -34,8 +34,9 @@ def _budget(args):
 
 
 def _parse_fraction_list(text):
+    from .polyhedra import _rational
     try:
-        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+        return [_rational(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ZeroDivisionError:
         raise ValueError(f"a rational in {text!r} has a zero denominator") from None
 
@@ -250,7 +251,7 @@ def cmd_abhy(args):
         lines.append(f"{lhs} <= {bound}")
     outputs = [("\n".join(lines), args.output)]
     if args.polytope_out:
-        # ABHY = Q_c: P_h on the quiver's g-vector fan, proved cone by cone
+        # ABHY = Q_c: P_h on the quiver's g-vector fan, proved wall by wall
         from . import clusterfan
         fan = clusterfan.enumerate_fan(clusterfan.initial_seed(quiver.exchange_matrix())).fan
         fan.validate()

@@ -16,7 +16,8 @@ from collections import namedtuple
 
 from .clusterfan import is_diagonal
 from .errors import InconsistentSystem
-from .typecone import unique_exchange_check, wall_dependency, walls
+from .polyhedra import walls
+from .typecone import unique_exchange_check, wall_dependency
 
 
 def rotated(d, polygon_size):

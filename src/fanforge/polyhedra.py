@@ -1,4 +1,4 @@
-"""Exact polyhedral primitives: fans, H/V-polytopes, normal fans.
+"""Exact polyhedral primitives: fans and walls, H/V-polytopes, normal fans.
 
 Everything is computed over exact rationals; tolerance is identically zero.
 Cone questions (vertices, facets, type cones) go through one routine,
@@ -12,12 +12,13 @@ tight on form an inclusion-maximal set (:func:`facet_rows`), and a point is
 a vertex iff it is the only point on all of its facets. Vertex enumeration
 stays in integers up to its output: full-dimensionality is the integer rank
 of the homogeneous rays, and each vertex becomes a Fraction tuple once.
-Fan completeness is proved by a wall-and-degree certificate in
+Fan completeness is proved on the fan's walls (:func:`walls`) in
 :meth:`Fan.validate`, and :func:`realization` proves that P_h realizes such
-a fan with one certificate per cone, with no double description.
+a fan with one strict inequality per wall, with no double description.
 """
 
 import json
+import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
@@ -81,9 +82,10 @@ class Fan:
         self.labels = tuple(labels)
         # per-cone adjugate data for the validate certificate and the wall
         # dependencies (typecone.wall_dependency): filled by the seed BFS
-        # from its proved seeds, else built lazily
+        # from its proved seeds, else built lazily; the wall list likewise
         self._cone_inverses = None
         self._wall_subsets = None
+        self._walls = None
 
     @property
     def n_rays(self):
@@ -150,22 +152,15 @@ class Fan:
         if not self.maximal_cones:
             raise ValueError("fan has no maximal cone")
         data = self._cone_data()
-        # a cone's ray off a wall is the one index it has beyond the wall's
-        totals = [sum(cone) for cone in self.maximal_cones]
         for sub, incident in self.wall_subsets().items():
             if len(incident) != 2:
                 raise ValueError(
                     f"wall condition violated: subset {sub} lies in {len(incident)} cones"
                 )
-            a, b = incident
-            rest = sum(sub)
-            pos = self.maximal_cones[a].index(totals[a] - rest)
-            other = totals[b] - rest
-            # row pos of cone a's adjugate vanishes on the wall, positive on its own ray
-            if dot(data[a][0][pos], self.rays[other]) >= 0:
-                raise ValueError(
-                    f"cones {a} and {b} lie on the same side of their wall {sub}"
-                )
+        for a, b, sub, (r, other) in walls(self):
+            # cone a's adjugate row at r vanishes on the wall, positive on r
+            if dot(data[a][0][self.maximal_cones[a].index(r)], self.rays[other]) >= 0:
+                raise ValueError(f"cones {a} and {b} lie on the same side of their wall {sub}")
         point = [sum(self.rays[i][k] for i in self.maximal_cones[0]) for k in range(self.dim)]
         covering = sum(all(dot(row, point) >= 0 for row in adj) for adj, _den in data)
         if covering != 1:
@@ -175,6 +170,27 @@ class Fan:
             i = min(unused)
             raise ValueError(f"ray {i} {self.rays[i]} lies in no maximal cone")
         return True
+
+
+class Wall(namedtuple("Wall", "cone_a cone_b shared exchanged")):
+    """Adjacent pair of maximal cones sharing n-1 rays; exchanged is
+    (ray in cone_a only, ray in cone_b only)."""
+
+    __slots__ = ()
+
+
+def walls(fan):
+    """All walls of the fan by cone index pair, built once per fan; callers
+    only read the list. Every pair of cones listed under an (n-1)-subset
+    shares it, and a cone's exchanged ray is its index sum less the subset's."""
+    if fan._walls is None:
+        totals = [sum(cone) for cone in fan.maximal_cones]
+        fan._walls = sorted(  # two cones share at most one wall: no ties past cone_b
+            Wall(a, b, sub, (totals[a] - sum(sub), totals[b] - sum(sub)))
+            for sub, incident in fan.wall_subsets().items()
+            for a, b in combinations(incident, 2)
+        )
+    return fan._walls
 
 
 def _adjugate_int(m):
@@ -454,21 +470,26 @@ def p_h(fan, h):
 def realization(fan, h):
     """P_h = {x : Gx <= h} as a VPolytope proved to have the validated fan as
     its normal fan, or ValueError. By Chapoton, Fomin and Zelevinsky (Canad.
-    Math. Bull. 2002) it has iff for each maximal cone C the point
-    x_C = G_C^-1 h_C satisfies every other ray's inequality strictly; x_C is
-    then the vertex with normal cone C. With h scaled to integers and (adj,
-    det) the cone's cached adjugate, x = adj^T h_C is det x_C, and the check
-    is det h_r > r . x. Facet (r, h_r) holds the x_C with r in C."""
+    Math. Bull. 2002) it has iff h satisfies each wall's inequality strictly.
+    With (adj, det) a cone's cached adjugate and h scaled to integers,
+    x = adj^T h_C is det x_C for x_C = G_C^-1 h_C. Wall (a, b, shared,
+    (r, r')) is checked once, as det_a h_r' > r' . x_a: h paired with the
+    wall's dependency normal, which cone b gives up to a positive factor.
+    On the complete fan the function linear on each cone, h_r at each ray r,
+    is then convex and strictly so across walls: along a generic segment
+    from inside C to a ray r outside C it exceeds x_C . r, so r . x_C < h_r.
+    x_C is the vertex with tight rows C; facet (r, h_r) holds the x_C, r in C."""
     if len(h) != fan.n_rays:
         raise ValueError(f"height vector must have length {fan.n_rays}")
     *h_int, s = primitive([*h, 1])
-    points, tight = [], []
-    for cone, (adj, det) in zip(fan.maximal_cones, fan._cone_data()):
-        x = [dot(col, [h_int[i] for i in cone]) for col in zip(*adj)]
-        if any(i not in cone and det * h_int[i] <= dot(r, x) for i, r in enumerate(fan.rays)):
+    data = fan._cone_data()
+    h_cones = ([h_int[i] for i in cone] for cone in fan.maximal_cones)
+    xs = [[dot(col, h_c) for col in zip(*adj)] for h_c, (adj, _det) in zip(h_cones, data)]
+    for a, _b, _shared, (_r, r2) in walls(fan):
+        if data[a][1] * h_int[r2] <= dot(fan.rays[r2], xs[a]):
             raise ValueError("the normal fan of the polytope differs from the fan")
-        points.append([Fraction(xk, det * s) for xk in x])
-        tight.append(sum(1 << i for i in cone))
+    points = [[Fraction(xk, det * s) for xk in x] for x, (_adj, det) in zip(xs, data)]
+    tight = [sum(1 << i for i in cone) for cone in fan.maximal_cones]
     return VPolytope(points, (list(zip(fan.rays, h)), tight))
 
 
@@ -543,6 +564,18 @@ def write_roff(vp):
     return "\n".join(lines) + "\n"
 
 
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
+def _rational(tok):
+    """The Fraction of a token written as [+-]digits, [+-]digits/digits or a
+    plain decimal; any other token is a ValueError. Fraction itself would
+    also take an exponent and expand 1e999999999 digit by digit."""
+    if not _RATIONAL.fullmatch(tok):
+        raise ValueError(f"Invalid literal for Fraction: {tok!r}")
+    return Fraction(tok)
+
+
 def parse_roff(text):
     """Parse ROFF text into (vertex tuples, facet index lists); malformed
     text raises ValueError."""
@@ -553,7 +586,7 @@ def parse_roff(text):
     if nv < 1 or nf < 0 or len(lines) != 2 + nv + nf:
         raise ValueError("ROFF line count mismatch")
     try:
-        verts = [tuple(Fraction(tok) for tok in ln.split()) for ln in lines[2 : 2 + nv]]
+        verts = [tuple(map(_rational, ln.split())) for ln in lines[2 : 2 + nv]]
     except ZeroDivisionError:
         raise ValueError("vertex coordinate with zero denominator") from None
     if len({len(v) for v in verts}) != 1:
@@ -569,14 +602,17 @@ def parse_roff(text):
 
 def roff_realization(fan, verts, facet_lists):
     """The polytope of ROFF data in R^fan.dim, proved to realize the validated
-    fan, or ValueError: it is P_h for its heights h_r = max r.v over its
-    vertices v, with the file's vertices and facet lists up to vertex order."""
+    fan, or ValueError: P_h for the heights h_r = max r.v over its vertices
+    v. The file must list its vertices in any order and its facets as vertex
+    sets, each as :func:`realization` proved it: ray r's holds the x_C, r in C."""
     den = lcm(*(x.denominator for v in verts for x in v))
     scaled = [[x.numerator * (den // x.denominator) for x in v] for v in verts]
     vp = realization(fan, [Fraction(max(dot(r, v) for v in scaled), den) for r in fan.rays])
     position = {v: j for j, v in enumerate(vp.vertices)}
     index = [position.get(v, -1) for v in verts]
-    given = sorted(sorted(index[i] for i in fl) for fl in facet_lists)
-    if sorted(index) != list(range(len(position))) or given != sorted(facet_description(vp)[2]):
-        raise ValueError("the file's vertices and facets are not those of the polytope")
-    return vp
+    distinct = all(len(set(fl)) == len(fl) for fl in facet_lists)
+    if distinct and sorted(index) == list(range(len(position))):
+        given = sorted(sum(1 << index[i] for i in fl) for fl in facet_lists)
+        if given == sorted(vp.contacts.values()):
+            return vp
+    raise ValueError("the file's vertices and facets are not those of the polytope")

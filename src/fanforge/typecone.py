@@ -1,14 +1,14 @@
-"""Walls, normalized linear dependencies, and McMullen type cones.
+"""Wall dependencies, the unique exchange check and McMullen type cones.
 
-A wall is an (n-1)-subset of the fan's cone table and the two cones listed
-under it. Its dependency is read off the integer adjugate of one of those
-cones, the per-cone data that :meth:`Fan.validate` builds and caches, and
-kept as one primitive integer normal on all N rays. That adjugate is det
-times a proved cone inverse, so the normal annihilates the ray matrix by
-construction: wall_dependency is the one place the identity
-sum(v_i r_i) = 0 is established. The type cone, the unique exchange check
-and the mutation theorem read that normal and do not re-derive it;
-Fractions appear only when its entries are read normalized to
+A wall is an adjacent pair of maximal cones (polyhedra owns Wall and walls;
+both are imported here too). Its dependency is read off the integer
+adjugate of one of those cones, the per-cone data that :meth:`Fan.validate`
+builds and caches, and kept as one primitive integer normal on all N rays.
+That adjugate is det times a proved cone inverse, so the normal annihilates
+the ray matrix by construction: wall_dependency is the one place the
+identity sum(v_i r_i) = 0 is established. The type cone, the unique
+exchange check and the mutation theorem read that normal and do not
+re-derive it; Fractions appear only when its entries are read normalized to
 alpha + alpha' = 2, and in the report of a failed check.
 
 The type cone lives in R^N and has an n-dimensional lineality space (the
@@ -27,7 +27,6 @@ is in polyhedra.
 import json
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from .errors import (
@@ -37,14 +36,7 @@ from .errors import (
     NotSimplicial,
 )
 from .linalg import _independent_rows, dot, primitive, solve
-from .polyhedra import _json_field, extreme_rays, facet_rows, int_rows, p_h, row_contacts
-
-
-class Wall(namedtuple("Wall", "cone_a cone_b shared exchanged")):
-    """Adjacent pair of maximal cones sharing n-1 rays; exchanged is
-    (ray in cone_a only, ray in cone_b only)."""
-
-    __slots__ = ()
+from .polyhedra import Wall, _json_field, extreme_rays, facet_rows, int_rows, p_h, row_contacts, walls
 
 
 class LinearDependency(namedtuple("LinearDependency", "wall normal")):
@@ -72,22 +64,6 @@ class LinearDependency(namedtuple("LinearDependency", "wall normal")):
     @property
     def middle_coeffs(self):
         return {s: self._normalized(-self.normal[s]) for s in self.wall.shared}
-
-
-def walls(fan):
-    """All walls of the fan in canonical order (by cone index pair). Each
-    (n-1)-subset of the cone table is the shared face of every pair of cones
-    listed under it; two distinct cones share at most one such subset, and
-    a cone's exchanged ray is the one index it has beyond the subset."""
-    totals = [sum(cone) for cone in fan.maximal_cones]
-    out = []
-    for sub, incident in fan.wall_subsets().items():
-        rest = sum(sub)
-        out += (
-            Wall(a, b, sub, (totals[a] - rest, totals[b] - rest))
-            for a, b in combinations(incident, 2)
-        )
-    return sorted(out)  # two cones share at most one wall: no ties past cone_b
 
 
 def wall_dependency(fan, wall):

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -540,6 +541,52 @@ def test_verify_accepts_permuted_vertex_lines(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", "--fan", str(fan_path), "--polytope", str(permuted)])
     assert code == 0
     assert out.startswith("verified")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines[:7] + ["3 0 0 1"] + lines[8:],
+        lambda lines: ["ROFF", "6 5"] + lines[2:7] + ["1/1 0/1", "3 0 1 5"] + lines[8:],
+        lambda lines: ["ROFF", "5 6"] + lines[2:] + [lines[7]],
+    ],
+    ids=["facet-repeats-a-vertex", "vertex-not-the-polytopes", "facet-line-repeated"],
+)
+def test_verify_rejects_a_file_that_lists_other_vertices_or_facets(tmp_path, capsys, edit):
+    # the A2 realization: five vertex lines, then five facet lines from "2 0 1"
+    fan_path, lines = a2_roff(tmp_path, capsys)
+    assert lines[1:3] == ["5 5", "0/1 -1/1"] and lines[7] == "2 0 1"
+    bad = tmp_path / "bad.off"
+    bad.write_text("\n".join(edit(lines)) + "\n")
+    code, out, err = run(capsys, ["verify", "--fan", str(fan_path), "--polytope", str(bad)])
+    assert (code, err) == (1, "")
+    assert out == "verification failed: the file's vertices and facets are not those of the polytope\n"
+
+
+EXPONENT = "1e999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--polytope", "exp.off"],
+        ["realize", "--h", f"{EXPONENT},1,1,1,1"],
+        ["realize", "--c", f"1,{EXPONENT},1"],
+        ["abhy", "--c", f"1,{EXPONENT},1"],
+    ],
+    ids=["verify", "realize-h", "realize-c", "abhy-c"],
+)
+def test_an_exponent_is_an_input_error_and_is_never_expanded(tmp_path, capsys, monkeypatch, argv):
+    # Fraction(EXPONENT) would build a billion-digit integer first
+    monkeypatch.chdir(tmp_path)
+    run(capsys, ["fan", "--type", "A", "--rank", "2", "-o", "a2.json"])
+    (tmp_path / "exp.off").write_text(f"ROFF\n1 0\n{EXPONENT} 0\n")
+    extra = [] if argv[0] == "abhy" else ["--fan", "a2.json"]
+    start = time.monotonic()
+    code, out, err = run(capsys, argv + extra)
+    assert time.monotonic() - start < 5
+    assert (code, out) == (2, "")
+    assert err == f"fanforge: error: Invalid literal for Fraction: {EXPONENT!r}\n"
 
 
 JSON_VALUES = st.recursive(

@@ -4,8 +4,8 @@ in integers: they construct no Fraction. Every public linalg function has
 a caller elsewhere in the package, and every private module-level name one
 outside its own definition, so test-only helpers live in the tests.
 Files are written by one writer, `cli._write_out`, which never truncates
-on open. Determinants and vertex orders each have one owner, and every
-error class is raised somewhere."""
+on open. Determinants, vertex orders and the wall list each have one
+owner, and every error class is raised somewhere."""
 
 import ast
 from pathlib import Path
@@ -227,7 +227,7 @@ def test_write_out_is_the_only_writer_and_never_truncates_on_open():
 def test_only_paper_a2_enumerates_vertices_on_the_command_line():
     """In cli.py only `paper-a2` enumerates vertices, as the independent
     check of the paper's printed vertices: a command that writes the
-    polytope of a g-vector fan proves it cone by cone (realization)."""
+    polytope of a g-vector fan proves it wall by wall (realization)."""
     [cli] = [p for p in SOURCES if p.name == "cli.py"]
     callers = {"polyhedra.vertices": set(), "polyhedra.extreme_rays": set()}
     for function in ast.parse(cli.read_text(encoding="utf-8")).body:
@@ -236,3 +236,39 @@ def test_only_paper_a2_enumerates_vertices_on_the_command_line():
                 if _callee(call) in callers:
                     callers[_callee(call)].add(function.name)
     assert callers == {"polyhedra.vertices": {"cmd_paper_a2"}, "polyhedra.extreme_rays": set()}
+
+
+def test_the_wall_list_has_one_owner_and_each_fan_builds_it_once(monkeypatch):
+    """Only polyhedra.walls builds a Wall, so a wall's exchanged pair is read
+    off the cone table in one place; validate, the type cone and the
+    mutation-theorem report then share the one list it caches on the fan."""
+    from fanforge import polyhedra
+    from fanforge.clusterfan import enumerate_fan, initial_seed
+    from fanforge.exchange import verify_mutation_theorem
+    from fanforge.typecone import type_cone
+
+    builders = set()
+    for path in SOURCES:
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, ast.FunctionDef):
+                if any(_callee(call) == "Wall" for call in ast.walk(function)):
+                    builders.add((path.name, function.name))
+    assert builders == {("polyhedra.py", "walls")}
+
+    built = []
+
+    class CountedWall(polyhedra.Wall):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            built.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(polyhedra, "Wall", CountedWall)
+    enum = enumerate_fan(initial_seed([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]))
+    enum.fan.validate()
+    tc = type_cone(enum.fan)
+    report = verify_mutation_theorem(enum.fan, enum.graph)
+    # A3 has 14 clusters of rank 3: 14 * 3 / 2 = 21 walls, each built once
+    assert len(built) == len(tc.wall_list) == report["walls_checked"] == 21
+    assert polyhedra.walls(enum.fan) == list(tc.wall_list) and len(built) == 21

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fanforge.arquiver import dynkin_tree_edges
+from fanforge.arquiver import DynkinQuiver, abhy_functionals, dynkin_tree_edges, knit_ar_quiver
 from fanforge.clusterfan import enumerate_fan, initial_seed, mutate_seed
 from fanforge.errors import (
     DimensionDeficient,
@@ -42,6 +43,7 @@ from fanforge.typecone import (
     walls,
 )
 from test_linalg import kernel_basis, rank, rref, transpose
+from test_typecone import CONTROL_BOTTOM, PRISM_TOP, TWISTED_BOTTOM, prism_fan
 
 
 def contains(poly, point):
@@ -217,6 +219,22 @@ def test_roff_roundtrip_segment():
     assert vp.vertices == ((0,), (1,))
     verts, facets = parse_roff(write_roff(vp))
     assert roff_realization(fan, verts, facets) == vp
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [("3", 3), ("-3/4", Fraction(-3, 4)), ("+.5", Fraction(1, 2)), ("2.", 2), ("-1.25", Fraction(-5, 4))],
+)
+def test_rational_tokens(token, value):
+    assert polyhedra._rational(token) == value
+
+
+@pytest.mark.parametrize(
+    "token", ["1e3", "1E-3", "1.5e2", "inf", "nan", "1/2.5", "1/-2", "0x10", "1_0", "\u0663", " 1", ""]
+)
+def test_a_token_that_is_not_a_plain_rational_is_rejected(token):
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        polyhedra._rational(token)
 
 
 def test_p_h_length_check():
@@ -962,3 +980,120 @@ def test_roff_realization_agrees_with_the_double_description_route(data):
         assert not expected
     else:
         assert expected
+
+
+# --- the wall-by-wall certificate against the all-rays certificate
+
+
+def all_rays_realization(fan, h):
+    """Test oracle, the former realization certificate: each cone's point
+    x_C = G_C^-1 h_C must satisfy the inequality of every ray outside C
+    strictly, checked as det h_r > r . (adj^T h_C) in integers."""
+    *h_int, s = primitive([*h, 1])
+    points, tight = [], []
+    for cone, (adj, det) in zip(fan.maximal_cones, fan._cone_data()):
+        x = [dot(col, [h_int[i] for i in cone]) for col in zip(*adj)]
+        if any(i not in cone and det * h_int[i] <= dot(r, x) for i, r in enumerate(fan.rays)):
+            raise ValueError("the normal fan of the polytope differs from the fan")
+        points.append([Fraction(xk, det * s) for xk in x])
+        tight.append(sum(1 << i for i in cone))
+    return VPolytope(points, (list(zip(fan.rays, h)), tight))
+
+
+def type_cone_basis(fan):
+    """Heights w_f with K w_f = e_f for the facets K of a simplicial type
+    cone: sum(c_f w_f) is inside it for c > 0 and on facet f for c_f = 0."""
+    tc = type_cone(fan)
+    m = tc.n_facets
+    return [solve([list(row) for row in tc.facets], [Fraction(int(i == f)) for i in range(m)]) for f in range(m)]
+
+
+@functools.cache
+def e6_fan_and_basis(orientation):
+    """The g-vector fan of an E6 quiver and its type cone basis, read off the
+    ABHY polytope (which is Q_c on that fan): the bound of ray r's row is
+    linear in the mesh parameters c, with coefficients mesh_coeffs."""
+    quiver = DynkinQuiver("E", 6, orientation)
+    fan = enumerate_fan(initial_seed(quiver.exchange_matrix())).fan
+    fan.validate()
+    ar = knit_ar_quiver(quiver)
+    funcs = abhy_functionals(ar)
+    coeffs = {tuple(-x for x in f.proj_coeffs): f.mesh_coeffs for f in funcs.values()}
+    return fan, [[coeffs[r][f] for r in fan.rays] for f in range(len(ar.meshes))]
+
+
+# every vertex of the E6 tree a source (1, 4, 6) or a sink (2, 3, 5)
+E6_ALTERNATING = ((1, 3), (4, 3), (4, 5), (4, 2), (6, 5))
+
+
+@st.composite
+def convex_polygon_fans(draw):
+    """The normal fan of a random box-clipped convex polygon, with the
+    polygon's own heights h_r = max r . v over its vertices v."""
+    coeff = st.integers(min_value=-4, max_value=4)
+    rows = draw(st.lists(st.tuples(coeff, coeff), max_size=6))
+    height = st.integers(min_value=1, max_value=4)
+    bounds = draw(st.lists(height, min_size=len(rows), max_size=len(rows)))
+    vp = vertices(HPolytope(rows + [(1, 0), (-1, 0), (0, 1), (0, -1)], bounds + [9] * 4))
+    fan = normal_fan(vp)
+    fan.validate()
+    return fan, [max(dot(r, v) for v in vp.vertices) for r in fan.rays]
+
+
+@st.composite
+def wall_certificate_cases(draw):
+    """A validated fan and heights for it. Where the type cone is simplicial
+    (finite type, the control prism), h = sum(c_f w_f) with every c_f > 0
+    but at most one, which is 0 (on facet f) or +-1/q (just off it). Else a
+    polygon's own heights, or (polygons, the twisted prism) a height h_j on
+    a wall's inequality moved until it is tight there, and +-1/q beyond."""
+    kind = draw(st.sampled_from(["ad", "e6", "control", "polygon", "twisted"]))
+    if kind in ("ad", "e6", "control"):
+        if kind == "ad":
+            fan = draw(oriented_ad_fans())
+            basis = type_cone_basis(fan)
+        elif kind == "e6":
+            fan, basis = e6_fan_and_basis(draw(st.sampled_from([None, E6_ALTERNATING])))
+        else:
+            fan = prism_fan(PRISM_TOP, CONTROL_BOTTOM)
+            basis = type_cone_basis(fan)
+        ratio = st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=3)
+        c = draw(st.lists(ratio, min_size=len(basis), max_size=len(basis)))
+        q = draw(st.integers(min_value=1, max_value=7))
+        f = draw(st.integers(min_value=0, max_value=len(basis) - 1))
+        c[f] = draw(st.sampled_from([c[f], Fraction(0), Fraction(1, q), Fraction(-1, q)]))
+        return fan, [sum(cf * w[r] for cf, w in zip(c, basis)) for r in range(fan.n_rays)]
+    if kind == "polygon":
+        fan, h = draw(convex_polygon_fans())
+    else:
+        fan = prism_fan(PRISM_TOP, TWISTED_BOTTOM)
+        h = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=6, max_size=6))
+    if kind == "polygon" and draw(st.booleans()):
+        return fan, h
+    normal = wall_dependency(fan, draw(st.sampled_from(walls(fan)))).normal
+    j = draw(st.sampled_from([i for i, x in enumerate(normal) if x]))
+    q = draw(st.integers(min_value=1, max_value=7))
+    h = [Fraction(x) for x in h]
+    h[j] -= Fraction(dot(normal, h), normal[j])
+    h[j] += draw(st.sampled_from([Fraction(0), Fraction(1, q), Fraction(-1, q)]))
+    return fan, h
+
+
+@settings(max_examples=100, deadline=None)
+@example((Fan(1, [(1,), (-1,)], [(0,), (1,)]), [1, -1]))  # a point: its one wall fails
+@example((Fan(1, [(1,), (-1,)], [(0,), (1,)]), [1, Fraction(-1, 2)]))
+@given(wall_certificate_cases())
+def test_the_wall_certificate_agrees_with_the_all_rays_certificate(case):
+    fan, h = case
+    try:
+        expected = all_rays_realization(fan, h)
+    except ValueError:
+        expected = None
+    try:
+        got = realization(fan, h)
+    except ValueError as exc:
+        assert expected is None
+        assert str(exc) == "the normal fan of the polytope differs from the fan"
+    else:
+        assert expected is not None
+        assert (got.vertices, got.contacts) == (expected.vertices, expected.contacts)
