@@ -14,13 +14,14 @@ D-symmetrizability, passes D on, so each mutated matrix is certified by the
 same identity instead of a fresh derivation. The same D makes the g- and
 c-vectors dual, G D C^T = D: one integer identity proves a seed's
 g-vectors unimodular and gives its cone's inverse D^-1 C D, which the
-enumerator hands to the fan it builds. A start seed is proved on every
-entry, a mutated seed only on what its mutation rebuilt (_prove): the
-pairs on its rebuilt rows of B, its rebuilt c-vectors, and the rows of
-rebuilt g-vectors and the columns of rebuilt c-vectors of G D C^T. Every
-other entry is its parent's, which the parent's proof covers. A mutation
-rebuilds only g-vector k, row k of the exchange matrix and the rows i
-with b_ik != 0, and c_k and the c-vectors c_j with eps b_kj > 0. The fan
+enumerator hands to the fan it builds. Every seed is proved by one route
+(_prove), on what it does not share with a proved parent. A start seed
+is proved on every entry, a mutated seed only on what its mutation
+rebuilt: the pairs on its rebuilt rows of B, its rebuilt c-vectors, and
+the rows of rebuilt g-vectors and the columns of rebuilt c-vectors of
+G D C^T; the rest is its parent's. A mutation rebuilds only g-vector k,
+row k of the exchange matrix and the rows i with b_ik != 0, and c_k and
+the c-vectors c_j with eps b_kj > 0. The fan
 enumerator is a BFS over clusters: mutation in direction k changes only
 g-vector k, so a neighbour is named by the cluster's rays with g_k
 exchanged (exchanged_g_vector), and a full seed is built, once, only for
@@ -78,36 +79,29 @@ def _symmetrizer(b):
     return primitive(d)
 
 
-def _symmetrizes(d, b, rows=None):
+def _symmetrizes(d, b, rows):
     """Whether d_i b_ij = -d_j b_ji for every i in rows and every j (which
     also forces a zero diagonal), each row in rows having len(d) entries:
-    the one test of skew-symmetrizability. With rows omitted every row is
-    tested, and d must be a positive integer vector with one entry per row."""
+    the one test of skew-symmetrizability. A start seed tests every row, a
+    mutated seed the rows its mutation rebuilt (_prove)."""
     n = len(d)
-    if rows is None:
-        if not (len(b) == n and all(type(x) is int and x > 0 for x in d)):
-            return False
-        rows = range(n)
     if any(len(b[i]) != n for i in rows):
         return False
     return all(d[i] * b[i][j] == -d[j] * b[j][i] for i in rows for j in range(n))
 
 
-def _dual(g, c, d, rows=None, cols=()):
+def _dual(g, c, d, rows, cols):
     """Whether the g-vectors g and c-vectors c are integer and dual under
     the symmetrizer d: sum_k g_j[k] d_k c_i[k] = d_j [i == j] for all i, j,
     that is G D C^T = D (Nakanishi-Zelevinsky 2012). Then det G det C = 1,
     so G is unimodular and M = G^T, the g-vectors as columns, has the
-    integer inverse D^-1 C D. Given rows, only the rows j in rows and the
-    columns i in cols of G D C^T are tested, on g_j and c_i alone: every
-    other entry is known to hold (a mutation's parent proved it)."""
+    integer inverse D^-1 C D. Only the rows j in rows and the columns i in
+    cols of G D C^T are tested, on g_j and c_i alone: all of them for a
+    start seed, for a mutated seed those its mutation rebuilt (_prove)."""
     n = len(d)
     if not len(g) == len(c) == n:
         return False
-    if rows is None:
-        rows, cols, tested = range(n), (), (*g, *c)
-    else:
-        tested = [g[j] for j in rows] + [c[i] for i in cols]
+    tested = [g[j] for j in rows] + [c[i] for i in cols]
     if not all(len(v) == n for v in tested):
         return False
     if not set(map(type, chain(*tested))) <= {int}:  # a rank-0 seed has no entries
@@ -128,24 +122,20 @@ def _dual(g, c, d, rows=None, cols=()):
 def _rebuilt(new, old):
     """The indices where new holds a tuple of its own, not old's: what a
     mutation rebuilt, read off by identity rather than by the mutation
-    rule, so a wrong update anywhere is in scope."""
-    return [i for i in range(len(new)) if new[i] is not old[i]]
+    rule, so a wrong update anywhere is in scope. No old: every index."""
+    return [i for i, x in enumerate(new) if old is None or x is not old[i]]
 
 
 def _prove(b, g, c, d, parent=None):
     """Raise ValueError unless b, g, c and d make a seed of a cluster
     pattern: d symmetrizes b (_symmetrizes), each c-vector is
-    sign-coherent and G D C^T = D (_dual). Given parent, the proved seed
-    that b, g and c were mutated from over the same d, only the tuples
-    that are not parent's own are tested (_rebuilt); every other entry is
-    parent's, so the proof is as complete as parent's."""
-    if parent is None:
-        b_rows = g_rows = None
-        c_cols = range(len(c))
-    else:
-        b_rows = _rebuilt(b, parent.b_matrix)
-        g_rows = _rebuilt(g, parent.g_vectors)
-        c_cols = _rebuilt(c, parent.c_vectors)
+    sign-coherent and G D C^T = D (_dual), on the tuples of b, g and c
+    that are not parent's, the proved seed they were mutated from over the
+    same d (_rebuilt): every other entry is parent's, so the proof is as
+    complete as parent's. A start seed has no parent: every entry is new."""
+    b_rows = _rebuilt(b, getattr(parent, "b_matrix", None))
+    g_rows = _rebuilt(g, getattr(parent, "g_vectors", None))
+    c_cols = _rebuilt(c, getattr(parent, "c_vectors", None))
     if not _symmetrizes(d, b, b_rows):
         raise ValueError("exchange matrix is not skew-symmetrizable")
     for k in c_cols:
@@ -172,14 +162,14 @@ class Seed:
     integer symmetrizer D with d_i b_ij = -d_j b_ji, derived when not
     given. Equality and hash ignore D.
 
-    Construction requires a square exchange matrix and tests (_prove), in
-    this order, the symmetrizer, the sign-coherence of each c-vector and
-    the duality identity G D C^T = D (_dual), which every seed of a
-    cluster pattern satisfies (Nakanishi-Zelevinsky 2012). The identity
+    Construction requires a square exchange matrix and one positive integer
+    of D per row, and tests (_prove) that D symmetrizes it, that each
+    c-vector is sign-coherent and that G D C^T = D (_dual), as every seed
+    of a cluster pattern does (Nakanishi-Zelevinsky 2012). The identity
     proves the g-vectors unimodular and gives each cone its inverse
-    (_inverse_rows); a seed that fails it is rejected. A mutated seed
-    (_mutated) is proved by the same tests on the entries its mutation
-    rebuilt."""
+    (_inverse_rows). A seed built here has no parent, so every entry is
+    tested; a mutated seed (_mutated) is proved by the same route on the
+    entries its mutation rebuilt."""
 
     __slots__ = ("b_matrix", "g_vectors", "c_vectors", "symmetrizer")
     __setattr__ = __delattr__ = _immutable
@@ -187,10 +177,11 @@ class Seed:
     def __init__(self, b_matrix, g_vectors, c_vectors, symmetrizer=None):
         if any(len(row) != len(b_matrix) for row in b_matrix):
             raise ValueError("exchange matrix is not square")
-        if symmetrizer is None:
-            symmetrizer = _symmetrizer(b_matrix)
-        _prove(b_matrix, g_vectors, c_vectors, symmetrizer)
-        _fill(self, b_matrix, g_vectors, c_vectors, symmetrizer)
+        d = _symmetrizer(b_matrix) if symmetrizer is None else symmetrizer
+        if len(d) != len(b_matrix) or any(type(x) is not int or x < 1 for x in d):
+            raise ValueError("exchange matrix is not skew-symmetrizable")
+        _prove(b_matrix, g_vectors, c_vectors, d)
+        _fill(self, b_matrix, g_vectors, c_vectors, d)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -450,15 +441,14 @@ class FanEnumeration(
     __slots__ = ()
 
 
-def _check_finite_type(b, node, rows=None):
+def _check_finite_type(b, node, rows):
     """Raise InfiniteType if some |b_ij * b_ji| exceeds 3, testing the
-    pairs on the given rows (every pair by default) and naming the first
-    such pair: a seed of finite type has none (Fomin-Zelevinsky, Cluster
-    algebras II, Thm 1.8)."""
+    pairs on the given rows and naming the first such pair: a seed of
+    finite type has none (Fomin-Zelevinsky, Cluster algebras II, Thm 1.8)."""
     n = len(b)
     bad = [
         (min(i, j), max(i, j))
-        for i in (range(n) if rows is None else rows)
+        for i in rows
         for j in range(n)
         if abs(b[i][j] * b[j][i]) > 3
     ]
@@ -507,9 +497,10 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     parent. Each cluster is one BFS node (key, seed, diagonals and ray
     ids), and each edge is resolved once, by one exchanged g-vector: a
     node does not expand the direction that reached it (mutation is an
-    involution) nor one along which an earlier node found it. Every new
-    seed is proved on the entries its mutation rebuilt (_prove) and tested
-    for 2-finiteness on its rebuilt rows; the rest is its parent's. Raises
+    involution) nor one along which an earlier node found it. Every seed
+    is proved (_prove) and tested for 2-finiteness on the entries it does
+    not share with a proved parent: all of them for the start seed, which
+    has none, and for a new seed those its mutation rebuilt. Raises
     InfiniteType, a BudgetExceeded, as soon as a reached seed is not
     2-finite or more clusters are reached than any finite type of rank n
     has (_largest_finite_type), and else BudgetExceeded, naming that bound,
@@ -521,7 +512,7 @@ def enumerate_fan(seed, triangulation=None, budget=DEFAULT_BFS_BUDGET):
     if triangulation is not None:
         if seed.b_matrix != _triangulation_matrix(triangulation):
             raise ValueError("seed does not match the triangulation (flip tracking would drift)")
-    _check_finite_type(seed.b_matrix, 0)
+    _check_finite_type(seed.b_matrix, 0, _rebuilt(seed.b_matrix, None))
     diags = triangulation.diagonals if triangulation else None
     # the start seed's diagonals are distinct, so its pairs cannot disagree
     diagonal_rays = dict(zip(diags, seed.g_vectors)) if triangulation else {}

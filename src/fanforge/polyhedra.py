@@ -421,7 +421,9 @@ def facet_description(vp):
     (a, beta) of the cone of valid inequalities {(a, beta) : a . v <= beta
     for every point v}, whose tight constraints are exactly the points on
     the row. The facets are the rows :func:`facet_rows` selects, and a
-    point is a vertex iff it is the only point on all of its facets.
+    point is a vertex iff it is the only point on all of its facets. The
+    incidence is transposed once (:func:`row_contacts`), so each point ANDs
+    only its own facets' masks and joins only their contact lists.
     Full-dimensionality is proved here only for a point list: a vertex
     enumeration has proved it for its own output. The points span R^n
     affinely iff the valid-inequality rows (-v, 1) have rank n + 1.
@@ -438,14 +440,16 @@ def facet_description(vp):
     chosen = facet_rows([k[0] for k in keys], [candidates[k] for k in keys])
     ordered = sorted((keys[k] for k in chosen), key=lambda f: f[0], reverse=True)
     on_facet = [candidates[f] for f in ordered]
-    for i, v in enumerate(pts):
+    lists = [[] for _ in on_facet]
+    for i, (v, mine) in enumerate(zip(pts, row_contacts(on_facet, len(pts)))):
         common = (1 << len(pts)) - 1
-        for c in on_facet:
-            if c >> i & 1:
-                common &= c
+        while mine:
+            k = (mine & -mine).bit_length() - 1
+            common &= on_facet[k]
+            lists[k].append(i)
+            mine &= mine - 1
         if common != 1 << i:
             raise ValueError(f"point {v} is not a vertex (redundant input point)")
-    lists = [[j for j in range(len(pts)) if c >> j & 1] for c in on_facet]
     return [f[0] for f in ordered], [f[1] for f in ordered], lists
 
 
@@ -565,6 +569,7 @@ def write_roff(vp):
 
 
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _rational(tok):
@@ -578,11 +583,15 @@ def _rational(tok):
 
 def parse_roff(text):
     """Parse ROFF text into (vertex tuples, facet index lists); malformed
-    text raises ValueError."""
+    text raises ValueError. Counts and indices are [+-]digits in ASCII, as
+    the integer part of a vertex coordinate is (_rational)."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) < 2 or lines[0] != "ROFF":
         raise ValueError("missing ROFF header")
-    nv, nf = (int(tok) for tok in lines[1].split())
+    counts = lines[1].split()
+    if len(counts) != 2 or not all(map(_INTEGER.fullmatch, counts)):
+        raise ValueError(f"ROFF count line {lines[1]!r} needs two integers V F")
+    nv, nf = map(int, counts)
     if nv < 1 or nf < 0 or len(lines) != 2 + nv + nf:
         raise ValueError("ROFF line count mismatch")
     try:
@@ -593,7 +602,8 @@ def parse_roff(text):
         raise ValueError("vertex rows differ in length")
     facets = []
     for ln in lines[2 + nv :]:
-        toks = [int(tok) for tok in ln.split()]
+        # a token that is not an ASCII integer fails as an index out of range
+        toks = [int(tok) if _INTEGER.fullmatch(tok) else -1 for tok in ln.split()]
         if not 0 < toks[0] == len(toks) - 1 or not all(0 <= i < nv for i in toks[1:]):
             raise ValueError(f"facet line {ln!r} needs a count prefix and indices in 0..{nv - 1}")
         facets.append(tuple(toks[1:]))

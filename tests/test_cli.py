@@ -589,6 +589,30 @@ def test_an_exponent_is_an_input_error_and_is_never_expanded(tmp_path, capsys, m
     assert err == f"fanforge: error: Invalid literal for Fraction: {EXPONENT!r}\n"
 
 
+@pytest.mark.parametrize(
+    "counts, facet, message",
+    [
+        ("٢ 2", "1 0_0", "ROFF count line '٢ 2' needs two integers V F"),
+        ("2 2", "1 0_0", "facet line '1 0_0' needs a count prefix and indices in 0..1"),
+        ("2", "1 0", "ROFF count line '2' needs two integers V F"),
+        ("2 2 2", "1 0", "ROFF count line '2 2 2' needs two integers V F"),
+        ("2 2", "1 x", "facet line '1 x' needs a count prefix and indices in 0..1"),
+    ],
+    ids=["arabic-indic-count", "underscore-index", "one-count", "three-counts", "letter-index"],
+)
+def test_roff_counts_and_indices_are_ascii_integers(
+    tmp_path, capsys, monkeypatch, counts, facet, message
+):
+    # int() alone would take the Arabic-Indic two and 0_0, and unpack or
+    # parse the others with Python's own messages
+    monkeypatch.chdir(tmp_path)
+    run(capsys, ["fan", "--type", "A", "--rank", "1", "-o", "a1.json"])
+    (tmp_path / "a1.off").write_text(f"ROFF\n{counts}\n0/1\n1/1\n{facet}\n1 1\n")
+    code, out, err = run(capsys, ["verify", "--fan", "a1.json", "--polytope", "a1.off"])
+    assert (code, out) == (2, "")
+    assert err == f"fanforge: error: {message}\n"
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 100) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),

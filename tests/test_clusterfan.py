@@ -269,6 +269,30 @@ def test_seed_with_a_wrong_symmetrizer_raises_value_error():
         Seed(((1, 0), (0, 0)), ident, ident, (1, 1))
 
 
+def test_a_given_symmetrizer_is_positive_integers_one_per_row():
+    # zero, negative, bool and Fraction entries would each pass both
+    # identities, so only the check where a symmetrizer enters rejects them
+    b = ((0, 1), (-2, 0))
+    ident = ((1, 0), (0, 1))
+    assert Seed(b, ident, ident, (4, 2)) == Seed(b, ident, ident, (2, 1))
+    assert Seed(b, ident, ident, (4, 2)).symmetrizer == (4, 2)
+    cases = [
+        (b, (2,)),
+        (b, (2, 1, 1)),
+        ((), (1,)),
+        (b, (0, 0)),
+        (b, (-2, -1)),
+        (b, (2, True)),
+        (((0, 1), (-1, 0)), (True, True)),
+        (b, (Fraction(2), Fraction(1))),
+        (b, (1, 1)),
+    ]
+    for m, d in cases:
+        g = c = tuple(ident[i][: len(m)] for i in range(len(m)))
+        with pytest.raises(ValueError, match="^exchange matrix is not skew-symmetrizable$"):
+            Seed(m, g, c, d)
+
+
 def test_mutation_rejects_a_seed_whose_symmetrizer_was_replaced():
     seed = initial_seed(B3_B)
     object.__setattr__(seed, "symmetrizer", (1, 1, 1))
@@ -754,7 +778,7 @@ def _eager_enumerate_fan(seed, triangulation=None):
     g-vector set, and matches every (diagonal, g-vector) pair of every
     cluster in a second pass."""
     n = seed.rank
-    _check_finite_type(seed.b_matrix, 0)
+    _check_finite_type(seed.b_matrix, 0, range(n))
     start_key = frozenset(seed.g_vectors)
     states = {start_key: (seed, triangulation.diagonals if triangulation else None)}
     order, frontier, edges = [start_key], [start_key], set()
@@ -770,7 +794,7 @@ def _eager_enumerate_fan(seed, triangulation=None):
                     diags2 = tuple(new_diag if i == k else diags[i] for i in range(n))
                 key2 = frozenset(s2.g_vectors)
                 if key2 not in states:
-                    _check_finite_type(s2.b_matrix, len(states))
+                    _check_finite_type(s2.b_matrix, len(states), range(n))
                     states[key2] = (s2, diags2)
                     order.append(key2)
                     next_frontier.append(key2)
